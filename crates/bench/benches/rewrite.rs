@@ -1,44 +1,82 @@
 //! Microbenchmarks of partition construction: w-generalization plus the full
 //! rewrite pipeline (the per-sequence map-side cost of LASH).
+//!
+//! Every case routes whole sentences — each against every frequent pivot of
+//! its G1 closure, one rewrite attempt per pair — and reports ns per attempt.
+//! `rewrite/*` is a small in-cache corpus; `rewrite_ledger/*` is the map
+//! phase of the perf ledger's `nyt_lash` workload (NYT-CLP, 40 000 sentences,
+//! σ = 100, ~1.3 M attempts).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use lash_core::context::MiningContext;
-use lash_core::rewrite::{RewriteLevel, Rewriter};
+use lash_core::enumeration::g1_ranks;
+use lash_core::rewrite::{RewriteLevel, RewriteScratch, Rewriter};
 use lash_core::GsmParams;
 use lash_datagen::{TextConfig, TextCorpus, TextHierarchy};
 
-fn bench_rewrite(c: &mut Criterion) {
-    let corpus = TextCorpus::generate(&TextConfig {
-        sentences: 500,
-        lemmas: 500,
-        ..TextConfig::default()
-    });
-    let (vocab, db) = corpus.dataset(TextHierarchy::CLP);
-    let ctx = MiningContext::build(&db, &vocab, 20);
-    let params = GsmParams::new(20, 1, 5).unwrap();
-    let seqs: Vec<Vec<u32>> = (0..200).map(|i| ctx.ranked_seq(i).to_vec()).collect();
-    let pivots: Vec<u32> = (0..ctx.space().num_frequent().min(8)).collect();
+fn bench_corpus(
+    c: &mut Criterion,
+    group: &str,
+    config: &TextConfig,
+    params: GsmParams,
+    levels: &[(&str, RewriteLevel)],
+) {
+    let (vocab, db) = TextCorpus::generate(config).dataset(TextHierarchy::CLP);
+    let ctx = MiningContext::build(&db, &vocab, params.sigma);
+    let space = ctx.space();
+    let mut g1 = Vec::new();
+    let mut attempts = 0u64;
+    for seq in ctx.ranked_db().iter() {
+        g1_ranks(seq, space, &mut g1);
+        attempts += g1.iter().filter(|&&w| space.is_frequent(w)).count() as u64;
+    }
 
-    let mut group = c.benchmark_group("rewrite");
-    group.throughput(Throughput::Elements((seqs.len() * pivots.len()) as u64));
-    for (name, level) in [
-        ("generalize_only", RewriteLevel::GeneralizeOnly),
-        ("full", RewriteLevel::Full),
-    ] {
+    let mut group = c.benchmark_group(group);
+    group.throughput(Throughput::Elements(attempts));
+    for &(name, level) in levels {
         group.bench_function(name, |b| {
-            let rw = Rewriter::with_level(ctx.space(), &params, level);
+            let rw = Rewriter::with_level(space, &params, level);
+            let mut scratch = RewriteScratch::default();
             b.iter(|| {
-                let mut kept = 0usize;
-                for seq in &seqs {
-                    for &pivot in &pivots {
-                        kept += usize::from(rw.rewrite(black_box(seq), pivot).is_some());
-                    }
+                let mut items = 0usize;
+                for seq in ctx.ranked_db().iter() {
+                    rw.rewrite_all(black_box(seq), &mut scratch, |_, rewritten| {
+                        items += rewritten.len();
+                    });
                 }
-                black_box(kept)
+                black_box(items)
             });
         });
     }
     group.finish();
+}
+
+fn bench_rewrite(c: &mut Criterion) {
+    bench_corpus(
+        c,
+        "rewrite",
+        &TextConfig {
+            sentences: 500,
+            lemmas: 500,
+            ..TextConfig::default()
+        },
+        GsmParams::new(20, 1, 5).unwrap(),
+        &[
+            ("generalize_only", RewriteLevel::GeneralizeOnly),
+            ("full", RewriteLevel::Full),
+        ],
+    );
+    bench_corpus(
+        c,
+        "rewrite_ledger",
+        &TextConfig {
+            sentences: 40_000,
+            lemmas: 7_071,
+            ..TextConfig::default()
+        },
+        GsmParams::new(100, 0, 5).unwrap(),
+        &[("nyt_clp_40k_s100", RewriteLevel::Full)],
+    );
 }
 
 criterion_group!(benches, bench_rewrite);

@@ -11,14 +11,12 @@ use std::sync::Mutex;
 use lash_mapreduce::{run_job, Emitter, EngineConfig, Job, JobMetrics};
 
 use crate::context::MiningContext;
-use crate::enumeration::g1_ranks;
 use crate::error::{Error, Result};
 use crate::flist::FList;
-use crate::fxhash::FxHashMap;
 use crate::miner::{BfsMiner, DfsMiner, LocalMiner, MinerStats, NaiveMiner, PsmMiner};
 use crate::params::GsmParams;
 use crate::pattern::{Pattern, PatternSet};
-use crate::rewrite::{RewriteLevel, Rewriter};
+use crate::rewrite::{RewriteLevel, RewriteScratch, Rewriter};
 use crate::sequence::{Partition, SequenceDatabase, ShardedCorpus};
 use crate::vocabulary::Vocabulary;
 
@@ -330,29 +328,53 @@ impl LashResult {
     }
 }
 
-/// The shared map-side kernel of Alg. 1: routes one ranked sequence to the
-/// partition of every frequent pivot in `G1(T)`, shipping its rewrite.
-fn map_ranked_sequence<J: Job<Key = u32, Value = (Vec<u32>, u64)>>(
-    seq: &[u32],
-    ctx: &MiningContext,
-    rewriter: &Rewriter<'_>,
-    g1: &mut Vec<u32>,
-    emit: &mut Emitter<'_, J>,
-) {
-    g1_ranks(seq, ctx.space(), g1);
-    for &w in g1.iter() {
-        if !ctx.space().is_frequent(w) {
-            // g1 is sorted ascending; everything after is infrequent too.
-            break;
-        }
-        if let Some(rewritten) = rewriter.rewrite(seq, w) {
-            emit.emit(w, (rewritten, 1));
-        }
+/// The map-side kernel of Alg. 1 with the buffers one `map` call reuses from
+/// sequence to sequence: routes a ranked sequence to the partition of every
+/// frequent pivot in `G1(T)`, shipping its rewrite.
+struct Mapper<'a> {
+    rewriter: Rewriter<'a>,
+    scratch: RewriteScratch,
+    /// The one value every record of the task is serialized from.
+    value: (Vec<u32>, u64),
+}
+
+impl Mapper<'_> {
+    fn map<J: Job<Key = u32, Value = (Vec<u32>, u64)>>(
+        &mut self,
+        seq: &[u32],
+        emit: &mut Emitter<'_, J>,
+    ) {
+        let value = &mut self.value;
+        self.rewriter
+            .rewrite_all(seq, &mut self.scratch, |pivot, rewritten| {
+                value.0.clear();
+                value.0.extend_from_slice(rewritten);
+                emit.emit_ref(&pivot, value);
+            });
     }
+}
+
+/// Where the map tasks of a [`LashJob`] read their sequences.
+enum Source<'a> {
+    /// The context's rank-re-encoded database; one input record per
+    /// sequence.
+    Ranked,
+    /// A [`ShardedCorpus`]; one input record (and one map task) per shard,
+    /// streamed and ranked on the fly.
+    Sharded {
+        corpus: &'a dyn ShardedCorpus,
+        /// True when the corpus stores items pre-ranked in exactly this
+        /// context's order (checked once in
+        /// `run_partition_and_mine_sharded`), making the map phase's
+        /// per-item rank lookup a pass-through of the stored bytes.
+        ranked_scan: bool,
+        scan_error: Mutex<Option<Error>>,
+    },
 }
 
 /// The partition-and-mine MapReduce job (Alg. 1).
 struct LashJob<'a> {
+    source: Source<'a>,
     ctx: &'a MiningContext,
     params: GsmParams,
     rewrite_level: RewriteLevel,
@@ -361,30 +383,107 @@ struct LashJob<'a> {
     stats: Mutex<(MinerStats, u64)>,
 }
 
+impl<'a> LashJob<'a> {
+    fn new(
+        source: Source<'a>,
+        ctx: &'a MiningContext,
+        params: &GsmParams,
+        config: &LashConfig,
+    ) -> Self {
+        LashJob {
+            source,
+            ctx,
+            params: *params,
+            rewrite_level: config.rewrite_level,
+            aggregate: config.aggregate,
+            miner: config.miner.instantiate(),
+            stats: Mutex::new((MinerStats::default(), 0)),
+        }
+    }
+
+    /// Runs the job and collects the patterns, the job metrics, the summed
+    /// miner statistics and the number of partitions mined.
+    fn run(
+        self,
+        inputs: &[u32],
+        cluster: &EngineConfig,
+    ) -> Result<(PatternSet, JobMetrics, MinerStats, u64)> {
+        let result = run_job(&self, inputs, cluster).map_err(|e| Error::Engine(e.to_string()))?;
+        if let Source::Sharded { scan_error, .. } = self.source {
+            if let Some(e) = scan_error.into_inner().expect("scan error lock") {
+                return Err(e);
+            }
+        }
+        let (miner_stats, partitions) = self.stats.into_inner().expect("stats lock");
+        Ok((
+            PatternSet::from_pairs(result.outputs),
+            result.metrics,
+            miner_stats,
+            partitions,
+        ))
+    }
+}
+
 impl Job for LashJob<'_> {
     type Input = u32;
     type Key = u32;
     type Value = (Vec<u32>, u64);
     type Output = (Vec<u32>, u64);
 
-    fn map(&self, &idx: &u32, emit: &mut Emitter<'_, Self>) {
-        let seq = self.ctx.ranked_seq(idx as usize);
-        let rewriter = Rewriter::with_level(self.ctx.space(), &self.params, self.rewrite_level);
-        let mut g1 = Vec::new();
-        map_ranked_sequence(seq, self.ctx, &rewriter, &mut g1, emit);
+    fn map(&self, &input: &u32, emit: &mut Emitter<'_, Self>) {
+        let ctx = self.ctx;
+        let mut mapper = Mapper {
+            rewriter: Rewriter::with_level(ctx.space(), &self.params, self.rewrite_level),
+            scratch: RewriteScratch::default(),
+            value: (Vec::new(), 1),
+        };
+        let Source::Sharded {
+            corpus,
+            ranked_scan,
+            scan_error,
+        } = &self.source
+        else {
+            return mapper.map(ctx.ranked_seq(input as usize), emit);
+        };
+        let mut ranked = Vec::new();
+        // A sequence with no frequent item in its G1 closure emits nothing,
+        // so the corpus may skip whole blocks whose sketch proves exactly
+        // that (long-tail shards never even decode them).
+        let frequent =
+            move |item: crate::vocabulary::ItemId| ctx.space().is_frequent(ctx.order().rank(item));
+        let result = if *ranked_scan {
+            // Rank-encoded corpus in this exact order: the stored items
+            // *are* the ranks — no per-item re-encoding.
+            corpus.scan_shard_ranked(input as usize, &frequent, &mut |_, seq| {
+                ranked.clear();
+                ranked.extend(seq.iter().map(|r| r.as_u32()));
+                mapper.map(&ranked, emit);
+            })
+        } else {
+            corpus.scan_shard_pruned(input as usize, &frequent, &mut |_, seq| {
+                ranked.clear();
+                ranked.extend(seq.iter().map(|&it| ctx.order().rank(it)));
+                mapper.map(&ranked, emit);
+            })
+        };
+        if let Err(e) = result {
+            scan_error.lock().expect("scan error lock").get_or_insert(e);
+        }
     }
 
-    fn combine(&self, _key: &u32, values: Vec<(Vec<u32>, u64)>) -> Vec<(Vec<u32>, u64)> {
-        if !self.aggregate {
-            return values;
+    fn combine(&self, _key: &u32, mut values: Vec<(Vec<u32>, u64)>) -> Vec<(Vec<u32>, u64)> {
+        if self.aggregate {
+            // Equal rewrites end up adjacent; the weights of a run add up.
+            values.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+            values.dedup_by(|later, first| {
+                let equal = later.0 == first.0;
+                if equal {
+                    first.1 += later.1;
+                }
+                equal
+            });
         }
-        let mut agg: FxHashMap<Vec<u32>, u64> = FxHashMap::default();
-        for (seq, w) in values {
-            *agg.entry(seq).or_insert(0) += w;
-        }
-        let mut out: Vec<(Vec<u32>, u64)> = agg.into_iter().collect();
-        out.sort_unstable();
-        out
+        values
     }
 
     fn reduce(
@@ -407,9 +506,7 @@ impl Job for LashJob<'_> {
             guard.0.absorb(stats);
             guard.1 += 1;
         }
-        for (pattern, frequency) in patterns {
-            out.push((pattern, frequency));
-        }
+        out.extend(patterns);
     }
 
     fn encode_key(&self, key: &u32, buf: &mut Vec<u8>) {
@@ -426,139 +523,15 @@ impl Job for LashJob<'_> {
     }
 }
 
-/// Runs the partition-and-mine job over a prepared context.
+/// Runs the partition-and-mine job over a prepared context, one input record
+/// per ranked sequence.
 pub(crate) fn run_partition_and_mine(
     ctx: &MiningContext,
     params: &GsmParams,
     config: &LashConfig,
 ) -> Result<(PatternSet, JobMetrics, MinerStats, u64)> {
-    let job = LashJob {
-        ctx,
-        params: *params,
-        rewrite_level: config.rewrite_level,
-        aggregate: config.aggregate,
-        miner: config.miner.instantiate(),
-        stats: Mutex::new((MinerStats::default(), 0)),
-    };
     let inputs: Vec<u32> = (0..ctx.ranked_db().len() as u32).collect();
-    let result =
-        run_job(&job, &inputs, &config.cluster).map_err(|e| Error::Engine(e.to_string()))?;
-    let (miner_stats, partitions) = *job.stats.lock().expect("stats lock");
-    Ok((
-        PatternSet::from_pairs(result.outputs),
-        result.metrics,
-        miner_stats,
-        partitions,
-    ))
-}
-
-/// The partition-and-mine job at shard granularity: each map task streams
-/// one shard of a [`ShardedCorpus`], ranking sequences on the fly. The
-/// combiner, reducer, and wire format are identical to [`LashJob`].
-struct ShardedLashJob<'a, C> {
-    corpus: &'a C,
-    ctx: &'a MiningContext,
-    params: GsmParams,
-    rewrite_level: RewriteLevel,
-    aggregate: bool,
-    /// True when the corpus stores items pre-ranked in exactly this
-    /// context's order (checked once in `run_partition_and_mine_sharded`),
-    /// making the map phase's per-item rank lookup a pass-through of the
-    /// stored bytes.
-    ranked_scan: bool,
-    miner: Box<dyn LocalMiner>,
-    stats: Mutex<(MinerStats, u64)>,
-    scan_error: Mutex<Option<Error>>,
-}
-
-impl<C: ShardedCorpus> Job for ShardedLashJob<'_, C> {
-    type Input = u32;
-    type Key = u32;
-    type Value = (Vec<u32>, u64);
-    type Output = (Vec<u32>, u64);
-
-    fn map(&self, &shard: &u32, emit: &mut Emitter<'_, Self>) {
-        let rewriter = Rewriter::with_level(self.ctx.space(), &self.params, self.rewrite_level);
-        let mut ranked = Vec::new();
-        let mut g1 = Vec::new();
-        // A sequence with no frequent item in its G1 closure emits nothing,
-        // so the corpus may skip whole blocks whose sketch proves exactly
-        // that (long-tail shards never even decode them).
-        let ctx = self.ctx;
-        let frequent =
-            move |item: crate::vocabulary::ItemId| ctx.space().is_frequent(ctx.order().rank(item));
-        let result = if self.ranked_scan {
-            // Rank-encoded corpus in this exact order: the stored items
-            // *are* the ranks — no per-item re-encoding.
-            self.corpus
-                .scan_shard_ranked(shard as usize, &frequent, &mut |_, seq| {
-                    ranked.clear();
-                    ranked.extend(seq.iter().map(|r| r.as_u32()));
-                    map_ranked_sequence(&ranked, self.ctx, &rewriter, &mut g1, emit);
-                })
-        } else {
-            self.corpus
-                .scan_shard_pruned(shard as usize, &frequent, &mut |_, seq| {
-                    ranked.clear();
-                    ranked.extend(seq.iter().map(|&it| self.ctx.order().rank(it)));
-                    map_ranked_sequence(&ranked, self.ctx, &rewriter, &mut g1, emit);
-                })
-        };
-        if let Err(e) = result {
-            self.scan_error
-                .lock()
-                .expect("scan error lock")
-                .get_or_insert(e);
-        }
-    }
-
-    fn combine(&self, _key: &u32, values: Vec<(Vec<u32>, u64)>) -> Vec<(Vec<u32>, u64)> {
-        if !self.aggregate {
-            return values;
-        }
-        let mut agg: FxHashMap<Vec<u32>, u64> = FxHashMap::default();
-        for (seq, w) in values {
-            *agg.entry(seq).or_insert(0) += w;
-        }
-        let mut out: Vec<(Vec<u32>, u64)> = agg.into_iter().collect();
-        out.sort_unstable();
-        out
-    }
-
-    fn reduce(
-        &self,
-        pivot: u32,
-        values: impl Iterator<Item = (Vec<u32>, u64)>,
-        out: &mut Vec<(Vec<u32>, u64)>,
-    ) {
-        let partition = Partition::aggregate(values);
-        let mine_started = std::time::Instant::now();
-        let (patterns, stats) = self
-            .miner
-            .mine(&partition, pivot, self.ctx.space(), &self.params);
-        publish_mine(pivot, &stats, mine_started.elapsed());
-        {
-            let mut guard = self.stats.lock().expect("stats lock");
-            guard.0.absorb(stats);
-            guard.1 += 1;
-        }
-        for (pattern, frequency) in patterns {
-            out.push((pattern, frequency));
-        }
-    }
-
-    fn encode_key(&self, key: &u32, buf: &mut Vec<u8>) {
-        super::encode_u32_key(*key, buf);
-    }
-    fn decode_key(&self, bytes: &[u8]) -> u32 {
-        super::decode_u32_key(bytes)
-    }
-    fn encode_value(&self, value: &(Vec<u32>, u64), buf: &mut Vec<u8>) {
-        super::encode_weighted_seq(&value.0, value.1, buf);
-    }
-    fn decode_value(&self, bytes: &[u8]) -> (Vec<u32>, u64) {
-        super::decode_weighted_seq(bytes)
-    }
+    LashJob::new(Source::Ranked, ctx, params, config).run(&inputs, &config.cluster)
 }
 
 /// Runs the partition-and-mine job over a sharded corpus, one map task per
@@ -582,15 +555,9 @@ fn run_partition_and_mine_sharded<C: ShardedCorpus>(
                 .enumerate()
                 .all(|(rank, &item)| ctx.order().item(rank as u32).as_u32() == item)
     });
-    let job = ShardedLashJob {
+    let source = Source::Sharded {
         corpus,
-        ctx,
-        params: *params,
-        rewrite_level: config.rewrite_level,
-        aggregate: config.aggregate,
         ranked_scan,
-        miner: config.miner.instantiate(),
-        stats: Mutex::new((MinerStats::default(), 0)),
         scan_error: Mutex::new(None),
     };
     let inputs: Vec<u32> = (0..corpus.num_shards() as u32).collect();
@@ -600,17 +567,7 @@ fn run_partition_and_mine_sharded<C: ShardedCorpus>(
         c.split_size = 1;
         c
     };
-    let result = run_job(&job, &inputs, &cluster).map_err(|e| Error::Engine(e.to_string()))?;
-    if let Some(e) = job.scan_error.into_inner().expect("scan error lock") {
-        return Err(e);
-    }
-    let (miner_stats, partitions) = *job.stats.lock().expect("stats lock");
-    Ok((
-        PatternSet::from_pairs(result.outputs),
-        result.metrics,
-        miner_stats,
-        partitions,
-    ))
+    LashJob::new(source, ctx, params, config).run(&inputs, &cluster)
 }
 
 #[cfg(test)]

@@ -112,14 +112,14 @@ pub fn embeddings(pattern: &[u32], seq: &[u32], space: &ItemSpace, gamma: usize)
 /// frequency `f_γ(pattern, P)`.
 pub fn support(
     pattern: &[u32],
-    sequences: &[crate::sequence::WeightedSequence],
+    partition: &crate::sequence::Partition,
     space: &ItemSpace,
     gamma: usize,
 ) -> u64 {
-    sequences
+    partition
         .iter()
-        .filter(|ws| matches(pattern, &ws.items, space, gamma))
-        .map(|ws| ws.weight)
+        .filter(|(seq, _)| matches(pattern, seq, space, gamma))
+        .map(|(_, weight)| weight)
         .sum()
 }
 
@@ -227,15 +227,13 @@ mod tests {
 
     #[test]
     fn support_weights_partition_sequences() {
-        use crate::sequence::WeightedSequence;
         let ctx = fig2_context();
         let space = ctx.space();
         let a = ranks(&ctx, &["a"])[0];
         let b_cap = ranks(&ctx, &["B"])[0];
-        let part = vec![
-            WeightedSequence::new(vec![a, b_cap], 2),
-            WeightedSequence::new(vec![b_cap, a], 1),
-        ];
+        let mut part = crate::sequence::Partition::new();
+        part.push(&[a, b_cap], 2);
+        part.push(&[b_cap, a], 1);
         assert_eq!(support(&[a, b_cap], &part, space, 0), 2);
         assert_eq!(support(&[b_cap], &part, space, 0), 3);
     }

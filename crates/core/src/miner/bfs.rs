@@ -53,10 +53,9 @@ impl LocalMiner for BfsMiner {
         // Level 2: vertical index over G2(T).
         let mut postings: FxHashMap<Vec<u32>, Vec<u32>> = FxHashMap::default();
         let mut per_seq: FxHashSet<Vec<u32>> = FxHashSet::default();
-        for (idx, ws) in partition.sequences.iter().enumerate() {
+        for (idx, (items, _)) in partition.iter().enumerate() {
             stats.expansions += 1;
             per_seq.clear();
-            let items = &ws.items;
             for i in 0..items.len() {
                 if items[i] == BLANK {
                     continue;
@@ -85,11 +84,8 @@ impl LocalMiner for BfsMiner {
         }
         stats.candidates += postings.len() as u64;
 
-        let weight_of = |list: &[u32]| -> u64 {
-            list.iter()
-                .map(|&i| partition.sequences[i as usize].weight)
-                .sum()
-        };
+        let weight_of =
+            |list: &[u32]| -> u64 { list.iter().map(|&i| partition.weight(i as usize)).sum() };
 
         let mut level: Vec<Entry> = postings
             .into_iter()
@@ -142,8 +138,8 @@ impl LocalMiner for BfsMiner {
                             std::cmp::Ordering::Greater => b += 1,
                             std::cmp::Ordering::Equal => {
                                 let sidx = s1.postings[a];
-                                let ws = &partition.sequences[sidx as usize];
-                                if matches(&candidate, &ws.items, space, params.gamma) {
+                                let seq = partition.seq(sidx as usize);
+                                if matches(&candidate, seq, space, params.gamma) {
                                     verified.push(sidx);
                                 }
                                 a += 1;
@@ -234,9 +230,7 @@ mod tests {
         let b1 = ctx.rank("b1");
         let b_cap = ctx.rank("B");
         let params = GsmParams::new(1, 0, 3).unwrap();
-        let partition = Partition {
-            sequences: vec![crate::sequence::WeightedSequence::new(vec![a, c, b1, a], 1)],
-        };
+        let partition = Partition::aggregate([([a, c, b1, a], 1)]);
         let (got, _) = BfsMiner.mine(&partition, c, space, &params);
         assert!(got.contains(&[a, c, b1]));
         assert!(got.contains(&[a, c, b_cap])); // hierarchy-aware level-2 index

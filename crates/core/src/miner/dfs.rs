@@ -12,13 +12,12 @@
 //! `ca` contribute to longer pivot sequences like `caD`) and is what PSM
 //! eliminates.
 
-use crate::fxhash::FxHashMap;
 use crate::hierarchy::ItemSpace;
 use crate::params::GsmParams;
 use crate::pattern::PatternSet;
 use crate::sequence::Partition;
 
-use super::expansion::{count_extensions, project, Dir, Projection};
+use super::expansion::{with_scratch, Block, Dir, Engine};
 use super::{LocalMiner, MinerStats};
 
 /// The PrefixSpan-style miner.
@@ -26,8 +25,7 @@ use super::{LocalMiner, MinerStats};
 pub struct DfsMiner;
 
 struct Run<'a> {
-    partition: &'a Partition,
-    space: &'a ItemSpace,
+    engine: Engine<'a>,
     params: &'a GsmParams,
     pivot: u32,
     out: PatternSet,
@@ -35,49 +33,36 @@ struct Run<'a> {
 }
 
 impl Run<'_> {
-    fn grow(&mut self, pattern: &mut Vec<u32>, proj: &Projection) {
-        if pattern.len() == self.params.lambda {
-            return;
-        }
-        self.stats.expansions += 1;
-        let mut counts: FxHashMap<u32, u64> = FxHashMap::default();
-        // Extension items are capped at the pivot: larger items cannot occur
-        // in this partition's pivot sequences, and w-generalization has
-        // already removed them from the data. The cap is a no-op for fully
-        // rewritten partitions but keeps the miner correct on raw data.
-        self.stats.candidates += count_extensions(
-            proj,
-            self.partition,
-            self.space,
-            self.params.gamma,
-            Dir::Right,
-            self.pivot,
-            None,
-            None,
-            &mut counts,
-        );
-        let mut frequent: Vec<u32> = counts
-            .iter()
-            .filter(|&(_, &f)| f >= self.params.sigma)
-            .map(|(&w, _)| w)
-            .collect();
-        frequent.sort_unstable();
-        for w in frequent {
-            let next = project(
-                proj,
-                self.partition,
-                self.space,
-                self.params.gamma,
-                Dir::Right,
-                w,
-            );
-            pattern.push(w);
+    /// Outputs every frequent extension in `block` of `pattern` that is a
+    /// pivot sequence and grows it further.
+    fn grow(&mut self, pattern: &mut Vec<u32>, block: Block) {
+        for i in block.children.clone() {
+            let child = self.engine.child(i);
+            pattern.push(child.item);
             if pattern.len() >= 2 && pattern.iter().copied().max() == Some(self.pivot) {
-                self.out.insert(pattern.clone(), counts[&w]);
+                self.out.insert(pattern.clone(), child.frequency);
             }
-            self.grow(pattern, &next);
+            if pattern.len() < self.params.lambda {
+                self.stats.expansions += 1;
+                // Extension items are capped at the pivot (the engine's
+                // `max_item`): larger items cannot occur in this partition's
+                // pivot sequences, and w-generalization has already removed
+                // them from the data. The cap is a no-op for fully rewritten
+                // partitions but keeps the miner correct on raw data.
+                let (candidates, next) = self.engine.expand(
+                    child.level,
+                    Dir::Right,
+                    None,
+                    None,
+                    self.params.sigma,
+                    pattern.len() + 1 < self.params.lambda,
+                );
+                self.stats.candidates += candidates;
+                self.grow(pattern, next);
+            }
             pattern.pop();
         }
+        self.engine.pop_block(block);
     }
 }
 
@@ -93,52 +78,23 @@ impl LocalMiner for DfsMiner {
         space: &ItemSpace,
         params: &GsmParams,
     ) -> (PatternSet, MinerStats) {
-        let mut run = Run {
-            partition,
-            space,
-            params,
-            pivot,
-            out: PatternSet::new(),
-            stats: MinerStats::default(),
-        };
-        // Level 1: frequent single items (counted like every other level, so
-        // the search-space accounting matches the paper's Sec. 5.2 example).
-        let mut counts: FxHashMap<u32, u64> = FxHashMap::default();
-        let mut per_seq: Vec<u32> = Vec::new();
-        for ws in &partition.sequences {
-            per_seq.clear();
-            for &t in &ws.items {
-                if t == crate::BLANK {
-                    continue;
-                }
-                for &anc in space.chain(t) {
-                    if anc <= pivot {
-                        per_seq.push(anc);
-                    }
-                }
-            }
-            per_seq.sort_unstable();
-            per_seq.dedup();
-            for &w in &per_seq {
-                *counts.entry(w).or_insert(0) += ws.weight;
-            }
-        }
-        run.stats.candidates += counts.len() as u64;
-        let mut frequent: Vec<u32> = counts
-            .iter()
-            .filter(|&(_, &f)| f >= params.sigma)
-            .map(|(&w, _)| w)
-            .collect();
-        frequent.sort_unstable();
-        let mut pattern = Vec::with_capacity(params.lambda);
-        for w in frequent {
-            let proj = Projection::for_item(partition, space, w);
-            pattern.push(w);
-            run.grow(&mut pattern, &proj);
-            pattern.pop();
-        }
-        run.stats.outputs = run.out.len() as u64;
-        (run.out, run.stats)
+        with_scratch(|scratch| {
+            let mut run = Run {
+                engine: Engine::new(&mut scratch.buffers, partition, space, params.gamma, pivot),
+                params,
+                pivot,
+                out: PatternSet::new(),
+                stats: MinerStats::default(),
+            };
+            // Level 1: frequent single items (counted like every other level,
+            // so the search-space accounting matches the paper's Sec. 5.2
+            // example).
+            let (candidates, items) = run.engine.expand_items(params.sigma);
+            run.stats.candidates += candidates;
+            run.grow(&mut Vec::with_capacity(params.lambda), items);
+            run.stats.outputs = run.out.len() as u64;
+            (run.out, run.stats)
+        })
     }
 }
 

@@ -88,18 +88,25 @@ pub(crate) mod minertests {
     //! Fig. 2 per-partition outputs and agree with naive enumeration.
 
     use super::*;
-    use crate::rewrite::Rewriter;
+    use crate::rewrite::{RewriteScratch, Rewriter};
     use crate::testutil::{fig2_context, named_patterns, Fig2Context};
 
     /// Builds the Fig. 2 partition for `pivot` via the full rewrite pipeline.
     pub(crate) fn fig2_partition(ctx: &Fig2Context, pivot: &str, params: &GsmParams) -> Partition {
+        let rewrites = fig2_rewrites(ctx, ctx.rank(pivot), params);
+        Partition::aggregate(rewrites.iter().map(|seq| (seq, 1)))
+    }
+
+    /// The non-empty rewrites of the six Fig. 1 sequences for `pivot`.
+    fn fig2_rewrites(ctx: &Fig2Context, pivot: u32, params: &GsmParams) -> Vec<Vec<u32>> {
         let rw = Rewriter::new(ctx.space(), params);
-        let p = ctx.rank(pivot);
-        Partition::aggregate(
-            (0..6)
-                .filter_map(|i| rw.rewrite(ctx.ranked_seq(i), p))
-                .map(|seq| (seq, 1)),
-        )
+        let mut scratch = RewriteScratch::default();
+        (0..6)
+            .filter_map(|i| {
+                rw.rewrite_into(ctx.ranked_seq(i), pivot, &mut scratch)
+                    .map(<[u32]>::to_vec)
+            })
+            .collect()
     }
 
     /// Runs `miner` over all five Fig. 2 partitions and checks the paper's
@@ -134,19 +141,14 @@ pub(crate) mod minertests {
     pub(crate) fn check_aggregation_invariance(miner: &dyn LocalMiner) {
         let ctx = fig2_context();
         let params = GsmParams::new(2, 1, 3).unwrap();
-        let rw = Rewriter::new(ctx.space(), &params);
         let pivot = ctx.rank("B");
-        let raw: Vec<(Vec<u32>, u64)> = (0..6)
-            .filter_map(|i| rw.rewrite(ctx.ranked_seq(i), pivot))
-            .map(|s| (s, 1))
-            .collect();
-        let aggregated = Partition::aggregate(raw.clone());
-        let unaggregated = Partition {
-            sequences: raw
-                .into_iter()
-                .map(|(items, weight)| crate::sequence::WeightedSequence { items, weight })
-                .collect(),
-        };
+        let raw = fig2_rewrites(&ctx, pivot, &params);
+        let aggregated = Partition::aggregate(raw.iter().map(|seq| (seq, 1)));
+        let mut unaggregated = Partition::new();
+        for seq in &raw {
+            unaggregated.push(seq, 1);
+        }
+        assert!(aggregated.len() < unaggregated.len());
         let (a, _) = miner.mine(&aggregated, pivot, ctx.space(), &params);
         let (b, _) = miner.mine(&unaggregated, pivot, ctx.space(), &params);
         assert_eq!(a, b, "{}", miner.name());
@@ -155,7 +157,103 @@ pub(crate) mod minertests {
 
 #[cfg(test)]
 mod tests {
+    use super::minertests::fig2_partition;
     use super::*;
+    use crate::testutil::fig2_context;
+
+    /// Search-space accounting of every miner on the five Fig. 2 partitions
+    /// (P_a, P_B, P_b1, P_c, P_D), as (candidates, expansions, outputs).
+    /// Pinned so that a change to how a miner stores its projected databases
+    /// cannot change *what* it searches without failing here: the figures
+    /// Fig. 4(d) reports are these counters.
+    #[test]
+    fn fig2_search_space_is_pinned() {
+        type Row = [(u64, u64, u64); 5];
+        let (psm, psm_indexed) = (PsmMiner::plain(), PsmMiner::indexed());
+        let pinned: [(usize, usize, &dyn LocalMiner, Row); 10] = [
+            (
+                1,
+                3,
+                &NaiveMiner,
+                [(1, 1, 1), (9, 3, 2), (23, 3, 2), (14, 3, 3), (15, 2, 2)],
+            ),
+            (
+                1,
+                3,
+                &BfsMiner,
+                [(2, 2, 1), (9, 8, 2), (20, 14, 2), (8, 4, 3), (8, 2, 2)],
+            ),
+            (
+                1,
+                3,
+                &DfsMiner,
+                [(2, 2, 1), (11, 5, 2), (26, 8, 2), (15, 6, 3), (12, 5, 2)],
+            ),
+            (
+                1,
+                3,
+                &psm,
+                [(1, 4, 1), (7, 5, 2), (12, 5, 2), (8, 6, 3), (8, 6, 2)],
+            ),
+            (
+                1,
+                3,
+                &psm_indexed,
+                [(1, 3, 1), (7, 5, 2), (11, 5, 2), (6, 4, 3), (6, 4, 2)],
+            ),
+            (
+                2,
+                5,
+                &NaiveMiner,
+                [(1, 1, 1), (10, 4, 4), (27, 3, 2), (21, 3, 3), (18, 2, 2)],
+            ),
+            (
+                2,
+                5,
+                &BfsMiner,
+                [(2, 2, 1), (12, 12, 4), (20, 14, 2), (9, 4, 3), (9, 2, 2)],
+            ),
+            (
+                2,
+                5,
+                &DfsMiner,
+                [(2, 2, 1), (11, 7, 4), (26, 8, 2), (19, 7, 3), (12, 5, 2)],
+            ),
+            (
+                2,
+                5,
+                &psm,
+                [(1, 4, 1), (8, 9, 4), (12, 5, 2), (9, 8, 3), (8, 6, 2)],
+            ),
+            (
+                2,
+                5,
+                &psm_indexed,
+                [(1, 3, 1), (8, 8, 4), (11, 5, 2), (6, 5, 3), (6, 4, 2)],
+            ),
+        ];
+        let ctx = fig2_context();
+        for (gamma, lambda, miner, row) in pinned {
+            let params = GsmParams::new(2, gamma, lambda).unwrap();
+            for (pivot, (candidates, expansions, outputs)) in
+                ["a", "B", "b1", "c", "D"].into_iter().zip(row)
+            {
+                let partition = fig2_partition(&ctx, pivot, &params);
+                let (_, stats) = miner.mine(&partition, ctx.rank(pivot), ctx.space(), &params);
+                let want = MinerStats {
+                    candidates,
+                    expansions,
+                    outputs,
+                };
+                assert_eq!(
+                    stats,
+                    want,
+                    "{} on P_{pivot} γ={gamma} λ={lambda}",
+                    miner.name()
+                );
+            }
+        }
+    }
 
     #[test]
     fn stats_absorb_and_ratio() {

@@ -30,10 +30,10 @@ impl LocalMiner for NaiveMiner {
     ) -> (PatternSet, MinerStats) {
         let mut counts: FxHashMap<Vec<u32>, u64> = FxHashMap::default();
         let mut stats = MinerStats::default();
-        for ws in &partition.sequences {
+        for (seq, weight) in partition.iter() {
             stats.expansions += 1;
-            for sub in enumerate_gl(&ws.items, space, params.gamma, params.lambda) {
-                *counts.entry(sub).or_insert(0) += ws.weight;
+            for sub in enumerate_gl(seq, space, params.gamma, params.lambda) {
+                *counts.entry(sub).or_insert(0) += weight;
             }
         }
         stats.candidates = counts.len() as u64;

@@ -18,13 +18,12 @@
 //! "actual implementation", which unions the per-sequence indexes of each
 //! level of a right-expansion series.
 
-use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::hierarchy::ItemSpace;
 use crate::params::GsmParams;
 use crate::pattern::PatternSet;
 use crate::sequence::Partition;
 
-use super::expansion::{count_extensions, project, Dir, Projection};
+use super::expansion::{with_scratch, Dir, Engine, ItemSet, Level};
 use super::{LocalMiner, MinerStats};
 
 /// The pivot sequence miner; `use_index` enables the right-expansion index
@@ -47,156 +46,126 @@ impl PsmMiner {
     }
 }
 
-/// Per-depth unions of frequent right-extension items for one left-prefix
-/// context: `levels[d-1]` holds the items seen at suffix depth `d`.
-#[derive(Debug, Default)]
-struct RightIndex {
-    levels: Vec<FxHashSet<u32>>,
+/// The right-expansion indexes of the left-prefix contexts on the current
+/// search path. A context is the pivot alone (context 0) or a left-prefixed
+/// `Sl·w` one left expansion deeper than its parent; its index holds, per
+/// suffix depth `d`, the union of frequent right-extension items found at
+/// that depth. At most λ contexts are alive at once, each with fewer than λ
+/// depths, so the sets sit in one table and are emptied when a context
+/// starts instead of being allocated.
+struct RightIndexes<'a> {
+    sets: &'a mut Vec<ItemSet>,
+    lambda: usize,
 }
 
-impl RightIndex {
-    fn record(&mut self, depth: usize, item: u32) {
-        while self.levels.len() < depth {
-            self.levels.push(FxHashSet::default());
-        }
-        self.levels[depth - 1].insert(item);
+impl RightIndexes<'_> {
+    fn slot(&self, context: usize, depth: usize) -> usize {
+        context * self.lambda + depth - 1
     }
 
-    /// The allowed items at `depth`, or an empty set if the parent's series
-    /// never found frequent items there (then no scan is needed at all).
-    fn allowed(&self, depth: usize) -> Option<&FxHashSet<u32>> {
-        self.levels.get(depth - 1)
+    fn start_context(&mut self, context: usize) {
+        for depth in 1..=self.lambda {
+            let slot = self.slot(context, depth);
+            self.sets[slot].clear();
+        }
+    }
+
+    fn record(&mut self, context: usize, depth: usize, item: u32) {
+        let slot = self.slot(context, depth);
+        self.sets[slot].insert(item);
+    }
+
+    fn allowed(&self, context: usize, depth: usize) -> &ItemSet {
+        &self.sets[self.slot(context, depth)]
     }
 }
 
 struct Run<'a> {
-    partition: &'a Partition,
-    space: &'a ItemSpace,
+    engine: Engine<'a>,
+    /// `None` for plain PSM.
+    index: Option<RightIndexes<'a>>,
     params: &'a GsmParams,
     pivot: u32,
-    use_index: bool,
     out: PatternSet,
     stats: MinerStats,
-    counts: FxHashMap<u32, u64>,
 }
 
 impl Run<'_> {
-    /// Right-expansion series (Alg. 2, `dir = right`). `depth` is the suffix
-    /// length after the last pivot that the next extension would create;
-    /// `parent_index` restricts candidates when mining under a left prefix;
-    /// `record` accumulates this context's own index for its children.
-    fn expand_right(
-        &mut self,
-        pattern: &mut Vec<u32>,
-        proj: &Projection,
-        depth: usize,
-        parent_index: Option<&RightIndex>,
-        record: Option<&mut RightIndex>,
-    ) {
+    /// Right-expansion series (Alg. 2, `dir = right`) of `context`. `depth`
+    /// is the suffix length after the last pivot that the next extension
+    /// would create. Candidates are restricted to the parent context's index
+    /// (the root has none), and the frequent ones are recorded in this
+    /// context's own index for its children.
+    fn expand_right(&mut self, pattern: &mut Vec<u32>, level: Level, depth: usize, context: usize) {
         if pattern.len() == self.params.lambda {
             return;
         }
-        let allowed = match parent_index {
-            Some(idx) if self.use_index => match idx.allowed(depth) {
+        let allowed = match (&self.index, context.checked_sub(1)) {
+            (Some(index), Some(parent)) => {
+                let set = index.allowed(parent, depth);
                 // Parent never found frequent items at this depth: RS = ∅,
                 // skip the scan entirely.
-                None => return,
-                Some(set) if set.is_empty() => return,
-                Some(set) => Some(set),
-            },
+                if set.is_empty() {
+                    return;
+                }
+                Some(set)
+            }
             _ => None,
         };
         self.stats.expansions += 1;
-        let mut counts = std::mem::take(&mut self.counts);
-        self.stats.candidates += count_extensions(
-            proj,
-            self.partition,
-            self.space,
-            self.params.gamma,
+        let (candidates, block) = self.engine.expand(
+            level,
             Dir::Right,
-            self.pivot,
             Some(self.pivot),
             allowed,
-            &mut counts,
+            self.params.sigma,
+            pattern.len() + 1 < self.params.lambda,
         );
-        let mut frequent: Vec<(u32, u64)> = counts
-            .iter()
-            .filter(|&(_, &f)| f >= self.params.sigma)
-            .map(|(&w, &f)| (w, f))
-            .collect();
-        self.counts = counts;
-        frequent.sort_unstable();
-        let mut record = record;
-        for (w, freq) in frequent {
-            if let Some(rec) = record.as_deref_mut() {
-                rec.record(depth, w);
+        self.stats.candidates += candidates;
+        for i in block.children.clone() {
+            let child = self.engine.child(i);
+            if let Some(index) = &mut self.index {
+                index.record(context, depth, child.item);
             }
-            let next = project(
-                proj,
-                self.partition,
-                self.space,
-                self.params.gamma,
-                Dir::Right,
-                w,
-            );
-            pattern.push(w);
-            self.out.insert(pattern.clone(), freq);
-            self.expand_right(
-                pattern,
-                &next,
-                depth + 1,
-                parent_index,
-                record.as_deref_mut(),
-            );
+            pattern.push(child.item);
+            self.out.insert(pattern.clone(), child.frequency);
+            self.expand_right(pattern, child.level, depth + 1, context);
             pattern.pop();
         }
+        self.engine.pop_block(block);
     }
 
-    /// Left-expansion series (Alg. 2, `dir = left`). `pattern` is an
-    /// all-left-chain sequence `Sl·w`; `my_index` is the index gathered by
-    /// its right-expansion series.
-    fn expand_left(&mut self, pattern: &mut Vec<u32>, proj: &Projection, my_index: &RightIndex) {
+    /// Left-expansion series (Alg. 2, `dir = left`). `pattern` is the
+    /// all-left-chain sequence `Sl·w` of `context`, whose right-expansion
+    /// series has already run.
+    fn expand_left(&mut self, pattern: &mut Vec<u32>, level: Level, context: usize) {
         if pattern.len() == self.params.lambda {
             return;
         }
         self.stats.expansions += 1;
-        let mut counts = std::mem::take(&mut self.counts);
         // Left expansions may use any item ≤ pivot, including the pivot
         // itself (`DD` decomposes as Sl=D, w=D, Sr=ε).
-        self.stats.candidates += count_extensions(
-            proj,
-            self.partition,
-            self.space,
-            self.params.gamma,
+        let (candidates, block) = self.engine.expand(
+            level,
             Dir::Left,
-            self.pivot,
             None,
             None,
-            &mut counts,
+            self.params.sigma,
+            pattern.len() + 1 < self.params.lambda,
         );
-        let mut frequent: Vec<(u32, u64)> = counts
-            .iter()
-            .filter(|&(_, &f)| f >= self.params.sigma)
-            .map(|(&w, &f)| (w, f))
-            .collect();
-        self.counts = counts;
-        frequent.sort_unstable();
-        for (w, freq) in frequent {
-            let next = project(
-                proj,
-                self.partition,
-                self.space,
-                self.params.gamma,
-                Dir::Left,
-                w,
-            );
-            pattern.insert(0, w);
-            self.out.insert(pattern.clone(), freq);
-            let mut child_index = RightIndex::default();
-            self.expand_right(pattern, &next, 1, Some(my_index), Some(&mut child_index));
-            self.expand_left(pattern, &next, &child_index);
+        self.stats.candidates += candidates;
+        for i in block.children.clone() {
+            let child = self.engine.child(i);
+            pattern.insert(0, child.item);
+            self.out.insert(pattern.clone(), child.frequency);
+            if let Some(index) = &mut self.index {
+                index.start_context(context + 1);
+            }
+            self.expand_right(pattern, child.level, 1, context + 1);
+            self.expand_left(pattern, child.level, context + 1);
             pattern.remove(0);
         }
+        self.engine.pop_block(block);
     }
 }
 
@@ -216,27 +185,37 @@ impl LocalMiner for PsmMiner {
         space: &ItemSpace,
         params: &GsmParams,
     ) -> (PatternSet, MinerStats) {
-        let mut run = Run {
-            partition,
-            space,
-            params,
-            pivot,
-            use_index: self.use_index,
-            out: PatternSet::new(),
-            stats: MinerStats::default(),
-            counts: FxHashMap::default(),
-        };
-        let proj = Projection::for_item(partition, space, pivot);
-        if !proj.is_empty() {
-            let mut pattern = vec![pivot];
-            let mut root_index = RightIndex::default();
-            // Root has no parent index: pass None so no restriction applies
-            // even when use_index is on.
-            run.expand_right(&mut pattern, &proj, 1, None, Some(&mut root_index));
-            run.expand_left(&mut pattern, &proj, &root_index);
-        }
-        run.stats.outputs = run.out.len() as u64;
-        (run.out, run.stats)
+        with_scratch(|scratch| {
+            let index = self.use_index.then(|| {
+                let sets = &mut scratch.index;
+                if sets.len() < params.lambda * params.lambda {
+                    sets.resize_with(params.lambda * params.lambda, ItemSet::default);
+                }
+                RightIndexes {
+                    sets,
+                    lambda: params.lambda,
+                }
+            });
+            let mut run = Run {
+                engine: Engine::new(&mut scratch.buffers, partition, space, params.gamma, pivot),
+                index,
+                params,
+                pivot,
+                out: PatternSet::new(),
+                stats: MinerStats::default(),
+            };
+            let root = run.engine.push_item_level(pivot);
+            if !root.is_empty() {
+                let mut pattern = vec![pivot];
+                if let Some(index) = &mut run.index {
+                    index.start_context(0);
+                }
+                run.expand_right(&mut pattern, root, 1, 0);
+                run.expand_left(&mut pattern, root, 0);
+            }
+            run.stats.outputs = run.out.len() as u64;
+            (run.out, run.stats)
+        })
     }
 }
 
@@ -247,7 +226,6 @@ mod tests {
     };
     use super::super::{DfsMiner, NaiveMiner};
     use super::*;
-    use crate::sequence::WeightedSequence;
     use crate::testutil::{fig2_context, named_patterns, ranks};
 
     #[test]
@@ -277,13 +255,11 @@ mod tests {
             panic!()
         };
         let params = GsmParams::new(2, 1, 4).unwrap();
-        let partition = crate::sequence::Partition {
-            sequences: vec![
-                WeightedSequence::new(vec![a, d, d, a], 1),
-                WeightedSequence::new(vec![c, a, d, d], 1),
-                WeightedSequence::new(vec![c, a, d], 1),
-            ],
-        };
+        let partition = Partition::aggregate([
+            (&[a, d, d, a][..], 1),
+            (&[c, a, d, d][..], 1),
+            (&[c, a, d][..], 1),
+        ]);
         let (got, _) = PsmMiner::plain().mine(&partition, d, space, &params);
         // caD via LE(c after a) chains; DD via left expansion with the pivot.
         assert_eq!(got.get(&[c, a, d]), Some(2));
@@ -337,8 +313,7 @@ mod tests {
     fn empty_partition_yields_nothing() {
         let ctx = fig2_context();
         let params = GsmParams::new(2, 1, 3).unwrap();
-        let (got, stats) =
-            PsmMiner::indexed().mine(&crate::sequence::Partition::new(), 0, ctx.space(), &params);
+        let (got, stats) = PsmMiner::indexed().mine(&Partition::new(), 0, ctx.space(), &params);
         assert!(got.is_empty());
         assert_eq!(stats, MinerStats::default());
     }

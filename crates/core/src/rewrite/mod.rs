@@ -6,19 +6,40 @@
 //! rewrite to partition `P_w`. The rewrites implemented here, applied in
 //! order:
 //!
-//! 1. **w-generalization** ([`generalize`]) — replace every *w-irrelevant*
-//!    item (rank > pivot) by its most specific ancestor with rank ≤ pivot, or
-//!    by a blank if none exists;
-//! 2. **unreachability reduction** ([`reachability`]) — drop items farther
-//!    than λ pivot-chain steps from every pivot occurrence;
-//! 3. **isolated pivot removal** ([`blanks`]) — blank out pivots with no
-//!    non-blank item within γ+1 positions;
-//! 4. **blank cleanup** ([`blanks`]) — strip leading/trailing blanks and cap
-//!    interior blank runs at γ+1.
+//! 1. **w-generalization** (Sec. 4.2) — replace every *w-irrelevant* item
+//!    (rank > pivot) by its most specific ancestor with rank ≤ pivot, or by a
+//!    blank if none exists. Irrelevant items cannot simply be dropped: they
+//!    occupy gap positions and their ancestors may be relevant (possibly the
+//!    pivot itself, creating new pivot occurrences);
+//! 2. **unreachability reduction** (Sec. 4.3, following MG-FSM) — drop items
+//!    farther than λ pivot-chain steps from every pivot occurrence. The left
+//!    (right) distance of an index is the length of the shortest chain of
+//!    indexes from a pivot index on its left (right) to it, where consecutive
+//!    chain indexes satisfy the gap constraint and intermediate indexes are
+//!    non-blank; unreachable indexes are removed outright, not blanked;
+//! 3. **isolated pivot removal** — blank out pivots with no non-blank item
+//!    within γ+1 positions;
+//! 4. **blank cleanup** — strip leading/trailing blanks and cap interior
+//!    blank runs at γ+1 (a run of γ+1 blanks already breaks every
+//!    gap-constrained match).
+//!
+//! The map phase attempts one rewrite per (sequence, frequent pivot) pair —
+//! some thirty per sentence — so the rewriter works per *sequence*: it
+//! indexes every (chain element, position) pair of `T` once, sorted by
+//! element, and then visits the pivots in ascending order. Moving from one
+//! pivot to the next only touches the positions whose generalization
+//! changes, the reachable indexes come out as one interval around each pivot
+//! occurrence, and everything lives in the buffers of a reusable
+//! [`RewriteScratch`]: no pass allocates. The
+//! pass-by-pass formulation — one function and one paper example per rewrite
+//! — is kept beside it as the test-only reference it is checked against.
 
-pub mod blanks;
-pub mod generalize;
-pub mod reachability;
+#[cfg(test)]
+mod blanks;
+#[cfg(test)]
+mod generalize;
+#[cfg(test)]
+mod reachability;
 
 use crate::hierarchy::ItemSpace;
 use crate::params::GsmParams;
@@ -35,6 +56,37 @@ pub enum RewriteLevel {
     /// All rewrites (the full LASH construction).
     #[default]
     Full,
+}
+
+/// Reusable buffers of a [`Rewriter`]: the chain index and running
+/// generalization of the sequence being rewritten, pivot distances, and the
+/// rewritten sequence. One per map task; sequences of any length may follow
+/// each other.
+#[derive(Debug, Default)]
+pub struct RewriteScratch {
+    /// `(element << 32) | position` for every element of the ancestor chain
+    /// of every non-blank position, ascending.
+    events: Vec<u64>,
+    /// `events[..applied]` are reflected in `generalized`.
+    applied: usize,
+    /// The w-generalization of the indexed sequence for the largest element
+    /// applied so far.
+    generalized: Vec<u32>,
+    /// Non-blank items of `generalized`.
+    relevant: usize,
+    /// Pivot distances; only the part a scan wrote itself is ever read.
+    dist: Vec<u32>,
+    out: Vec<u32>,
+}
+
+/// The chain element of an index event.
+fn element(event: u64) -> u32 {
+    (event >> 32) as u32
+}
+
+/// The sequence position of an index event.
+fn position(event: &u64) -> usize {
+    *event as u32 as usize
 }
 
 /// Rewrites sequences for a fixed parameter set.
@@ -62,48 +114,221 @@ impl<'a> Rewriter<'a> {
         }
     }
 
-    /// Produces `P_w(T)` for `pivot`, or `None` when the rewrite proves that
-    /// `T` contributes no pivot sequence (e.g. every pivot occurrence is
-    /// isolated).
+    /// Produces `P_w(T)` for `pivot` in `scratch`, or `None` when the rewrite
+    /// proves that `T` contributes no pivot sequence (e.g. every pivot
+    /// occurrence is isolated): a pivot sequence needs the pivot and one
+    /// more non-blank item, and the rewrite stops as soon as either is gone.
     ///
     /// `seq` is a rank-space sequence (it may already contain blanks).
-    pub fn rewrite(&self, seq: &[u32], pivot: u32) -> Option<Vec<u32>> {
-        match self.level {
-            RewriteLevel::None => {
-                // Even the strawman must only emit sequences that can produce
-                // a pivot sequence: the pivot (or a descendant) must occur,
-                // with some other potential pattern item nearby.
-                let has_pivot = seq
-                    .iter()
-                    .any(|&t| t != BLANK && self.space.generalizes_to(t, pivot));
-                (has_pivot && seq.len() >= 2).then(|| seq.to_vec())
+    pub fn rewrite_into<'s>(
+        &self,
+        seq: &[u32],
+        pivot: u32,
+        scratch: &'s mut RewriteScratch,
+    ) -> Option<&'s [u32]> {
+        self.index(seq, scratch);
+        self.rewrite_indexed(seq, pivot, scratch)
+    }
+
+    /// Routes one sequence (the map side of Alg. 1): calls `emit(w, P_w(T))`
+    /// for every frequent pivot `w ∈ G1(T)` whose rewrite is not empty, in
+    /// ascending pivot order.
+    pub fn rewrite_all(
+        &self,
+        seq: &[u32],
+        scratch: &mut RewriteScratch,
+        mut emit: impl FnMut(u32, &[u32]),
+    ) {
+        self.index(seq, scratch);
+        while let Some(&event) = scratch.events.get(scratch.applied) {
+            let pivot = element(event);
+            if !self.space.is_frequent(pivot) {
+                // Events ascend; everything after is infrequent too.
+                break;
             }
-            RewriteLevel::GeneralizeOnly => {
-                let out = generalize::w_generalize(seq, pivot, self.space);
-                self.finish(out, pivot)
-            }
-            RewriteLevel::Full => {
-                let mut out = generalize::w_generalize(seq, pivot, self.space);
-                reachability::prune_unreachable(&mut out, pivot, self.gamma, self.lambda);
-                blanks::remove_isolated_pivots(&mut out, pivot, self.gamma);
-                blanks::cleanup(&mut out, self.gamma);
-                self.finish(out, pivot)
+            if let Some(rewritten) = self.rewrite_indexed(seq, pivot, scratch) {
+                emit(pivot, rewritten);
             }
         }
     }
 
-    /// Final validity check: the rewritten sequence must still contain a pivot
-    /// and at least two non-blank items (a pivot sequence has length ≥ 2).
-    fn finish(&self, out: Vec<u32>, pivot: u32) -> Option<Vec<u32>> {
-        let mut non_blank = 0usize;
-        let mut has_pivot = false;
-        for &t in &out {
+    /// Indexes the ancestor chains of `seq` and resets the running
+    /// generalization to "nothing relevant yet".
+    fn index(&self, seq: &[u32], scratch: &mut RewriteScratch) {
+        assert!(
+            u32::try_from(seq.len()).is_ok(),
+            "sequence positions are u32"
+        );
+        scratch.events.clear();
+        for (pos, &t) in seq.iter().enumerate() {
             if t != BLANK {
-                non_blank += 1;
-                has_pivot |= t == pivot;
+                let chain = self.space.chain(t);
+                scratch
+                    .events
+                    .extend(chain.iter().map(|&anc| (anc as u64) << 32 | pos as u64));
             }
         }
-        (has_pivot && non_blank >= 2).then_some(out)
+        scratch.events.sort_unstable();
+        scratch.applied = 0;
+        scratch.generalized.clear();
+        scratch.generalized.resize(seq.len(), BLANK);
+        scratch.relevant = 0;
+    }
+
+    /// `P_w(T)` of the indexed sequence `seq`. Pivots must not descend from
+    /// one call to the next.
+    fn rewrite_indexed<'s>(
+        &self,
+        seq: &[u32],
+        pivot: u32,
+        scratch: &'s mut RewriteScratch,
+    ) -> Option<&'s [u32]> {
+        let RewriteScratch {
+            events,
+            applied,
+            generalized,
+            relevant,
+            dist,
+            out,
+        } = scratch;
+
+        // 1. w-generalization. Chains descend towards the root, so the most
+        // specific ancestor with rank ≤ pivot of a position is the largest
+        // element of its chain seen so far: applying the events up to the
+        // pivot in ascending order leaves exactly that. The pivot's own
+        // events are last, and their positions are the pivot indexes.
+        debug_assert!(
+            *applied == 0 || element(events[*applied - 1]) <= pivot,
+            "pivots must ascend"
+        );
+        let mut first_occurrence = *applied;
+        while let Some(&event) = events.get(*applied) {
+            let (anc, pos) = (element(event), position(&event));
+            if anc > pivot {
+                break;
+            }
+            if anc < pivot {
+                first_occurrence = *applied + 1;
+            }
+            *relevant += usize::from(generalized[pos] == BLANK);
+            generalized[pos] = anc;
+            *applied += 1;
+        }
+        let occurrences = &events[first_occurrence..*applied];
+        if occurrences.is_empty() {
+            return None;
+        }
+        out.clear();
+        match self.level {
+            // Even the strawman must only emit sequences that can produce a
+            // pivot sequence: the pivot (or a descendant) must occur, with
+            // some other potential pattern item nearby.
+            RewriteLevel::None => {
+                if seq.len() < 2 {
+                    return None;
+                }
+                out.extend_from_slice(seq);
+                return Some(out);
+            }
+            _ if *relevant < 2 => return None,
+            RewriteLevel::GeneralizeOnly => {
+                out.extend_from_slice(generalized);
+                return Some(out);
+            }
+            RewriteLevel::Full => {}
+        }
+
+        // 2. Unreachability reduction. Pivot indexes have distance 1 and an
+        // index is kept iff a chain of at most λ indexes reaches it. Walking
+        // away from a pivot index the distance never decreases, and a chain
+        // that crosses another pivot index is no shorter than one starting
+        // there: the kept indexes are one interval around each occurrence,
+        // found by scanning outwards until the distance exceeds λ or the
+        // neighbouring occurrence begins.
+        let n = generalized.len();
+        let reach = self.gamma + 1;
+        let lambda = u32::try_from(self.lambda).unwrap_or(u32::MAX);
+        if dist.len() < n {
+            dist.resize(n, 0);
+        }
+        // The best chain to `i` through a non-blank index of `hops` (all
+        // within the gap window of `i`, scanned before it).
+        let hop = |generalized: &[u32], dist: &[u32], hops: std::ops::Range<usize>| {
+            hops.filter(|&j| generalized[j] != BLANK)
+                .map(|j| dist[j])
+                .min()
+                .filter(|&d| d < lambda)
+        };
+        let mut pivots = 0usize;
+        let mut copied = 0usize;
+        for (k, occurrence) in occurrences.iter().enumerate() {
+            let p = position(occurrence);
+            let floor = k
+                .checked_sub(1)
+                .map_or(0, |k| position(&occurrences[k]) + 1);
+            let ceiling = occurrences.get(k + 1).map_or(n, position);
+            dist[p] = 1;
+            let mut lo = p;
+            while lo > floor {
+                let i = lo - 1;
+                let Some(d) = hop(generalized, dist, i + 1..(i + reach).min(p) + 1) else {
+                    break;
+                };
+                dist[i] = d + 1;
+                lo = i;
+            }
+            let mut hi = p;
+            while hi + 1 < ceiling {
+                let i = hi + 1;
+                let Some(d) = hop(generalized, dist, i.saturating_sub(reach).max(p)..i) else {
+                    break;
+                };
+                dist[i] = d + 1;
+                hi = i;
+            }
+            // 3. Isolated pivot removal: a pivot with no non-blank item within
+            // γ+1 positions is blanked. Those positions have distance 2 and
+            // are all kept, so the window is the same before and after the
+            // reduction.
+            let window = p.saturating_sub(reach)..(p + reach + 1).min(n);
+            let isolated = !window
+                .into_iter()
+                .any(|j| j != p && generalized[j] != BLANK);
+            let from = lo.max(copied);
+            out.extend_from_slice(&generalized[from..hi + 1]);
+            copied = hi + 1;
+            if isolated {
+                let at = out.len() - (hi + 1 - p);
+                out[at] = BLANK;
+            } else {
+                pivots += 1;
+            }
+        }
+        if pivots == 0 {
+            return None;
+        }
+
+        // 4. Blank cleanup: leading blanks and blanks beyond a run of γ+1
+        // are dropped in place, trailing ones popped.
+        let (mut kept, mut run, mut items) = (0, 0, 0usize);
+        for i in 0..out.len() {
+            if out[i] == BLANK {
+                run += 1;
+                if kept == 0 || run > reach {
+                    continue;
+                }
+            } else {
+                run = 0;
+                items += 1;
+            }
+            out[kept] = out[i];
+            kept += 1;
+        }
+        out.truncate(kept);
+        while out.last() == Some(&BLANK) {
+            out.pop();
+        }
+        (items >= 2).then_some(out)
     }
 
     /// The gap constraint this rewriter was built with.
@@ -122,6 +347,50 @@ mod tests {
     use super::*;
     use crate::enumeration::enumerate_pivot;
     use crate::testutil::{fig2_context, ranks, Fig2Context};
+    use proptest::prelude::*;
+
+    /// The pass-by-pass rewrite: one allocating function per paper section.
+    fn reference_rewrite(rw: &Rewriter<'_>, seq: &[u32], pivot: u32) -> Option<Vec<u32>> {
+        let mut out = match rw.level {
+            RewriteLevel::None => {
+                let has_pivot = seq
+                    .iter()
+                    .any(|&t| t != BLANK && rw.space.generalizes_to(t, pivot));
+                return (has_pivot && seq.len() >= 2).then(|| seq.to_vec());
+            }
+            _ => generalize::w_generalize(seq, pivot, rw.space),
+        };
+        if rw.level == RewriteLevel::Full {
+            reachability::prune_unreachable(&mut out, pivot, rw.gamma, rw.lambda);
+            blanks::remove_isolated_pivots(&mut out, pivot, rw.gamma);
+            blanks::cleanup(&mut out, rw.gamma);
+        }
+        // The rewritten sequence must still contain a pivot and at least two
+        // non-blank items (a pivot sequence has length ≥ 2).
+        let has_pivot = out.contains(&pivot);
+        let non_blank = out.iter().filter(|&&t| t != BLANK).count();
+        (has_pivot && non_blank >= 2).then_some(out)
+    }
+
+    /// `rewrite_into` through `scratch`, checked against the reference.
+    fn rewrite_checked(
+        rw: &Rewriter<'_>,
+        seq: &[u32],
+        pivot: u32,
+        scratch: &mut RewriteScratch,
+    ) -> Option<Vec<u32>> {
+        let got = rw.rewrite_into(seq, pivot, scratch).map(<[u32]>::to_vec);
+        assert_eq!(
+            got,
+            reference_rewrite(rw, seq, pivot),
+            "{seq:?} pivot {pivot}"
+        );
+        got
+    }
+
+    fn rewrite(rw: &Rewriter<'_>, seq: &[u32], pivot: u32) -> Option<Vec<u32>> {
+        rewrite_checked(rw, seq, pivot, &mut RewriteScratch::default())
+    }
 
     fn rewrite_named(
         ctx: &Fig2Context,
@@ -132,7 +401,7 @@ mod tests {
     ) -> Option<Vec<u32>> {
         let params = GsmParams::new(2, gamma, lambda).unwrap();
         let rw = Rewriter::new(ctx.space(), &params);
-        rw.rewrite(&ranks(ctx, seq), ctx.rank(pivot))
+        rewrite(&rw, &ranks(ctx, seq), ctx.rank(pivot))
     }
 
     fn blanks_as_names(ctx: &Fig2Context, seq: &[u32]) -> Vec<String> {
@@ -272,7 +541,7 @@ mod tests {
                     let seq = ctx.ranked_seq(idx);
                     for pivot in 0..space.num_frequent() {
                         let original = enumerate_pivot(seq, space, gamma, lambda, pivot);
-                        let rewritten = match rw.rewrite(seq, pivot) {
+                        let rewritten = match rewrite(&rw, seq, pivot) {
                             Some(r) => enumerate_pivot(&r, space, gamma, lambda, pivot),
                             None => Default::default(),
                         };
@@ -298,7 +567,7 @@ mod tests {
             let seq = ctx.ranked_seq(idx);
             for pivot in 0..space.num_frequent() {
                 let original = enumerate_pivot(seq, space, 1, 3, pivot);
-                let rewritten = match rw.rewrite(seq, pivot) {
+                let rewritten = match rewrite(&rw, seq, pivot) {
                     Some(r) => enumerate_pivot(&r, space, 1, 3, pivot),
                     None => Default::default(),
                 };
@@ -314,8 +583,72 @@ mod tests {
         let rw = Rewriter::with_level(ctx.space(), &params, RewriteLevel::None);
         // T2 contains b3 which generalizes to B → shipped unmodified.
         let t2 = ctx.ranked_seq(1);
-        assert_eq!(rw.rewrite(t2, ctx.rank("B")).unwrap(), t2.to_vec());
+        assert_eq!(rewrite(&rw, t2, ctx.rank("B")).unwrap(), t2.to_vec());
         // T3 = a c has nothing generalizing to B.
-        assert_eq!(rw.rewrite(ctx.ranked_seq(2), ctx.rank("B")), None);
+        assert_eq!(rewrite(&rw, ctx.ranked_seq(2), ctx.rank("B")), None);
+    }
+
+    /// A random rank-space hierarchy of depth ≤ 4 (parents have smaller
+    /// ranks), with the lower half of the ranks frequent.
+    fn arb_space() -> impl Strategy<Value = ItemSpace> {
+        prop::collection::vec(prop::option::weighted(0.6, 0..100usize), 2..12).prop_map(|parents| {
+            let mut depth = vec![0u32; parents.len()];
+            let parent: Vec<Option<u32>> = parents
+                .iter()
+                .enumerate()
+                .map(|(i, p)| {
+                    let p = p.filter(|_| i > 0).map(|v| v % i)?;
+                    (depth[p] < 3).then(|| {
+                        depth[i] = depth[p] + 1;
+                        p as u32
+                    })
+                })
+                .collect();
+            let n = parent.len();
+            let frequency = (0..n as u64).map(|i| 1000 - i).collect();
+            ItemSpace::new(parent, frequency, (n as u32).div_ceil(2))
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The rewrite equals the pass-by-pass reference at every level, for
+        /// every pivot — one at a time and when routing a whole sequence —
+        /// through one scratch that sees sequences of different lengths one
+        /// after the other.
+        #[test]
+        fn rewrite_into_equals_pass_by_pass_reference(
+            space in arb_space(),
+            seqs in prop::collection::vec(
+                prop::collection::vec(prop_oneof![8 => 0..12u32, 2 => Just(BLANK)], 0..24),
+                1..5,
+            ),
+            gamma in 0usize..4,
+            lambda in 2usize..7,
+        ) {
+            let n = space.len() as u32;
+            let params = GsmParams::new(1, gamma, lambda).unwrap();
+            let mut scratch = RewriteScratch::default();
+            for level in [RewriteLevel::Full, RewriteLevel::GeneralizeOnly, RewriteLevel::None] {
+                let rw = Rewriter::with_level(&space, &params, level);
+                for seq in &seqs {
+                    let seq: Vec<u32> =
+                        seq.iter().map(|&t| if t == BLANK { BLANK } else { t % n }).collect();
+                    let mut one_by_one = Vec::new();
+                    for pivot in 0..n {
+                        let rewritten = rewrite_checked(&rw, &seq, pivot, &mut scratch);
+                        if let Some(r) = rewritten.filter(|_| space.is_frequent(pivot)) {
+                            one_by_one.push((pivot, r));
+                        }
+                    }
+                    // Routing the sequence visits the frequent pivots in
+                    // ascending order on one chain index.
+                    let mut routed = Vec::new();
+                    rw.rewrite_all(&seq, &mut scratch, |w, r| routed.push((w, r.to_vec())));
+                    prop_assert_eq!(routed, one_by_one, "{:?}", seq);
+                }
+            }
+        }
     }
 }

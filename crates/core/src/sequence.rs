@@ -241,66 +241,119 @@ impl<'a> IntoIterator for &'a SequenceDatabase {
     }
 }
 
-/// A sequence in *rank space* together with an aggregation weight, as shipped
-/// to and mined inside a partition (paper Sec. 4.4: duplicate rewritten
-/// sequences are aggregated and carry a count).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct WeightedSequence {
-    /// Items as frequency ranks; may contain [`crate::BLANK`].
-    pub items: Vec<u32>,
-    /// Number of input sequences this rewritten sequence represents.
-    pub weight: u64,
-}
-
-impl WeightedSequence {
-    /// Creates a weighted sequence.
-    pub fn new(items: Vec<u32>, weight: u64) -> Self {
-        WeightedSequence { items, weight }
-    }
-}
-
-/// A partition `P_w`: the aggregated, rewritten sequences routed to pivot `w`.
-#[derive(Debug, Clone, Default)]
+/// A partition `P_w`: the aggregated, rewritten sequences routed to pivot `w`
+/// (paper Sec. 4.4: duplicate rewritten sequences are aggregated and carry a
+/// count).
+///
+/// Stored in CSR form — one shared item arena, one offset per sequence, one
+/// weight per sequence — so a local miner walks contiguous memory instead of
+/// chasing one heap allocation per sequence. Items are frequency ranks and
+/// may contain [`crate::BLANK`].
+///
+/// ```
+/// use lash_core::sequence::Partition;
+/// let p = Partition::aggregate([(vec![1, 2], 1), (vec![3], 2), (vec![1, 2], 4)]);
+/// assert_eq!(p.len(), 2);
+/// assert_eq!((p.seq(0), p.weight(0)), (&[1, 2][..], 5));
+/// assert_eq!(p.total_weight(), 7);
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
-    /// The aggregated sequences.
-    pub sequences: Vec<WeightedSequence>,
+    items: Vec<u32>,
+    /// `items[offsets[i]..offsets[i + 1]]` is sequence `i`; always starts
+    /// with 0.
+    offsets: Vec<u32>,
+    /// Number of input sequences each stored sequence represents.
+    weights: Vec<u64>,
+}
+
+impl Default for Partition {
+    fn default() -> Self {
+        Partition::new()
+    }
 }
 
 impl Partition {
     /// Creates an empty partition.
     pub fn new() -> Self {
-        Partition::default()
+        Partition {
+            items: Vec::new(),
+            offsets: vec![0],
+            weights: Vec::new(),
+        }
+    }
+
+    /// Appends one weighted sequence as is (no aggregation).
+    ///
+    /// # Panics
+    /// Offsets are `u32`: a partition whose arena would exceed `u32::MAX`
+    /// items panics instead of corrupting sequence bounds.
+    pub fn push(&mut self, seq: &[u32], weight: u64) {
+        self.items.extend_from_slice(seq);
+        let end = u32::try_from(self.items.len()).expect("partition arena exceeds u32 offsets");
+        self.offsets.push(end);
+        self.weights.push(weight);
     }
 
     /// Builds a partition from raw (sequence, weight) pairs, aggregating
-    /// duplicates.
-    pub fn aggregate(raw: impl IntoIterator<Item = (Vec<u32>, u64)>) -> Self {
-        let mut agg: crate::fxhash::FxHashMap<Vec<u32>, u64> = Default::default();
-        for (seq, w) in raw {
-            *agg.entry(seq).or_insert(0) += w;
+    /// duplicates by sort-and-merge. The result is in lexicographic sequence
+    /// order, whatever order the pairs arrive in.
+    pub fn aggregate<S: AsRef<[u32]>>(raw: impl IntoIterator<Item = (S, u64)>) -> Self {
+        let mut staged = Partition::new();
+        for (seq, weight) in raw {
+            staged.push(seq.as_ref(), weight);
         }
-        let mut sequences: Vec<WeightedSequence> = agg
-            .into_iter()
-            .map(|(items, weight)| WeightedSequence { items, weight })
-            .collect();
-        // Deterministic order regardless of hash iteration.
-        sequences.sort_unstable_by(|a, b| a.items.cmp(&b.items));
-        Partition { sequences }
-    }
-
-    /// Total weight (number of represented input sequences).
-    pub fn total_weight(&self) -> u64 {
-        self.sequences.iter().map(|s| s.weight).sum()
+        // A stable merge sort: the reduce stream is a concatenation of runs
+        // each combiner already sorted, which it merges in linear time.
+        let mut order: Vec<u32> = (0..staged.len() as u32).collect();
+        order.sort_by(|&a, &b| staged.seq(a as usize).cmp(staged.seq(b as usize)));
+        let mut merged = Partition::new();
+        merged.items.reserve(staged.items.len());
+        for &i in &order {
+            let (seq, weight) = (staged.seq(i as usize), staged.weight(i as usize));
+            match merged.len().checked_sub(1) {
+                Some(last) if merged.seq(last) == seq => merged.weights[last] += weight,
+                _ => merged.push(seq, weight),
+            }
+        }
+        merged
     }
 
     /// Number of distinct (aggregated) sequences.
     pub fn len(&self) -> usize {
-        self.sequences.len()
+        self.weights.len()
     }
 
     /// True if the partition is empty.
     pub fn is_empty(&self) -> bool {
-        self.sequences.is_empty()
+        self.weights.is_empty()
+    }
+
+    /// The items of sequence `idx`.
+    #[inline]
+    pub fn seq(&self, idx: usize) -> &[u32] {
+        &self.items[self.offsets[idx] as usize..self.offsets[idx + 1] as usize]
+    }
+
+    /// The weight of sequence `idx`.
+    #[inline]
+    pub fn weight(&self, idx: usize) -> u64 {
+        self.weights[idx]
+    }
+
+    /// Iterates `(items, weight)` in storage order.
+    pub fn iter(&self) -> impl Iterator<Item = (&[u32], u64)> + '_ {
+        (0..self.len()).map(move |i| (self.seq(i), self.weights[i]))
+    }
+
+    /// Total weight (number of represented input sequences).
+    pub fn total_weight(&self) -> u64 {
+        self.weights.iter().sum()
+    }
+
+    /// Total number of stored items (blanks included).
+    pub fn total_items(&self) -> usize {
+        self.items.len()
     }
 }
 
@@ -369,8 +422,34 @@ mod tests {
         let p = Partition::aggregate(vec![(vec![1, 2], 1), (vec![1, 2], 1), (vec![3], 2)]);
         assert_eq!(p.len(), 2);
         assert_eq!(p.total_weight(), 4);
-        let ab = p.sequences.iter().find(|s| s.items == [1, 2]).unwrap();
-        assert_eq!(ab.weight, 2);
+        assert_eq!(p.total_items(), 3);
+        let (_, weight) = p.iter().find(|(s, _)| *s == [1, 2]).unwrap();
+        assert_eq!(weight, 2);
+    }
+
+    #[test]
+    fn partition_aggregation_sorts_and_equals_pushed_form() {
+        // Arrival order and the prefix relation must not matter: [1] < [1, 2]
+        // < [3], empty sequences sort first, weights of equal sequences add.
+        let p = Partition::aggregate([
+            (&[3][..], 2),
+            (&[1, 2][..], 1),
+            (&[][..], 1),
+            (&[1][..], 5),
+            (&[1, 2][..], 3),
+            (&[][..], 1),
+        ]);
+        let mut want = Partition::new();
+        want.push(&[], 2);
+        want.push(&[1], 5);
+        want.push(&[1, 2], 4);
+        want.push(&[3], 2);
+        assert_eq!(p, want);
+        assert_eq!(
+            Partition::aggregate(Vec::<(Vec<u32>, u64)>::new()),
+            Partition::new()
+        );
+        assert!(Partition::default().is_empty());
     }
 
     #[test]

@@ -1,32 +1,35 @@
 //! Property tests for lash-core's algorithmic kernels: matching against a
-//! brute-force oracle, local-miner equivalence on random partitions, DAG
-//! mining against exhaustive enumeration, and the closed/maximal
-//! window-index against the quadratic reference.
+//! brute-force oracle, local-miner equivalence on random partitions,
+//! w-equivalence of the rewriter, DAG mining against exhaustive enumeration,
+//! and the closed/maximal window-index against the quadratic reference.
 
 use lash_core::dag::{naive_dag, DagMiner, MultiVocabularyBuilder};
+use lash_core::enumeration::enumerate_pivot;
 use lash_core::hierarchy::ItemSpace;
 use lash_core::matching::matches;
 use lash_core::miner::{BfsMiner, DfsMiner, LocalMiner, NaiveMiner, PsmMiner};
-use lash_core::sequence::{Partition, SequenceDatabase, WeightedSequence};
+use lash_core::rewrite::{RewriteScratch, Rewriter};
+use lash_core::sequence::{Partition, SequenceDatabase};
 use lash_core::stats::{closed_maximal_counts, closed_maximal_counts_naive};
 use lash_core::{GsmParams, Lash, LashConfig, VocabularyBuilder, BLANK};
 use proptest::prelude::*;
 
-/// A random rank-space hierarchy: parent of rank `r` is a smaller rank or
-/// none; frequencies are non-increasing by construction.
+/// A random rank-space hierarchy of at most four levels: parent of rank `r`
+/// is a smaller rank or none; frequencies are non-increasing by construction.
 fn arb_space(max_items: usize) -> impl Strategy<Value = ItemSpace> {
     prop::collection::vec(prop::option::weighted(0.5, 0..100usize), 1..max_items).prop_map(
         |parents| {
             let n = parents.len();
+            let mut level = vec![1u32; n];
             let parent: Vec<Option<u32>> = parents
                 .iter()
                 .enumerate()
                 .map(|(i, p)| {
-                    if i == 0 {
-                        None
-                    } else {
-                        p.map(|v| (v % i) as u32)
-                    }
+                    let p = p.filter(|_| i > 0).map(|v| v % i)?;
+                    (level[p] < 4).then(|| {
+                        level[i] = level[p] + 1;
+                        p as u32
+                    })
                 })
                 .collect();
             let frequency: Vec<u64> = (0..n as u64).map(|i| 1000 - i).collect();
@@ -90,26 +93,23 @@ proptest! {
     }
 
     /// All local miners agree with exhaustive enumeration on random
-    /// partitions (weighted, blank-containing sequences included).
+    /// partitions (weighted, blank-containing sequences included; raw, so
+    /// items above the pivot occur too) for γ up to 3 and λ up to 6.
     #[test]
     fn local_miners_agree_on_random_partitions(
         space in arb_space(8),
-        seqs in prop::collection::vec((arb_seq(8), 1u64..3), 1..8),
+        seqs in prop::collection::vec((arb_seq(8), 1u64..4), 1..8),
         sigma in 1u64..4,
-        gamma in 0usize..3,
-        lambda in 2usize..5,
+        gamma in 0usize..4,
+        lambda in 2usize..7,
     ) {
         let n = space.len() as u32;
-        let partition = Partition {
-            sequences: seqs
-                .into_iter()
-                .map(|(s, w)| {
-                    let items: Vec<u32> =
-                        s.into_iter().map(|t| if t == BLANK { BLANK } else { t % n }).collect();
-                    WeightedSequence::new(items, w)
-                })
-                .collect(),
-        };
+        let mut partition = Partition::new();
+        for (s, w) in seqs {
+            let items: Vec<u32> =
+                s.into_iter().map(|t| if t == BLANK { BLANK } else { t % n }).collect();
+            partition.push(&items, w);
+        }
         let params = GsmParams::new(sigma, gamma, lambda).unwrap();
         for pivot in 0..space.num_frequent() {
             let (expected, _) = NaiveMiner.mine(&partition, pivot, &space, &params);
@@ -128,6 +128,34 @@ proptest! {
                     pivot,
                     expected.diff(&got)
                 );
+            }
+        }
+    }
+
+    /// The rewrite is w-equivalent — `G_{w,λ}(T) = G_{w,λ}(P_w(T))` for every
+    /// pivot — on random sequences with blanks, through one scratch that sees
+    /// sequences of different lengths one after the other.
+    #[test]
+    fn rewrite_preserves_pivot_sequences_across_scratch_reuse(
+        space in arb_space(8),
+        seqs in prop::collection::vec(arb_seq(8), 1..6),
+        gamma in 0usize..4,
+        lambda in 2usize..6,
+    ) {
+        let n = space.len() as u32;
+        let params = GsmParams::new(1, gamma, lambda).unwrap();
+        let rewriter = Rewriter::new(&space, &params);
+        let mut scratch = RewriteScratch::default();
+        for seq in seqs {
+            let seq: Vec<u32> =
+                seq.into_iter().map(|t| if t == BLANK { BLANK } else { t % n }).collect();
+            for pivot in 0..n {
+                let original = enumerate_pivot(&seq, &space, gamma, lambda, pivot);
+                let rewritten = match rewriter.rewrite_into(&seq, pivot, &mut scratch) {
+                    Some(r) => enumerate_pivot(r, &space, gamma, lambda, pivot),
+                    None => Default::default(),
+                };
+                prop_assert_eq!(original, rewritten, "seq {:?} pivot {}", seq, pivot);
             }
         }
     }

@@ -7,7 +7,8 @@
 //! — with a simple calibrated wall-clock measurement loop.
 //!
 //! Output is one line per benchmark: mean time per iteration and, when a
-//! throughput was declared, derived elements/s or bytes/s.
+//! throughput was declared, derived elements/s or bytes/s and the time per
+//! element or byte.
 
 use std::hint;
 use std::time::{Duration, Instant};
@@ -145,6 +146,10 @@ fn run_one<F: FnMut(&mut Bencher)>(
         };
         let per_sec = amount as f64 * 1e9 / nanos as f64;
         line.push_str(&format!("  {:>14}/s", format_quantity(per_sec, unit)));
+        line.push_str(&format!(
+            "  {:>10.1} ns/{unit}",
+            nanos as f64 / amount.max(1) as f64
+        ));
     }
     println!("{line}");
 }

@@ -36,7 +36,9 @@ pub fn encode_sequence(items: &[u32], buf: &mut Vec<u8>) {
 /// Decodes a sequence previously written by [`encode_sequence`], consuming the
 /// entire input slice.
 pub fn decode_sequence(mut input: &[u8]) -> Result<Vec<u32>, DecodeError> {
-    let mut items = Vec::new();
+    // Every token takes at least one byte, so only blank runs can outgrow
+    // this: one allocation per sequence instead of one per doubling.
+    let mut items = Vec::with_capacity(input.len());
     while !input.is_empty() {
         let (tok, n) = varint::decode_u32(input)?;
         input = &input[n..];

@@ -19,6 +19,7 @@
 use std::fs::{self, File};
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 use lash_core::pattern::{sort_patterns_lexicographic, Pattern};
 use lash_core::vocabulary::{ItemId, Vocabulary};
@@ -89,6 +90,9 @@ pub struct PatternIndexWriter {
     max_frequency: u64,
     /// Scratch for group-varint child-id deltas.
     scratch: Vec<u32>,
+    /// When the build began: the `index.build` span runs from here to the
+    /// end of [`PatternIndexWriter::finish`].
+    started: Instant,
 }
 
 impl PatternIndexWriter {
@@ -132,6 +136,7 @@ impl PatternIndexWriter {
             num_nodes: 0,
             max_frequency: 0,
             scratch: Vec::new(),
+            started: Instant::now(),
         })
     }
 
@@ -241,11 +246,22 @@ impl PatternIndexWriter {
     /// manifest — the atomic point at which the directory becomes an
     /// index.
     pub fn finish(mut self) -> Result<IndexSummary> {
-        let _build_span = lash_obs::span!(
+        let summary = self.seal();
+        // Observed once the whole build is over — every `add` since
+        // `create` belongs to it, not only the seal — and also when it
+        // failed.
+        lash_obs::global().observe_span(
             "index.build",
-            patterns = self.num_patterns,
-            nodes = self.num_nodes,
+            self.started.elapsed(),
+            &[
+                ("patterns", self.num_patterns.into()),
+                ("nodes", self.num_nodes.into()),
+            ],
         );
+        summary
+    }
+
+    fn seal(&mut self) -> Result<IndexSummary> {
         while self.stack.len() > 1 {
             self.seal_top()?;
         }
@@ -306,9 +322,12 @@ pub fn write_patterns(
     vocab: &Vocabulary,
     patterns: &[Pattern],
 ) -> Result<IndexSummary> {
+    let started = Instant::now();
     let mut sorted: Vec<Pattern> = patterns.to_vec();
     sort_patterns_lexicographic(&mut sorted);
     let mut writer = PatternIndexWriter::create(dir, vocab)?;
+    // The copy and the sort are part of this build.
+    writer.started = started;
     for p in &sorted {
         writer.add(&p.items, p.frequency)?;
     }

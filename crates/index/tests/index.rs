@@ -281,6 +281,29 @@ fn writer_rejects_bad_input_with_typed_errors() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The `index.build` span runs from `create` to the end of `finish`: the
+/// adds are the build, not only the final seal.
+#[test]
+fn build_span_covers_the_whole_build() {
+    let (vocab, mut patterns) = mined();
+    lash_core::pattern::sort_patterns_lexicographic(&mut patterns);
+    let dir = temp_dir("span");
+    let spans = lash_obs::global().histogram("index.build_us");
+    let before = spans.snapshot();
+    let mut writer = PatternIndexWriter::create(&dir, &vocab).unwrap();
+    let adding = std::time::Duration::from_millis(30);
+    std::thread::sleep(adding);
+    for p in &patterns {
+        writer.add(&p.items, p.frequency).unwrap();
+    }
+    writer.finish().unwrap();
+    let after = spans.snapshot();
+    // Other tests build indexes too: lower bounds only.
+    assert!(after.count > before.count);
+    assert!(after.sum - before.sum >= adding.as_micros() as u64);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn empty_index_serves_empty_answers() {
     let (vocab, _) = mined();

@@ -166,18 +166,23 @@ impl<'a, J: Job> Emitter<'a, J> {
 
     /// Emits one key/value pair.
     pub fn emit(&mut self, key: J::Key, value: J::Value) {
+        self.emit_ref(&key, &value);
+    }
+
+    /// Emits one key/value pair by reference: the pair is serialized on the
+    /// spot, so a map loop can reuse one key and one value for every record.
+    pub fn emit_ref(&mut self, key: &J::Key, value: &J::Value) {
         if self.error.is_some() {
             return;
         }
         self.records += 1;
         self.kbuf.clear();
-        self.job.encode_key(&key, &mut self.kbuf);
+        self.job.encode_key(key, &mut self.kbuf);
         self.vbuf.clear();
-        self.job.encode_value(&value, &mut self.vbuf);
+        self.job.encode_value(value, &mut self.vbuf);
         let part = partition_of(&self.kbuf, self.num_parts);
         let (_, materialized) = self.parts[part].push(&self.kbuf, &self.vbuf);
         self.buffered += materialized as usize;
-        Counters::raise(&self.counters.peak_resident_bytes, self.buffered as u64);
         if self.threshold.is_some_and(|t| self.buffered > t) {
             if let Err(e) = self.spill() {
                 self.error = Some(e);
@@ -189,6 +194,7 @@ impl<'a, J: Job> Emitter<'a, J> {
     /// run in the task's spill file, then resets the buffers.
     fn spill(&mut self) -> Result<(), EngineError> {
         let spill_started = std::time::Instant::now();
+        self.raise_peak();
         if self.writer.is_none() {
             let path = self
                 .spill_path
@@ -212,6 +218,14 @@ impl<'a, J: Job> Emitter<'a, J> {
         self.spill_events += 1;
         self.spill_hist.record_duration(spill_started.elapsed());
         Ok(())
+    }
+
+    /// Publishes the task's resident high-water mark. `buffered` only grows
+    /// between spills, so it is at its peak right before the buffers are
+    /// flushed — once per spill and once at the end, instead of two atomic
+    /// read-modify-writes on lines every map thread shares per record.
+    fn raise_peak(&self) {
+        Counters::raise(&self.counters.peak_resident_bytes, self.buffered as u64);
     }
 
     /// Takes one partition buffer, sorts it, applies the combiner, and
@@ -299,6 +313,7 @@ impl<'a, J: Job> Emitter<'a, J> {
             );
             Ok((MapTaskOutput::Spilled { file, runs }, records))
         } else {
+            self.raise_peak();
             let parts: Vec<RunBuffer> = (0..self.num_parts)
                 .map(|p| self.finalize_partition(p))
                 .collect();
@@ -362,8 +377,34 @@ mod tests {
             pairs,
             vec![(b"a".to_vec(), 2), (b"b".to_vec(), 1), (b"b".to_vec(), 3)]
         );
-        assert!(counters.snapshot().map_output_bytes > 0);
-        assert_eq!(counters.snapshot().spilled_bytes, 0);
+        let s = counters.snapshot();
+        assert!(s.map_output_bytes > 0);
+        assert_eq!(s.spilled_bytes, 0);
+        // Never spilled: every framed byte was resident when the task ended.
+        assert_eq!(s.peak_resident_bytes, s.map_output_materialized_bytes);
+    }
+
+    #[test]
+    fn emit_ref_serializes_like_emit() {
+        let runs = |by_ref: bool| {
+            let counters = Counters::default();
+            let mut emitter =
+                Emitter::new(&ByteJob, 2, false, None, None, SpillCodec::Raw, &counters);
+            for (key, value) in [(b"b".to_vec(), 1u8), (b"a".to_vec(), 2), (b"b".to_vec(), 3)] {
+                if by_ref {
+                    emitter.emit_ref(&key, &value);
+                } else {
+                    emitter.emit(key, value);
+                }
+            }
+            let (output, records) = emitter.finish().unwrap();
+            let MapTaskOutput::Mem(parts) = output else {
+                panic!("no threshold, no spill");
+            };
+            let data: Vec<Vec<u8>> = parts.into_iter().map(|run| run.data).collect();
+            (data, records, counters.snapshot().peak_resident_bytes)
+        };
+        assert_eq!(runs(true), runs(false));
     }
 
     #[test]
@@ -410,6 +451,7 @@ mod tests {
         let s = counters.snapshot();
         assert_eq!(s.spilled_runs, 5);
         assert!(s.spilled_bytes > 0);
-        assert!(s.peak_resident_bytes > 0);
+        // Each spill held one framed record: two length bytes, key, value.
+        assert_eq!(s.peak_resident_bytes, 4);
     }
 }

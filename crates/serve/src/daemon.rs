@@ -72,7 +72,7 @@ impl Lifecycle {
         let health = Arc::new(HealthState::new());
         let (live_index, _, _) =
             mine_and_index(&corpus_dir, &index_root, &lash, &params, 0, &health)?;
-        let service = Arc::new(QueryService::new(PatternIndexReader::open(&live_index)?));
+        let service = Arc::new(QueryService::new(open_index(&live_index)?));
         health.record_swap(0);
         health.set_phase(Phase::Serving);
         Ok(Lifecycle {
@@ -148,7 +148,11 @@ impl Lifecycle {
             &self.health,
         )?;
         self.health.set_phase(Phase::Swap);
-        self.service.swap(PatternIndexReader::open(&new_dir)?);
+        let index = open_index(&new_dir)?;
+        {
+            let _span = lash_obs::span!("index.swap", round = round);
+            self.service.swap(index);
+        }
         self.health.record_swap(round);
         // The replaced index loaded fully into memory at open: snapshots
         // still serving it never re-read its files, so the directory can
@@ -176,6 +180,12 @@ impl Lifecycle {
             compaction,
         })
     }
+}
+
+/// Loads the index at `dir` under an `index.open` span.
+fn open_index(dir: &Path) -> Result<PatternIndexReader> {
+    let _span = lash_obs::span!("index.open");
+    Ok(PatternIndexReader::open(dir)?)
 }
 
 /// Mines the corpus and writes `index_root/index-<round>`, replacing any

@@ -458,6 +458,8 @@ fn garbage_admin_envelope_keeps_connection_serving() {
 #[test]
 fn query_storm_across_refresh_rounds_loses_nothing() {
     let config = ServeConfig::default().with_worker_threads(2);
+    let span_count = |name: &str| lash_obs::global().histogram(name).snapshot().count;
+    let (opens, swaps) = (span_count("index.open_us"), span_count("index.swap_us"));
     let (mut lifecycle, server, root) = boot("storm", &config);
     let addr = server.local_addr();
     let (_, items) = small_vocab();
@@ -499,6 +501,10 @@ fn query_storm_across_refresh_rounds_loses_nothing() {
     stop.store(true, Ordering::Relaxed);
     let total: u64 = clients.into_iter().map(|c| c.join().unwrap()).sum();
     assert!(total > 0, "the storm must actually have run");
+    // The bootstrap and every round opened an index under a span, and every
+    // round swapped one in (other tests may have added to the counts).
+    assert!(span_count("index.open_us") >= opens + 4);
+    assert!(span_count("index.swap_us") >= swaps + 3);
 
     server.shutdown();
     std::fs::remove_dir_all(&root).unwrap();

@@ -6,7 +6,7 @@ use lash::context::MiningContext;
 use lash::distributed::naive_job::run_naive;
 use lash::enumeration::enumerate_pivot;
 use lash::mapreduce::EngineConfig;
-use lash::rewrite::{RewriteLevel, Rewriter};
+use lash::rewrite::{RewriteLevel, RewriteScratch, Rewriter};
 use lash::{
     GsmParams, Lash, LashConfig, MinerKind, SequenceDatabase, Vocabulary, VocabularyBuilder,
 };
@@ -103,12 +103,13 @@ proptest! {
         let ctx = MiningContext::build(&db, &vocab, sigma);
         let space = ctx.space();
         let rewriter = Rewriter::new(space, &params);
+        let mut scratch = RewriteScratch::default();
         for i in 0..ctx.ranked_db().len() {
             let seq = ctx.ranked_seq(i);
             for pivot in 0..space.num_frequent() {
                 let original = enumerate_pivot(seq, space, gamma, lambda, pivot);
-                let rewritten = match rewriter.rewrite(seq, pivot) {
-                    Some(r) => enumerate_pivot(&r, space, gamma, lambda, pivot),
+                let rewritten = match rewriter.rewrite_into(seq, pivot, &mut scratch) {
+                    Some(r) => enumerate_pivot(r, space, gamma, lambda, pivot),
                     None => Default::default(),
                 };
                 prop_assert_eq!(&original, &rewritten, "seq {} pivot {}", i, pivot);

@@ -8,7 +8,7 @@ use lash::context::MiningContext;
 use lash::datagen::{TextConfig, TextCorpus, TextHierarchy};
 use lash::flist::FList;
 use lash::miner::{LocalMiner, PsmMiner};
-use lash::rewrite::Rewriter;
+use lash::rewrite::{RewriteScratch, Rewriter};
 use lash::sequence::Partition;
 use lash::store::{CorpusReader, Partitioning, StoreOptions};
 use lash::{GsmParams, Lash, LashConfig, PatternSet, SequenceDatabase, Vocabulary};
@@ -113,17 +113,18 @@ fn psm_local_miner_from_store_matches_memory() {
     let miner = PsmMiner::indexed();
     let mut mined = PatternSet::new();
     let mut ranked = Vec::new();
+    let mut scratch = RewriteScratch::default();
     for pivot in 0..ctx.space().num_frequent() {
-        let mut raw = Vec::new();
+        let mut raw = Partition::new();
         for record in reader.scan() {
             let (_, items) = record.unwrap();
             ranked.clear();
             ranked.extend(items.iter().map(|&it| ctx.order().rank(it)));
-            if let Some(rewritten) = rewriter.rewrite(&ranked, pivot) {
-                raw.push((rewritten, 1));
+            if let Some(rewritten) = rewriter.rewrite_into(&ranked, pivot, &mut scratch) {
+                raw.push(rewritten, 1);
             }
         }
-        let partition = Partition::aggregate(raw);
+        let partition = Partition::aggregate(raw.iter());
         let (patterns, _) = miner.mine(&partition, pivot, ctx.space(), &params);
         mined.merge(patterns);
     }
