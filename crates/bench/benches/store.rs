@@ -1,13 +1,12 @@
-//! Throughput of the on-disk corpus: write path, block decode (the scan
-//! hot path, per payload codec), streaming scan, parallel scan, and
-//! header-only f-list — each against the in-memory baseline the store
-//! replaces.
+//! Throughput of the on-disk corpus: write path, streaming scan, parallel
+//! scan, and header-only f-list — each against the in-memory baseline the
+//! store replaces.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use lash_core::flist::FList;
 use lash_core::{SequenceDatabase, Vocabulary};
 use lash_datagen::{TextConfig, TextCorpus, TextHierarchy};
-use lash_store::{CorpusReader, Partitioning, PayloadCodec, StoreOptions};
+use lash_store::{CorpusReader, Partitioning, StoreOptions};
 
 fn dataset() -> (Vocabulary, SequenceDatabase) {
     TextCorpus::generate(&TextConfig {
@@ -50,54 +49,6 @@ fn bench_write(c: &mut Criterion) {
         });
         let _ = std::fs::remove_dir_all(&dir);
     });
-    group.finish();
-}
-
-/// Block-decode throughput per payload codec: the same corpus written in
-/// the v2 varint format and the v3 group-varint format, fully scanned
-/// batch-by-batch (page-cache-hot, so the measurement is decode-bound).
-/// CI tracks the same measurement through `experiments decode`, which
-/// gates on each codec's *absolute* Melem/s against the checked-in
-/// `BENCH_decode.json` baseline (the v3/v2 ratio is recorded there too,
-/// but not gated).
-fn bench_block_decode(c: &mut Criterion) {
-    // The env override would silently write both corpora with one codec and
-    // mislabel the comparison — refuse loudly instead.
-    assert!(
-        std::env::var(lash_store::FORCE_CODEC_ENV).map_or(true, |v| v.trim().is_empty()),
-        "unset {} before running the block_decode benches: it overrides the per-corpus codec",
-        lash_store::FORCE_CODEC_ENV
-    );
-    let (vocab, db) = dataset();
-    let items = db.total_items() as u64;
-    let mut group = c.benchmark_group("block_decode");
-    group.throughput(Throughput::Elements(items));
-    for (label, codec) in [
-        ("v2", PayloadCodec::Varint),
-        ("v3", PayloadCodec::GroupVarint),
-    ] {
-        let dir = temp_dir(&format!("decode-{label}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        // Sketchless: this group isolates block *payload* decode; header
-        // sketches are a fixed per-block cost measured by store_flist.
-        let decode_opts = opts().with_codec(codec).with_sketches(false);
-        lash_store::convert::write_database(&dir, &vocab, &db, decode_opts).unwrap();
-        let reader = CorpusReader::open(&dir).unwrap();
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let mut seen = 0usize;
-                for shard in 0..reader.num_shards() {
-                    let mut scan = reader.scan_shard(shard).unwrap();
-                    while let Some(batch) = scan.next_batch().unwrap() {
-                        seen += batch.arena().len();
-                    }
-                }
-                assert_eq!(seen as u64, items);
-                black_box(seen)
-            });
-        });
-        let _ = std::fs::remove_dir_all(&dir);
-    }
     group.finish();
 }
 
@@ -185,5 +136,5 @@ fn bench_scan(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-criterion_group!(benches, bench_write, bench_block_decode, bench_scan);
+criterion_group!(benches, bench_write, bench_scan);
 criterion_main!(benches);

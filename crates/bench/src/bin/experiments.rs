@@ -21,9 +21,7 @@
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
-use lash_bench::experiments::{
-    ablation, compaction, decode, fig4, fig5, fig6, query, scan, serve, tables,
-};
+use lash_bench::experiments::{ablation, compaction, fig4, fig5, fig6, query, scan, serve, tables};
 use lash_bench::{Datasets, Report};
 
 fn main() {
@@ -116,14 +114,6 @@ fn main() {
             "fig6c" => fig6::fig6c(&mut datasets, &mut report),
             "ablation" => ablation::ablation(&mut datasets, &mut report),
             "compaction" => compaction::compaction(&mut datasets, &mut report),
-            "decode" => {
-                bench_ok &= decode::decode(
-                    &mut datasets,
-                    &mut report,
-                    out.as_deref(),
-                    baseline.as_deref(),
-                );
-            }
             "query" => {
                 bench_ok &= query::query(
                     &mut datasets,
@@ -179,7 +169,6 @@ const ALL: &[&str] = &[
     "fig6c",
     "ablation",
     "compaction",
-    "decode",
     "query",
     "scan",
     "serve",
@@ -200,11 +189,9 @@ subcommands:
   fig6a fig6b fig6c                          data / strong / weak scaling
   ablation                                   rewrites, aggregation, PSM index
   compaction                                 scan throughput vs. generation count
-  decode                                     block-decode throughput by payload codec
-                                             (writes BENCH_decode.json to --out)
   query                                      pattern-index query throughput
                                              (writes BENCH_query.json to --out)
-  scan                                       shard-scan throughput, mmap vs buffered
+  scan                                       push shard-scan throughput, full and pruned
                                              (writes BENCH_scan.json to --out)
   serve                                      daemon saturation over the TCP protocol
                                              (writes BENCH_serve.json to --out)
@@ -213,7 +200,7 @@ subcommands:
 options:
   --scale F         dataset scale factor (default 1.0, about 20k sequences)
   --out DIR         CSV output directory (default bench_results/)
-  --baseline FILE   compare `decode`/`query`/`scan`/`serve` against a baseline BENCH_*.json
+  --baseline FILE   compare `query`/`scan`/`serve` against a baseline BENCH_*.json
                     and fail on >15% throughput regression (the CI bench gates)
   --no-csv          disable CSV output
 ";

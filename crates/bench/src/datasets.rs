@@ -73,17 +73,20 @@ fn cached_corpus(
     generate: impl FnOnce() -> (lash_core::Vocabulary, lash_core::SequenceDatabase),
 ) -> lash_store::Result<CorpusReader> {
     let dir = cache_dir.join(key);
-    match CorpusReader::open(&dir) {
-        Ok(reader) => Ok(reader),
-        Err(_) => {
-            // Absent or unreadable: rebuild from scratch (generation is
-            // deterministic, so a rebuild is always equivalent).
-            let _ = std::fs::remove_dir_all(&dir);
-            let (vocab, db) = generate();
-            lash_store::convert::write_database(&dir, &vocab, &db, StoreOptions::default())?;
-            CorpusReader::open(&dir)
+    // Probe before opening: a cold cache is the normal first run, not an
+    // error, and opening a missing corpus would spend the process's one
+    // flight-recorder dump on it.
+    if dir.join(lash_store::format::MANIFEST_FILE).exists() {
+        if let Ok(reader) = CorpusReader::open(&dir) {
+            return Ok(reader);
         }
     }
+    // Absent or unreadable: rebuild from scratch (generation is
+    // deterministic, so a rebuild is always equivalent).
+    let _ = std::fs::remove_dir_all(&dir);
+    let (vocab, db) = generate();
+    lash_store::convert::write_database(&dir, &vocab, &db, StoreOptions::default())?;
+    CorpusReader::open(&dir)
 }
 
 /// Environment variable overriding the on-disk corpus cache directory.

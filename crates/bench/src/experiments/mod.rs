@@ -2,7 +2,6 @@
 
 pub mod ablation;
 pub mod compaction;
-pub mod decode;
 pub mod fig4;
 pub mod fig5;
 pub mod fig6;

@@ -1,18 +1,13 @@
-//! Shard-scan throughput: the zero-copy mmap + decode-ahead engine vs. the
-//! buffered-read engine, full scans and sketch-pruned scans, on the same
-//! format-v4 corpus.
+//! Push shard-scan throughput — the mining path's scans over memory-mapped
+//! segments — full and sketch-pruned, on a format-v4 corpus.
 //!
-//! This is the perf-tracking experiment behind the scan half of CI's
-//! `bench-regression` leg: it writes its measurements to `BENCH_scan.json`
-//! (uploaded as a build artifact) and, when given `--baseline <json>`,
-//! fails the run if scan throughput regressed more than
-//! [`super::REGRESSION_TOLERANCE`] against the checked-in numbers. To
-//! refresh the baseline after an intentional change (or a runner-class
-//! change), copy the artifact over `crates/bench/baselines/BENCH_scan.json`.
-//!
-//! Both engines run the exact same push-style [`ShardedCorpus`] scans; only
-//! `LASH_SCAN_MODE` differs, so the ratio isolates the engine (zero-copy
-//! block windows plus the prefetch thread) from the codec.
+//! This is the perf-tracking experiment behind CI's `bench-regression` leg:
+//! it writes its measurements to `BENCH_scan.json` (uploaded as a build
+//! artifact) and, when given `--baseline <json>`, fails the run if scan
+//! throughput regressed more than [`super::REGRESSION_TOLERANCE`] against
+//! the checked-in numbers. To refresh the baseline after an intentional
+//! change (or a runner-class change), copy the artifact over
+//! `crates/bench/baselines/BENCH_scan.json`.
 
 use std::path::Path;
 use std::time::Instant;
@@ -20,7 +15,7 @@ use std::time::Instant;
 use lash_core::sequence::ShardedCorpus;
 use lash_core::ItemId;
 use lash_datagen::TextHierarchy;
-use lash_store::{CorpusReader, Partitioning, StoreOptions, SCAN_MODE_ENV};
+use lash_store::{CorpusReader, Partitioning, StoreOptions};
 
 use crate::report::{Report, Table};
 use crate::Datasets;
@@ -30,15 +25,16 @@ use super::check_baseline;
 const SHARDS: u32 = 4;
 const SCAN_ITERS: u32 = 7;
 
-/// One engine's measurements.
 struct Measurement {
     full_melems: f64,
     pruned_melems: f64,
 }
 
-/// Best-of-[`SCAN_ITERS`] full-shard and pruned scans through the engine
-/// selected by the current `LASH_SCAN_MODE` (page-cache-hot after the first
-/// pass).
+/// Best-of-[`SCAN_ITERS`] full-shard and pruned scans (page-cache-hot, and
+/// the segment maps validated, after the first pass).
+// Never inlined: folded into `scan`, the same library code timed ~10% lower,
+// so the baseline would track this file's call sites instead of the store.
+#[inline(never)]
 fn measure(reader: &CorpusReader) -> Measurement {
     // Sketch-prunable predicate: only the rarest eighth of the vocabulary
     // is relevant, so most blocks' G1 sketches rule them out entirely.
@@ -88,24 +84,6 @@ pub fn scan(
     json_out: Option<&Path>,
     baseline: Option<&Path>,
 ) -> bool {
-    // A forced codec changes what the corpus stores (and therefore what the
-    // baseline numbers mean); a forced scan mode would make both rows
-    // measure the same engine. Refuse to produce mislabeled numbers.
-    if std::env::var(lash_store::FORCE_CODEC_ENV).is_ok_and(|v| !v.trim().is_empty()) {
-        eprintln!(
-            "error: {} is set — the baseline describes the default (v4) codec; \
-             unset it to run `scan`",
-            lash_store::FORCE_CODEC_ENV
-        );
-        return false;
-    }
-    if std::env::var(SCAN_MODE_ENV).is_ok_and(|v| !v.trim().is_empty()) {
-        eprintln!(
-            "error: {SCAN_MODE_ENV} is set — `scan` compares both engines itself; \
-             unset it to run `scan`"
-        );
-        return false;
-    }
     let (vocab, db) = datasets.nyt_dataset(TextHierarchy::LP);
     let scratch = datasets
         .cache_dir()
@@ -115,42 +93,24 @@ pub fn scan(
     lash_store::convert::write_database(&scratch, &vocab, &db, opts).expect("write corpus");
     let reader = CorpusReader::open(&scratch).expect("open corpus");
 
-    let mut table = Table::new(
-        "scan",
-        "shard-scan throughput by engine (full + sketch-pruned, format v4)",
-        &["engine", "full Melem/s", "pruned Melem/s", "speedup"],
-    );
-
-    let mut measured: Vec<(&str, Measurement)> = Vec::new();
-    for (label, mode) in [("buffered", "buffered"), ("mmap", "mmap")] {
-        std::env::set_var(SCAN_MODE_ENV, mode);
-        measured.push((label, measure(&reader)));
-    }
-    std::env::remove_var(SCAN_MODE_ENV);
+    let m = measure(&reader);
     drop(reader);
     let _ = std::fs::remove_dir_all(&scratch);
 
-    let buffered = &measured[0].1;
-    let mmap = &measured[1].1;
-    let speedup = mmap.full_melems / buffered.full_melems;
-    for (label, m) in &measured {
-        table.row(vec![
-            (*label).to_string(),
-            format!("{:.1}", m.full_melems),
-            format!("{:.1}", m.pruned_melems),
-            if *label == "mmap" {
-                format!("{speedup:.2}x")
-            } else {
-                "1.00x".to_string()
-            },
-        ]);
-    }
+    let mut table = Table::new(
+        "scan",
+        "push shard-scan throughput (full + sketch-pruned, format v4)",
+        &["full Melem/s", "pruned Melem/s"],
+    );
+    table.row(vec![
+        format!("{:.1}", m.full_melems),
+        format!("{:.1}", m.pruned_melems),
+    ]);
 
     let json = format!(
-        "{{\n  \"schema\": \"lash-bench-scan/v1\",\n  \"scan_melems_buffered\": {:.2},\n  \
-         \"scan_melems_mmap\": {:.2},\n  \"pruned_melems_buffered\": {:.2},\n  \
-         \"pruned_melems_mmap\": {:.2},\n  \"speedup_mmap_over_buffered\": {:.3}\n}}\n",
-        buffered.full_melems, mmap.full_melems, buffered.pruned_melems, mmap.pruned_melems, speedup
+        "{{\n  \"schema\": \"lash-bench-scan/v2\",\n  \"scan_melems_mmap\": {:.2},\n  \
+         \"pruned_melems_mmap\": {:.2}\n}}\n",
+        m.full_melems, m.pruned_melems
     );
     if let Some(dir) = json_out {
         let _ = std::fs::create_dir_all(dir);
@@ -166,9 +126,8 @@ pub fn scan(
         Some(path) => check_baseline(
             path,
             &[
-                ("scan_melems_buffered", buffered.full_melems),
-                ("scan_melems_mmap", mmap.full_melems),
-                ("pruned_melems_mmap", mmap.pruned_melems),
+                ("scan_melems_mmap", m.full_melems),
+                ("pruned_melems_mmap", m.pruned_melems),
             ],
         ),
         None => true,

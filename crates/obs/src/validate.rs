@@ -1,7 +1,7 @@
 //! Validation of the JSONL event stream: per-line schema checks plus
-//! stream-level referential integrity of the trace graph. Shared by the
-//! `obs-validate` binary and the `obs validate` subcommand, and usable
-//! directly from tests via [`validate_lines`].
+//! stream-level referential integrity of the trace graph. Run from the
+//! command line as `obs validate` (the `obs` binary of `lash-serve`), and
+//! usable directly from tests via [`validate_lines`].
 //!
 //! ## Checks
 //!

@@ -14,10 +14,10 @@
 //! indented tree with total and self wall time per span, flagging the
 //! hottest root-to-leaf path with `◆`. By default only the largest trace
 //! (most spans) is shown; `--top <n>` shows the n largest, `--all` every
-//! one, `--trace <hex-id>` exactly one. `validate` runs the same checks
-//! as the `obs-validate` binary (`--schema-only` skips the trace-graph
-//! checks — the right mode for ring dumps and `RecentEvents` output,
-//! whose parents may have scrolled out of the window).
+//! one, `--trace <hex-id>` exactly one. `validate` runs the checks of
+//! [`lash_obs::validate`] (`--schema-only` skips the trace-graph checks —
+//! the right mode for ring dumps and `RecentEvents` output, whose parents
+//! may have scrolled out of the window).
 //!
 //! The live commands speak the daemon's admin lane (never queued behind
 //! query batches): `admin` issues one request and prints the raw reply,

@@ -19,22 +19,21 @@
 //! a merge that would drop or duplicate a sequence aborts with
 //! [`StoreError::Corrupt`] and the corpus stays on the old manifest.
 //!
-//! Because merged generations are re-encoded with the current payload codec
-//! (rank-encoded group varint / format v4 unless [`crate::FORCE_CODEC_ENV`]
-//! says otherwise), compaction doubles as an **in-place format migration**:
-//! compacting a format-v2 or v3 corpus down to one generation leaves only
-//! v4 segments behind, with identical contents. Migrating to v4 fixes the
-//! corpus's rank order: it is resolved once (from the manifest if already
-//! sealed, else from the corpus's f-list) and recorded in the swapped
-//! manifest so later ingest and mining reuse it.
+//! Because merged generations are written as format v4 (the only format
+//! this crate writes), compaction doubles as an **in-place format
+//! migration**: compacting a format-v2 or v3 corpus down to one generation
+//! leaves only v4 segments behind, with identical contents. Migrating to v4
+//! fixes the corpus's rank order: it is resolved once (from the manifest if
+//! already sealed, else from the corpus's f-list) and recorded in the
+//! swapped manifest so later ingest and mining reuse it.
 
 use std::fs;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::format::{self, GenerationMeta, Manifest};
+use crate::format::{self, GenerationMeta, Manifest, RankOrder, FORMAT_VERSION};
 use crate::generations::{read_manifest, write_manifest};
 use crate::reader::ShardScan;
 use crate::writer::SegmentSetWriter;
@@ -363,18 +362,11 @@ fn execute(
         generations_after = n - plan.len + 1,
     );
 
-    // Re-encode with the current codec: merging v2/v3 generations produces
-    // a v4 generation, so compaction migrates old corpora as it compacts.
-    // The rank codec needs the corpus's item order, resolved *before* any
-    // files are staged so a failure leaves nothing behind.
-    let codec = format::resolve_codec(crate::PayloadCodec::default());
-    let rank = if codec == crate::PayloadCodec::GroupVarintRank {
-        Some(crate::generations::resolve_rank_order(
-            dir, manifest, vocab,
-        )?)
-    } else {
-        None
-    };
+    // Merging v2/v3 generations produces a v4 generation, so compaction
+    // migrates old corpora as it compacts. The corpus's item order is
+    // resolved *before* any files are staged so a failure leaves nothing
+    // behind.
+    let rank = crate::generations::resolve_rank_order(dir, manifest, vocab)?;
 
     let new_id = manifest.next_gen_id;
     let tmp_dir = dir.join(format::generation_tmp_dir_name(new_id));
@@ -390,8 +382,7 @@ fn execute(
         new_id,
         &tmp_dir,
         config,
-        codec,
-        rank.clone(),
+        Arc::clone(&rank),
         &throttle,
     );
     let merged = match merged {
@@ -427,15 +418,11 @@ fn execute(
 
     // Swap the manifest: the merged generation takes the window's place, so
     // list order still equals sequence-id order. The version tracks the
-    // newest segment format present — never downgraded, bumped when the
-    // merge re-encoded old blocks with a newer codec.
+    // newest segment format present, and a migration to v4 seals the item
+    // order the merged blocks were rank-encoded with.
     let mut new_manifest = manifest.clone();
-    new_manifest.version = manifest.version.max(codec.format_version());
-    if new_manifest.version >= 4 && new_manifest.rank_order.is_none() {
-        // The migration to v4 seals the item order the merged blocks were
-        // rank-encoded with.
-        new_manifest.rank_order = rank.clone();
-    }
+    new_manifest.version = FORMAT_VERSION;
+    new_manifest.rank_order.get_or_insert(rank);
     new_manifest
         .generations
         .splice(plan.start..plan.start + plan.len, [merged]);
@@ -476,8 +463,7 @@ fn merge_window(
     new_id: u32,
     tmp_dir: &Path,
     config: &CompactionConfig,
-    codec: crate::PayloadCodec,
-    rank: Option<std::sync::Arc<crate::format::RankOrder>>,
+    rank: Arc<RankOrder>,
     throttle: &MergeThrottle,
 ) -> Result<GenerationMeta> {
     let num_shards = manifest.partitioning.num_shards();
@@ -486,7 +472,6 @@ fn merge_window(
         num_shards,
         config.block_budget,
         manifest.sketches,
-        codec,
         rank,
     )?;
     let parallelism = config.effective_parallelism(num_shards as usize);
@@ -499,7 +484,7 @@ fn merge_window(
             })
             .collect();
         // The merge reads and re-appends id-space items: `append` re-ranks
-        // for a v4 target itself, so the scan stays in item space.
+        // them itself, so the scan stays in item space.
         let mut scan = ShardScan::open_chain(
             paths,
             shard as u32,

@@ -138,29 +138,4 @@ mod tests {
         assert_eq!(db.get(1).len(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
-
-    #[test]
-    fn conversion_honors_the_requested_codec() {
-        // The same text corpus converted under each payload codec reopens
-        // to identical content; only the block encoding differs.
-        use crate::PayloadCodec;
-        let mut databases = Vec::new();
-        for codec in [PayloadCodec::Varint, PayloadCodec::GroupVarint] {
-            let dir = temp_dir(&format!("codec-{}", codec.tag()));
-            convert_text(
-                HIERARCHY.as_bytes(),
-                SEQUENCES.as_bytes(),
-                &dir,
-                StoreOptions::default().with_codec(codec),
-            )
-            .unwrap();
-            let reader = CorpusReader::open(&dir).unwrap();
-            databases.push(reader.to_database().unwrap());
-            std::fs::remove_dir_all(&dir).unwrap();
-        }
-        assert_eq!(databases[0].len(), databases[1].len());
-        for i in 0..databases[0].len() {
-            assert_eq!(databases[0].get(i), databases[1].get(i));
-        }
-    }
 }

@@ -20,9 +20,8 @@
 //! deltas, then all per-record lengths, then every record's items flattened
 //! into one contiguous group-varint stream — so a reader decodes a whole
 //! block with the wide kernel of [`lash_encoding::group_varint`] instead of
-//! parsing tokens byte by byte. Version 2 segments (per-record delta/varint
-//! payloads, no codec tag) remain fully readable; compaction rewrites them
-//! in the current codec, so `compact` doubles as a v2→v3 migration.
+//! parsing tokens byte by byte. Version 2 segments carry per-record
+//! delta/varint payloads and no codec tag.
 //!
 //! Format version 4 keeps the v3 columnar layout but stores the flattened
 //! item column in **rank space** ([`PayloadCodec::GroupVarintRank`]): the
@@ -34,8 +33,13 @@
 //! Block-header `min_item`/`max_item` and the G1 sketch stay in item-id
 //! space, so header-only consumers (f-list assembly, sketch pruning) are
 //! version-oblivious. The rank order is **write-once per corpus**: every
-//! v4 segment of a corpus shares the manifest's single permutation, and
-//! compaction again doubles as the v2/v3 → v4 migration.
+//! v4 segment of a corpus shares the manifest's single permutation.
+//!
+//! Version 4 is the only format this crate **writes**. Versions 2 and 3 are
+//! read-only: the reader dispatches on the per-segment version and the
+//! per-block codec tag, an append to such a corpus adds a v4 generation
+//! (and fixes the rank order), and compaction rewrites merged generations
+//! as v4 — so `compact` is the v2/v3 → v4 migration.
 
 use std::collections::BTreeMap;
 
@@ -46,10 +50,10 @@ use lash_encoding::zigzag;
 
 use crate::{Result, StoreError};
 
-/// Newest on-disk format version written by this crate. Version 2
-/// introduced segment generations; version 3 introduced group-varint block
-/// payloads; version 4 introduced rank-space item columns; version 1
-/// (single flat segment set) is no longer written or read.
+/// The on-disk format version this crate writes. Version 2 introduced
+/// segment generations; version 3 introduced group-varint block payloads;
+/// version 4 introduced rank-space item columns; version 1 (single flat
+/// segment set) is no longer read.
 pub const FORMAT_VERSION: u32 = 4;
 
 /// Oldest format version this build still reads. Version-2 and -3 corpora
@@ -57,19 +61,11 @@ pub const FORMAT_VERSION: u32 = 4;
 /// the per-block codec tag) and migrate to version 4 through compaction.
 pub const MIN_FORMAT_VERSION: u32 = 2;
 
-/// Environment variable forcing the payload codec (and with it the written
-/// format version) of every segment written by this process: `v2` forces
-/// [`PayloadCodec::Varint`], `v3` forces [`PayloadCodec::GroupVarint`],
-/// `v4` forces [`PayloadCodec::GroupVarintRank`].
-/// Overrides [`crate::StoreOptions::codec`]; CI uses it to run every suite
-/// under all codecs. A set-but-unrecognized value panics — the variable
-/// exists to force test coverage, and a typo silently selecting the default
-/// would defeat exactly that.
-pub const FORCE_CODEC_ENV: &str = "LASH_FORCE_CODEC";
-
-/// The per-block payload encoding. Tagged in every v3+ block header;
-/// version-2 blocks are implicitly [`PayloadCodec::Varint`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// How a block's payload is encoded — what the reader dispatches on.
+/// Tagged in every v3+ block header; version-2 blocks are implicitly
+/// [`PayloadCodec::Varint`]. Only [`PayloadCodec::GroupVarintRank`] is
+/// still written.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PayloadCodec {
     /// Format-v2 record stream: per record, a varint id delta, a varint
     /// length, then delta/zigzag-varint item ids. Compact, but decoded one
@@ -84,7 +80,6 @@ pub enum PayloadCodec {
     /// [`RankOrder`] instead of its vocabulary id. Frequent items rank
     /// lowest, so the column's group-varint bytes shrink and rank-space
     /// consumers skip re-encoding entirely.
-    #[default]
     GroupVarintRank,
 }
 
@@ -109,29 +104,6 @@ impl PayloadCodec {
             ))),
         }
     }
-
-    /// The segment/manifest format version segments written with this codec
-    /// carry: [`PayloadCodec::Varint`] writes byte-identical v2 segments,
-    /// [`PayloadCodec::GroupVarint`] writes v3,
-    /// [`PayloadCodec::GroupVarintRank`] writes v4.
-    pub fn format_version(self) -> u32 {
-        match self {
-            PayloadCodec::Varint => 2,
-            PayloadCodec::GroupVarint => 3,
-            PayloadCodec::GroupVarintRank => 4,
-        }
-    }
-
-    /// Parses a [`FORCE_CODEC_ENV`] value; panics on anything but
-    /// `v2`/`v3`/`v4` (see the constant's docs for why).
-    pub(crate) fn from_env_str(value: &str) -> PayloadCodec {
-        match value.trim() {
-            "v2" => PayloadCodec::Varint,
-            "v3" => PayloadCodec::GroupVarint,
-            "v4" => PayloadCodec::GroupVarintRank,
-            other => panic!("{FORCE_CODEC_ENV}={other:?} is not a codec: expected v2, v3 or v4"),
-        }
-    }
 }
 
 /// The frame-checksum flavor of a segment's block frames, by segment
@@ -147,21 +119,6 @@ pub(crate) fn frame_checksum_for_version(version: u32) -> lash_encoding::FrameCh
     } else {
         lash_encoding::FrameChecksum::Fnv1a
     }
-}
-
-/// Reads [`FORCE_CODEC_ENV`]; unset or empty means "no forced codec".
-pub(crate) fn codec_from_env() -> Option<PayloadCodec> {
-    let value = std::env::var(FORCE_CODEC_ENV).ok()?;
-    if value.trim().is_empty() {
-        return None;
-    }
-    Some(PayloadCodec::from_env_str(&value))
-}
-
-/// The codec a writer should actually use: the [`FORCE_CODEC_ENV`]
-/// override when set, otherwise `requested`.
-pub(crate) fn resolve_codec(requested: PayloadCodec) -> PayloadCodec {
-    codec_from_env().unwrap_or(requested)
 }
 
 /// The corpus-wide descending-frequency item permutation of a rank-space
@@ -650,12 +607,11 @@ pub(crate) fn decode_generations(bytes: &[u8]) -> Result<Vec<GenerationMeta>> {
     Ok(generations)
 }
 
-/// Encodes a segment file's header frame payload for the given format
-/// version (2 to 4 — the writer derives it from its payload codec).
-pub(crate) fn encode_segment_header(shard: u32, version: u32, buf: &mut Vec<u8>) {
-    debug_assert!((MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version));
+/// Encodes a segment file's header frame payload (always
+/// [`FORMAT_VERSION`]).
+pub(crate) fn encode_segment_header(shard: u32, buf: &mut Vec<u8>) {
     buf.extend_from_slice(SEGMENT_MAGIC);
-    varint::encode_u32(version, buf);
+    varint::encode_u32(FORMAT_VERSION, buf);
     varint::encode_u32(shard, buf);
 }
 
@@ -681,12 +637,11 @@ pub(crate) fn decode_segment_header(bytes: &[u8], expected_shard: u32) -> Result
 }
 
 /// Decoded block header: the scan/skip/prune metadata of one block.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockHeader {
     /// How the block's payload is encoded. Implicitly
-    /// [`PayloadCodec::Varint`] in version-2 segments; tagged explicitly in
-    /// version-3 headers, so a future codec slots in without another
-    /// format bump.
+    /// [`PayloadCodec::Varint`] in version-2 segments; tagged explicitly
+    /// from version 3 on.
     pub codec: PayloadCodec,
     /// Number of sequences in the block.
     pub records: u32,
@@ -705,22 +660,12 @@ pub struct BlockHeader {
     pub sketch: Vec<(u32, u32)>,
 }
 
-/// Encodes a block header frame payload for a segment of the given format
-/// version. The sketch map is consumed in ascending item order (`BTreeMap`
-/// iteration) and delta-compressed. Version-3 headers open with the
-/// payload-codec tag; version-2 headers are byte-identical to what the v2
-/// writer produced (and imply [`PayloadCodec::Varint`]).
-pub(crate) fn encode_block_header(
-    h: &BlockHeader,
-    sketch: &BTreeMap<u32, u32>,
-    version: u32,
-    buf: &mut Vec<u8>,
-) {
-    if version >= 3 {
-        varint::encode_u32(h.codec.tag(), buf);
-    } else {
-        debug_assert_eq!(h.codec, PayloadCodec::Varint, "v2 blocks are varint-coded");
-    }
+/// Encodes a block header frame payload: the payload-codec tag, then the
+/// fields every version shares (a version-2 header is exactly this minus the
+/// leading tag). The sketch map is consumed in ascending item order
+/// (`BTreeMap` iteration) and delta-compressed.
+pub(crate) fn encode_block_header(h: &BlockHeader, sketch: &BTreeMap<u32, u32>, buf: &mut Vec<u8>) {
+    varint::encode_u32(h.codec.tag(), buf);
     varint::encode_u32(h.records, buf);
     varint::encode_u64(h.first_seq, buf);
     varint::encode_u64(h.last_seq, buf);
@@ -788,23 +733,6 @@ pub(crate) fn decode_block_header(bytes: &[u8], version: u32) -> Result<BlockHea
     })
 }
 
-/// Appends one record (id delta + delta/varint-compressed items) to a block
-/// payload.
-pub(crate) fn encode_record(id_delta: u64, items: &[ItemId], buf: &mut Vec<u8>) {
-    varint::encode_u64(id_delta, buf);
-    varint::encode_u32(items.len() as u32, buf);
-    let mut prev = 0i64;
-    for (i, item) in items.iter().enumerate() {
-        let v = item.as_u32();
-        if i == 0 {
-            varint::encode_u32(v, buf);
-        } else {
-            varint::encode_u64(zigzag::encode_i64(v as i64 - prev), buf);
-        }
-        prev = v as i64;
-    }
-}
-
 /// Decodes one record from a block payload at `pos`, **appending** items to
 /// `out` — callers batching a whole block into a shared arena rely on the
 /// append semantics (clear `out` first for single-record decodes). Returns
@@ -838,8 +766,8 @@ pub(crate) fn decode_record(
     Ok((id_delta, pos + r.position()))
 }
 
-/// Encodes a [`PayloadCodec::GroupVarint`] block payload: the columnar
-/// layout is every record's sequence-id delta (varint `u64`, first delta
+/// Encodes a columnar group-varint block payload (the v3 and v4 layout):
+/// every record's sequence-id delta (varint `u64`, first delta
 /// relative to the header's `first_seq`), then the per-record item counts
 /// as one group-varint stream, then every record's items — **raw** item
 /// ids, not deltas, since frequency-ordered ids are small already — as one
@@ -852,7 +780,7 @@ pub(crate) fn encode_gv_payload(id_deltas: &[u64], lens: &[u32], items: &[u32], 
     group_varint::encode(items, buf);
 }
 
-/// Decodes a [`PayloadCodec::GroupVarint`] block payload into the caller's
+/// Decodes a columnar group-varint block payload into the caller's
 /// reusable columns; `records` and `items` come from the block header.
 /// Returns the number of payload bytes consumed (the caller cross-checks it
 /// against the payload length).
@@ -883,6 +811,23 @@ pub(crate) fn decode_gv_payload(
 mod tests {
     use super::*;
     use lash_core::vocabulary::VocabularyBuilder;
+
+    /// The format-v2 record encoder (id delta + delta/varint-compressed
+    /// items), kept for the decoder's tests — nothing writes v2 any more.
+    fn encode_record(id_delta: u64, items: &[ItemId], buf: &mut Vec<u8>) {
+        varint::encode_u64(id_delta, buf);
+        varint::encode_u32(items.len() as u32, buf);
+        let mut prev = 0i64;
+        for (i, item) in items.iter().enumerate() {
+            let v = item.as_u32();
+            if i == 0 {
+                varint::encode_u32(v, buf);
+            } else {
+                varint::encode_u64(zigzag::encode_i64(v as i64 - prev), buf);
+            }
+            prev = v as i64;
+        }
+    }
 
     #[test]
     fn hash_partitioning_spreads_and_is_deterministic() {
@@ -1096,44 +1041,46 @@ mod tests {
         assert_eq!(agg[1].min_seq, 3);
     }
 
-    #[test]
-    fn block_header_round_trips_with_sketch_in_both_versions() {
-        let sketch: BTreeMap<u32, u32> = [(0, 5), (3, 2), (17, 9)].into_iter().collect();
-        for (version, codec) in [
-            (2, PayloadCodec::Varint),
-            (3, PayloadCodec::GroupVarint),
-            (4, PayloadCodec::GroupVarintRank),
-        ] {
-            let h = BlockHeader {
-                codec,
-                records: 5,
-                first_seq: 100,
-                last_seq: 131,
-                items: 42,
-                min_item: Some(0),
-                max_item: Some(17),
-                sketch: sketch.iter().map(|(&i, &c)| (i, c)).collect(),
-            };
-            let mut buf = Vec::new();
-            encode_block_header(&h, &sketch, version, &mut buf);
-            assert_eq!(decode_block_header(&buf, version).unwrap(), h);
+    fn header(codec: PayloadCodec, sketch: &BTreeMap<u32, u32>) -> BlockHeader {
+        BlockHeader {
+            codec,
+            records: 5,
+            first_seq: 100,
+            last_seq: 131,
+            items: 42,
+            min_item: Some(0),
+            max_item: Some(17),
+            sketch: sketch.iter().map(|(&i, &c)| (i, c)).collect(),
         }
     }
 
     #[test]
-    fn v3_block_headers_reject_unknown_codec_tags() {
-        let h = BlockHeader {
-            codec: PayloadCodec::GroupVarint,
-            records: 1,
-            first_seq: 0,
-            last_seq: 0,
-            items: 1,
-            min_item: Some(0),
-            max_item: Some(0),
-            sketch: Vec::new(),
-        };
+    fn block_header_round_trips_with_sketch_in_every_version() {
+        let sketch: BTreeMap<u32, u32> = [(0, 5), (3, 2), (17, 9)].into_iter().collect();
+        for (version, codec) in [
+            (3, PayloadCodec::GroupVarint),
+            (4, PayloadCodec::GroupVarintRank),
+        ] {
+            let h = header(codec, &sketch);
+            let mut buf = Vec::new();
+            encode_block_header(&h, &sketch, &mut buf);
+            assert_eq!(decode_block_header(&buf, version).unwrap(), h);
+        }
+        // A v2 header is the same fields without the leading one-byte tag.
+        let h = header(PayloadCodec::Varint, &sketch);
         let mut buf = Vec::new();
-        encode_block_header(&h, &BTreeMap::new(), 3, &mut buf);
+        encode_block_header(&h, &sketch, &mut buf);
+        assert_eq!(decode_block_header(&buf[1..], 2).unwrap(), h);
+    }
+
+    #[test]
+    fn v3_block_headers_reject_unknown_codec_tags() {
+        let mut buf = Vec::new();
+        encode_block_header(
+            &header(PayloadCodec::GroupVarint, &BTreeMap::new()),
+            &BTreeMap::new(),
+            &mut buf,
+        );
         buf[0] = 7; // codec tag is the first varint of a v3 header
         assert!(matches!(
             decode_block_header(&buf, 3),
@@ -1154,9 +1101,10 @@ mod tests {
             sketch: Vec::new(),
         };
         let mut buf = Vec::new();
-        encode_block_header(&h, &BTreeMap::new(), 2, &mut buf);
-        assert!(decode_block_header(&buf, 2).is_ok());
-        assert!(decode_block_header(&buf[..2], 2).is_err());
+        encode_block_header(&h, &BTreeMap::new(), &mut buf);
+        let v2 = &buf[1..];
+        assert!(decode_block_header(v2, 2).is_ok());
+        assert!(decode_block_header(&v2[..2], 2).is_err());
         assert!(decode_block_header(&[], 2).is_err());
     }
 
@@ -1192,29 +1140,15 @@ mod tests {
     }
 
     #[test]
-    fn codec_versions_and_tags_are_stable() {
-        assert_eq!(PayloadCodec::Varint.format_version(), 2);
-        assert_eq!(PayloadCodec::GroupVarint.format_version(), 3);
-        assert_eq!(PayloadCodec::GroupVarintRank.format_version(), 4);
-        assert_eq!(PayloadCodec::Varint.tag(), 0);
-        assert_eq!(PayloadCodec::GroupVarint.tag(), 1);
-        assert_eq!(PayloadCodec::GroupVarintRank.tag(), 2);
-        assert_eq!(PayloadCodec::from_env_str("v2"), PayloadCodec::Varint);
-        assert_eq!(
-            PayloadCodec::from_env_str(" v3 "),
-            PayloadCodec::GroupVarint
-        );
-        assert_eq!(
-            PayloadCodec::from_env_str("v4"),
-            PayloadCodec::GroupVarintRank
-        );
-        assert_eq!(PayloadCodec::default(), PayloadCodec::GroupVarintRank);
-    }
-
-    #[test]
-    #[should_panic(expected = "not a codec")]
-    fn unrecognized_forced_codec_panics() {
-        PayloadCodec::from_env_str("v9");
+    fn codec_tags_are_stable() {
+        for (codec, tag) in [
+            (PayloadCodec::Varint, 0),
+            (PayloadCodec::GroupVarint, 1),
+            (PayloadCodec::GroupVarintRank, 2),
+        ] {
+            assert_eq!(codec.tag(), tag);
+            assert_eq!(PayloadCodec::from_tag(tag).unwrap(), codec);
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Segment generations: incremental ingest for a corpus whose sealed data
 //! never changes.
 //!
-//! A format-v2 corpus is an **ordered set of sealed generations**. Each
+//! A corpus is an **ordered set of sealed generations**. Each
 //! generation is a complete per-shard segment set — exactly what a whole
 //! corpus was before generations existed — living in its own `gen-<id>/`
 //! directory:
@@ -67,7 +67,7 @@ use lash_core::vocabulary::{ItemId, Vocabulary};
 use lash_encoding::frame::{self, FrameChecksum};
 
 use crate::compact::{self, CompactionConfig};
-use crate::format::{self, GenerationMeta, Manifest, PayloadCodec, RankOrder, MANIFEST_FILE};
+use crate::format::{self, GenerationMeta, Manifest, RankOrder, FORMAT_VERSION, MANIFEST_FILE};
 use crate::writer::{rank_order_from_flist, SegmentSetWriter};
 use crate::{Result, StoreError};
 
@@ -203,15 +203,14 @@ pub(crate) fn write_manifest(dir: &Path, manifest: &Manifest, vocab: &Vocabulary
         buf.clear();
         format::encode_generations(&manifest.generations, &mut buf);
         frame::write_frame(&buf, &mut file)?;
-        if manifest.version >= 4 {
-            let rank = manifest
-                .rank_order
-                .as_ref()
-                .expect("a v4 manifest carries its rank order");
-            buf.clear();
-            format::encode_rank_order(rank, &mut buf);
-            frame::write_frame(&buf, &mut file)?;
-        }
+        debug_assert_eq!(manifest.version, FORMAT_VERSION, "only v4 is written");
+        let rank = manifest
+            .rank_order
+            .as_ref()
+            .expect("a v4 manifest carries its rank order");
+        buf.clear();
+        format::encode_rank_order(rank, &mut buf);
+        frame::write_frame(&buf, &mut file)?;
         file.flush()?;
         file.get_ref().sync_all()?;
     }
@@ -261,15 +260,15 @@ pub struct IncrementalWriter {
     vocab: Vocabulary,
     gen_id: u32,
     tmp_dir: PathBuf,
-    /// The rank order the staged segments are encoded with (v4 codec only).
-    /// Sealed into the manifest at finish.
-    rank: Option<Arc<RankOrder>>,
+    /// The rank order the staged segments are encoded with; sealed into the
+    /// manifest at finish when the corpus had none (a v2/v3 corpus).
+    rank: Arc<RankOrder>,
     segments: Option<SegmentSetWriter>,
     next_seq: u64,
     sealed: bool,
 }
 
-/// The item order a new rank-coded (v4) generation must be written in.
+/// The item order a new generation must be written in.
 ///
 /// A v4 corpus already fixed it (write-once: later generations reuse the
 /// sealed order, whatever the current frequencies — re-ranking would
@@ -317,34 +316,16 @@ pub(crate) fn resolve_rank_order(
 
 impl IncrementalWriter {
     /// Opens `dir` for appending a new generation with the default block
-    /// budget and the default payload codec (rank-coded group varint /
-    /// format v4, or whatever [`crate::FORCE_CODEC_ENV`] forces) — note
-    /// that appending a newer-codec generation to a version-pinned corpus
-    /// bumps its manifest version, so old builds stop reading it; use
-    /// [`IncrementalWriter::open_with_codec`] to keep such a corpus on its
-    /// original codec.
+    /// budget. Appending to a format-v2/v3 corpus adds a v4 generation and
+    /// bumps the manifest version, so builds that predate v4 stop reading
+    /// it.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self> {
         Self::open_with_budget(dir, crate::StoreOptions::default().block_budget)
     }
 
     /// Opens `dir` for appending a new generation whose blocks target
-    /// `block_budget` uncompressed payload bytes, with the default codec
-    /// (see [`IncrementalWriter::open`]).
+    /// `block_budget` uncompressed payload bytes.
     pub fn open_with_budget(dir: impl AsRef<Path>, block_budget: usize) -> Result<Self> {
-        Self::open_with_codec(dir, block_budget, crate::PayloadCodec::default())
-    }
-
-    /// Opens `dir` for appending a new generation written with `codec` —
-    /// the continuation API for corpora deliberately pinned to the v2
-    /// codec ([`crate::StoreOptions::with_codec`]): appending with
-    /// [`crate::PayloadCodec::Varint`] keeps every segment and the
-    /// manifest at version 2, so old readers keep working. The
-    /// [`crate::FORCE_CODEC_ENV`] override still wins when set.
-    pub fn open_with_codec(
-        dir: impl AsRef<Path>,
-        block_budget: usize,
-        codec: crate::PayloadCodec,
-    ) -> Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         let (manifest, vocab) = read_manifest(&dir)?;
         let gen_id = manifest.next_gen_id;
@@ -354,19 +335,13 @@ impl IncrementalWriter {
         if tmp_dir.exists() {
             fs::remove_dir_all(&tmp_dir)?;
         }
-        let codec = format::resolve_codec(codec);
-        let rank = if codec == PayloadCodec::GroupVarintRank {
-            Some(resolve_rank_order(&dir, &manifest, &vocab)?)
-        } else {
-            None
-        };
+        let rank = resolve_rank_order(&dir, &manifest, &vocab)?;
         let segments = SegmentSetWriter::create(
             &tmp_dir,
             manifest.partitioning.num_shards(),
             block_budget,
             manifest.sketches,
-            codec,
-            rank.clone(),
+            Arc::clone(&rank),
         )?;
         let next_seq = manifest.num_sequences;
         Ok(IncrementalWriter {
@@ -451,10 +426,6 @@ impl IncrementalWriter {
             generation = self.gen_id,
             sequences = num_sequences,
         );
-        // Appending v3 segments to a v2 corpus bumps the manifest version
-        // (old builds must reject what they cannot read); the version is
-        // never downgraded, so mixed-generation corpora stay readable here.
-        let version = self.manifest.version.max(segments.codec().format_version());
         let shards = segments.finish()?;
 
         // Step 2 of the protocol: rename the staged directory into place.
@@ -470,12 +441,13 @@ impl IncrementalWriter {
 
         // Step 3: swap the manifest.
         let mut manifest = self.manifest.clone();
-        manifest.version = version;
-        if manifest.rank_order.is_none() {
-            // First v4 generation on this corpus: seal the order the staged
-            // segments were just encoded with.
-            manifest.rank_order = self.rank.clone();
-        }
+        // Appending to a v2/v3 corpus bumps the manifest version (old builds
+        // must reject what they cannot read) and seals the order the staged
+        // segments were just encoded with.
+        manifest.version = FORMAT_VERSION;
+        manifest
+            .rank_order
+            .get_or_insert_with(|| Arc::clone(&self.rank));
         manifest.generations.push(GenerationMeta {
             id: self.gen_id,
             num_sequences,

@@ -36,34 +36,33 @@
 //! per-generation sketches are additive, so they merge into one corpus-wide
 //! f-list for free.
 //!
-//! Since format v3 block payloads are **columnar group varint**
-//! ([`PayloadCodec::GroupVarint`], via `lash-encoding::group_varint`): all
-//! sequence-id deltas, then all record lengths, then every record's items
-//! as one contiguous stream a branch-free wide kernel decodes in bulk —
-//! several times the scan bandwidth of the v2 per-token varint layout.
-//! Format v4 ([`PayloadCodec::GroupVarintRank`], the default) keeps the
-//! columnar layout but stores items in **rank space**: the corpus-wide
-//! descending-frequency order is computed once at sealing time, recorded
-//! in the manifest ([`format::RankOrder`]), and items are written as their
-//! rank in it. Frequent items get small codes (tighter group-varint
-//! bytes), and the mining map phase — which needs exactly this rank
-//! encoding — consumes blocks without re-encoding a single item. Both old
-//! versions remain fully readable (and writable, for compatibility, via
-//! [`StoreOptions::with_codec`] or [`FORCE_CODEC_ENV`]); compaction
-//! re-encodes merged generations with the current codec, so it doubles as
-//! an in-place v2/v3→v4 migration; see [`format`] for the exact layouts.
+//! Block payloads are **columnar group varint in rank space** (format v4,
+//! [`PayloadCodec::GroupVarintRank`]): all sequence-id deltas, then all
+//! record lengths, then every record's items as one contiguous stream a
+//! branch-free wide kernel decodes in bulk. The corpus-wide
+//! descending-frequency order is computed once at sealing time, recorded in
+//! the manifest ([`format::RankOrder`]), and items are written as their
+//! rank in it. Frequent items get small codes (tighter group-varint bytes),
+//! and the mining map phase — which needs exactly this rank encoding —
+//! consumes blocks without re-encoding a single item. This is the only
+//! format the crate writes. Formats v2 (per-record varint) and v3 (columnar,
+//! id space) are **read-only**: old corpora open and mine unchanged, grow by
+//! v4 generations, and migrate to v4 through compaction; see [`format`] for
+//! the exact layouts.
 //!
-//! Shard scans memory-map segment files when the platform supports it
-//! (checksums are validated once at open, then blocks decode from
-//! zero-copy windows while a background thread decodes one block ahead);
-//! set [`SCAN_MODE_ENV`]`=buffered` to force the portable streaming-read
-//! engine.
+//! The push-style mining scans memory-map segment files when the platform
+//! supports it (heap-loading them otherwise): checksums are validated once
+//! at a shard's first scan, then blocks decode from zero-copy windows on the
+//! calling thread. The pull-style [`ShardScan`] streams through a buffered
+//! reader one block at a time.
 //!
 //! ## The corpus lifecycle
 //!
 //! 1. **Ingest** — [`CorpusWriter`] creates the corpus and seals generation
-//!    0; each later batch streams through an [`IncrementalWriter`], which
-//!    continues the corpus-wide id space.
+//!    0 (buffered in memory until `finish`, which fixes the rank order);
+//!    each later batch streams to disk through an [`IncrementalWriter`],
+//!    which continues the corpus-wide id space — so a large ingest is a
+//!    small generation 0 grown by incremental batches.
 //! 2. **Seal** — [`IncrementalWriter::finish`] makes the batch durable
 //!    *atomically*: segment files are staged in a temp directory, renamed
 //!    into place, and only then referenced by a manifest swap (temp file +
@@ -141,10 +140,10 @@ pub mod writer;
 pub use compact::{CompactionConfig, CompactionPlan, CompactionStats};
 pub use format::{
     BlockHeader, GenerationMeta, Manifest, Partitioning, PayloadCodec, RankOrder, ShardStats,
-    FORCE_CODEC_ENV, FORMAT_VERSION, MIN_FORMAT_VERSION,
+    FORMAT_VERSION, MIN_FORMAT_VERSION,
 };
 pub use generations::{IncrementalWriter, COMPACT_EVERY_ENV};
-pub use reader::{BlockFilter, CorpusReader, CorpusScan, SequenceBatch, ShardScan, SCAN_MODE_ENV};
+pub use reader::{BlockFilter, CorpusReader, CorpusScan, SequenceBatch, ShardScan};
 pub use writer::CorpusWriter;
 
 use std::path::PathBuf;
@@ -245,11 +244,6 @@ pub struct StoreOptions {
     /// Write per-block G1 item-frequency sketches. Costs header space and
     /// write-side hierarchy walks; buys header-only f-list computation.
     pub sketches: bool,
-    /// Block payload codec (and with it the written format version).
-    /// Defaults to [`PayloadCodec::GroupVarintRank`] (format v4); the
-    /// [`FORCE_CODEC_ENV`] environment variable overrides this everywhere —
-    /// CI uses it to run every suite under each codec.
-    pub codec: PayloadCodec,
 }
 
 impl Default for StoreOptions {
@@ -258,7 +252,6 @@ impl Default for StoreOptions {
             partitioning: Partitioning::hash(4),
             block_budget: lash_encoding::frame::DEFAULT_BLOCK_BYTES,
             sketches: true,
-            codec: PayloadCodec::default(),
         }
     }
 }
@@ -279,18 +272,6 @@ impl StoreOptions {
     /// Enables or disables G1 sketches.
     pub fn with_sketches(mut self, on: bool) -> Self {
         self.sketches = on;
-        self
-    }
-
-    /// Sets the block payload codec (unless [`FORCE_CODEC_ENV`] overrides
-    /// it). [`PayloadCodec::Varint`] writes byte-identical format-v2
-    /// corpora, for compatibility tests and old readers. The pin covers
-    /// this writer only: later appends default to the current codec and
-    /// would bump the corpus's format — use
-    /// [`IncrementalWriter::open_with_codec`] to continue a pinned corpus,
-    /// and note that compaction always re-encodes with the current codec.
-    pub fn with_codec(mut self, codec: PayloadCodec) -> Self {
-        self.codec = codec;
         self
     }
 }

@@ -27,39 +27,6 @@ use crate::format::{self, BlockHeader, GenerationMeta, Manifest, RankOrder};
 use crate::generations::{read_manifest, read_required_frame};
 use crate::{Result, StoreError};
 
-/// Environment variable selecting the engine behind the push-style
-/// [`ShardedCorpus`] scans (the mining path): `mmap` (the default) opens
-/// segments as zero-copy memory maps, verifies every checksum once at
-/// open, and decodes ahead on a background thread; `buffered` keeps the
-/// classic streaming `BufReader` scan. The pull-style [`ShardScan`] API is
-/// always buffered (compaction's merge consumes it incrementally).
-///
-/// A set-but-unrecognized value panics — the variable exists so CI can pin
-/// a scan engine, and a typo silently changing the engine under test would
-/// defeat that.
-pub const SCAN_MODE_ENV: &str = "LASH_SCAN_MODE";
-
-/// Which engine drives a push-style shard scan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ScanMode {
-    Mmap,
-    Buffered,
-}
-
-/// Reads [`SCAN_MODE_ENV`]; unset or empty means mmap.
-fn scan_mode_from_env() -> ScanMode {
-    match std::env::var(SCAN_MODE_ENV) {
-        Err(_) => ScanMode::Mmap,
-        Ok(value) => match value.trim() {
-            "" | "mmap" => ScanMode::Mmap,
-            "buffered" => ScanMode::Buffered,
-            other => panic!(
-                "{SCAN_MODE_ENV}={other:?} is not a scan mode: expected \"mmap\" or \"buffered\""
-            ),
-        },
-    }
-}
-
 /// The item space a scan delivers sequences in. Blocks are stored in
 /// whichever space their codec uses (ids through v3, ranks in v4); the
 /// decoder maps to the requested space, which is a no-op when they already
@@ -82,7 +49,7 @@ pub struct CorpusReader {
     manifest: Manifest,
     vocab: Vocabulary,
     /// Mapped-segment cache, one entry per scanned shard: every segment
-    /// checksum is verified once, at the shard's first mapped scan, and
+    /// checksum is verified once, at the shard's first push scan, and
     /// later scans reuse the validated maps with no further hashing or
     /// syscalls — a mining run re-scans each shard once per level, so the
     /// validation pass amortizes to zero. Safe to cache because the reader
@@ -186,7 +153,7 @@ impl CorpusReader {
     }
 
     /// The shard's mapped (and open-time-validated) segments, reused across
-    /// scans: the first mapped scan of a shard pays for the mmap and the
+    /// scans: the first push scan of a shard pays for the mmap and the
     /// checksum walk; every later one starts decoding immediately.
     fn mapped_segments(&self, shard: usize) -> Result<Arc<Vec<MappedSegment>>> {
         if let Some(segments) = self.mapped.lock().expect("mapped cache lock").get(&shard) {
@@ -454,20 +421,16 @@ impl CorpusReader {
         lash.mine_sharded(self, &self.vocab, params, flist)
     }
 
-    /// Drives `f` over every sequence of `shard` through the zero-copy
-    /// mapped engine: segments are memory-mapped with every checksum
-    /// verified once — at the shard's **first** mapped scan; repeat scans
-    /// reuse the reader's validated maps — then one background thread
-    /// decodes the next block into a double-buffered batch while `f`
-    /// consumes the current one (inline, without the thread, when the host
-    /// has a single hardware thread and overlap is impossible).
-    /// `store.scan.prefetch_hits` counts blocks that were already decoded
-    /// when the consumer asked; `prefetch_stalls` counts waits.
-    pub fn scan_shard_mapped(&self, shard: usize, f: &mut dyn FnMut(u64, &[ItemId])) -> Result<()> {
-        self.scan_shard_mapped_inner(shard, None, ScanSpace::Items, f)
-    }
-
-    fn scan_shard_mapped_inner(
+    /// Drives `f` over every sequence of `shard` whose block passes `filter`,
+    /// delivered in `space` — the one engine behind the [`ShardedCorpus`]
+    /// push scans. Segments are memory-mapped with every checksum verified
+    /// once, at the shard's **first** scan (repeat scans reuse the reader's
+    /// validated maps); each selected block is then decoded from its
+    /// zero-copy window into one reused batch, on the calling thread. (A
+    /// decode-ahead thread was measured 25–50% slower than decoding inline,
+    /// even with an idle second core, and inside a mine job every core
+    /// already runs a map task.)
+    fn push_scan(
         &self,
         shard: usize,
         filter: Option<&dyn Fn(&BlockHeader) -> bool>,
@@ -477,127 +440,36 @@ impl CorpusReader {
         let vocab_len = self.vocab.len() as u32;
         let rank = self.manifest.rank_order.as_deref();
         let segments = self.mapped_segments(shard)?;
-        // Headers all came out of the open-time validation walk, so the
-        // whole scan's block list is known (and filtered) up front.
-        let mut blocks_pruned = 0u64;
-        let mut selected: Vec<(usize, usize)> = Vec::new();
-        for (si, seg) in segments.iter().enumerate() {
-            for (bi, (header, _)) in seg.blocks.iter().enumerate() {
-                if filter.is_none_or(|flt| flt(header)) {
-                    selected.push((si, bi));
-                } else {
-                    blocks_pruned += 1;
-                }
-            }
-        }
         let mut blocks_decoded = 0u64;
-        let mut prefetch_hits = 0u64;
-        let mut prefetch_stalls = 0u64;
-        let mut error: Option<StoreError> = None;
-        if available_threads() == 1 || selected.len() < 2 {
-            // Nothing to overlap with: a lone hardware thread (or a lone
-            // block) would turn the decode-ahead handoff into pure context
-            // switching, so decode inline off the maps instead.
-            let mut scratch = DecodeScratch::default();
-            let mut batch = SequenceBatch::default();
-            for &(si, bi) in &selected {
-                match decode_block_into(
-                    &segments[si].blocks[bi].0,
-                    segments[si].payload(bi),
-                    vocab_len,
-                    &mut batch,
-                    &mut scratch,
-                    space,
-                    rank,
-                ) {
-                    Ok(()) => {
-                        blocks_decoded += 1;
-                        for (id, items) in batch.iter() {
-                            f(id, items);
-                        }
+        let mut blocks_pruned = 0u64;
+        let mut scratch = DecodeScratch::default();
+        let mut batch = SequenceBatch::default();
+        let result = (|| {
+            for segment in segments.iter() {
+                // Headers all came out of the open-time validation walk, so
+                // filtering costs no I/O.
+                for (i, (header, _)) in segment.blocks.iter().enumerate() {
+                    if filter.is_some_and(|keep| !keep(header)) {
+                        blocks_pruned += 1;
+                        continue;
                     }
-                    Err(e) => {
-                        error = Some(e);
-                        break;
+                    decode_block_into(
+                        header,
+                        segment.payload(i),
+                        vocab_len,
+                        &mut batch,
+                        &mut scratch,
+                        space,
+                        rank,
+                    )?;
+                    blocks_decoded += 1;
+                    for (id, items) in batch.iter() {
+                        f(id, items);
                     }
                 }
             }
-        } else {
-            use std::sync::mpsc::{channel, sync_channel, TryRecvError};
-            // Two batches circulate: one being consumed, one being decoded
-            // ahead. The full channel's capacity of 1 plus the batch held by
-            // the decoder bounds memory at two decoded blocks.
-            let (full_tx, full_rx) = sync_channel::<Result<SequenceBatch>>(1);
-            let (empty_tx, empty_rx) = channel::<SequenceBatch>();
-            for _ in 0..2 {
-                empty_tx
-                    .send(SequenceBatch::default())
-                    .expect("receiver alive");
-            }
-            let segments = &segments;
-            let selected = &selected;
-            std::thread::scope(|scope| {
-                scope.spawn(move || {
-                    let mut scratch = DecodeScratch::default();
-                    for &(si, bi) in selected {
-                        // The consumer dropping its sender (done or errored)
-                        // ends the prefetch.
-                        let Ok(mut batch) = empty_rx.recv() else {
-                            break;
-                        };
-                        let result = decode_block_into(
-                            &segments[si].blocks[bi].0,
-                            segments[si].payload(bi),
-                            vocab_len,
-                            &mut batch,
-                            &mut scratch,
-                            space,
-                            rank,
-                        )
-                        .map(|()| batch);
-                        let failed = result.is_err();
-                        if full_tx.send(result).is_err() || failed {
-                            break;
-                        }
-                    }
-                });
-                loop {
-                    let next = match full_rx.try_recv() {
-                        Ok(next) => {
-                            prefetch_hits += 1;
-                            next
-                        }
-                        Err(TryRecvError::Empty) => {
-                            prefetch_stalls += 1;
-                            match full_rx.recv() {
-                                Ok(next) => next,
-                                Err(_) => break,
-                            }
-                        }
-                        Err(TryRecvError::Disconnected) => break,
-                    };
-                    match next {
-                        Ok(batch) => {
-                            blocks_decoded += 1;
-                            for (id, items) in batch.iter() {
-                                f(id, items);
-                            }
-                            // A failed recycle only means the decoder already
-                            // finished and dropped its receiver — the full
-                            // channel may still hold its final block, so keep
-                            // draining; the loop ends on its disconnect.
-                            let _ = empty_tx.send(batch);
-                        }
-                        Err(e) => {
-                            error = Some(e);
-                            break;
-                        }
-                    }
-                }
-                // Unblocks a decoder still waiting for an empty batch.
-                drop(empty_tx);
-            });
-        }
+            Ok(())
+        })();
         let obs = lash_obs::global();
         if blocks_decoded != 0 {
             obs.counter("store.scan.blocks_decoded").add(blocks_decoded);
@@ -605,17 +477,44 @@ impl CorpusReader {
         if blocks_pruned != 0 {
             obs.counter("store.scan.blocks_pruned").add(blocks_pruned);
         }
-        if prefetch_hits != 0 {
-            obs.counter("store.scan.prefetch_hits").add(prefetch_hits);
-        }
-        if prefetch_stalls != 0 {
-            obs.counter("store.scan.prefetch_stalls")
-                .add(prefetch_stalls);
-        }
-        match error {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        result
+    }
+
+    /// A [`CorpusReader::push_scan`] that skips every block whose G1 sketch
+    /// holds no `relevant` item — the sketch lists every item of the block's
+    /// G1 closures, so such a block holds no relevant sequence. No predicate,
+    /// or a corpus without sketches, scans every block. Store errors become
+    /// the mining engine's.
+    fn sketch_pruned_scan(
+        &self,
+        shard: usize,
+        relevant: Option<&(dyn Fn(ItemId) -> bool + Sync)>,
+        space: ScanSpace,
+        f: &mut dyn FnMut(u64, &[ItemId]),
+    ) -> lash_core::error::Result<()> {
+        let relevant_item = relevant
+            .filter(|_| self.manifest.sketches)
+            .map(|relevant| relevance_table(self.vocab.len() as u32, relevant));
+        let filter = relevant_item.as_ref().map(|table| {
+            move |header: &BlockHeader| {
+                header
+                    .sketch
+                    .iter()
+                    .any(|&(item, _)| table.get(item as usize).copied().unwrap_or(false))
+            }
+        });
+        self.push_scan(
+            shard,
+            filter
+                .as_ref()
+                .map(|keep| keep as &dyn Fn(&BlockHeader) -> bool),
+            space,
+            f,
+        )
+        .map_err(|e| {
+            lash_obs::flight::record_error("store.scan", &e.to_string());
+            CoreError::Engine(format!("store scan: {e}"))
+        })
     }
 }
 
@@ -623,22 +522,6 @@ fn available_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
-}
-
-/// Drives `f` over every record of a scan, one decoded block (batch) at a
-/// time — the shared-arena delivery that replaces per-record allocation and
-/// per-record scan-state churn on the mining hot path.
-fn drive_batched(
-    mut scan: ShardScan<'_>,
-    f: &mut dyn FnMut(u64, &[ItemId]),
-) -> lash_core::error::Result<()> {
-    let engine = |e: StoreError| CoreError::Engine(format!("store scan: {e}"));
-    while let Some(batch) = scan.next_batch().map_err(engine)? {
-        for (id, items) in batch.iter() {
-            f(id, items);
-        }
-    }
-    Ok(())
 }
 
 /// The per-vocabulary-item truth table of a relevance predicate, hoisted
@@ -673,19 +556,7 @@ impl ShardedCorpus for CorpusReader {
         f: &mut dyn FnMut(u64, &[ItemId]),
     ) -> lash_core::error::Result<()> {
         let _scan_span = lash_obs::span!("store.scan.shard", shard = shard);
-        let engine = |e: StoreError| {
-            lash_obs::flight::record_error("store.scan", &e.to_string());
-            CoreError::Engine(format!("store scan: {e}"))
-        };
-        match scan_mode_from_env() {
-            ScanMode::Mmap => self
-                .scan_shard_mapped_inner(shard, None, ScanSpace::Items, f)
-                .map_err(engine),
-            ScanMode::Buffered => {
-                let scan = CorpusReader::scan_shard(self, shard).map_err(engine)?;
-                drive_batched(scan, f)
-            }
-        }
+        self.sketch_pruned_scan(shard, None, ScanSpace::Items, f)
     }
 
     fn scan_shard_pruned(
@@ -699,28 +570,7 @@ impl ShardedCorpus for CorpusReader {
             return ShardedCorpus::scan_shard(self, shard, f);
         }
         let _scan_span = lash_obs::span!("store.scan.shard", shard = shard, pruned = true);
-        let engine = |e: StoreError| {
-            lash_obs::flight::record_error("store.scan", &e.to_string());
-            CoreError::Engine(format!("store scan: {e}"))
-        };
-        let relevant_item = relevance_table(self.vocab.len() as u32, relevant);
-        // The sketch lists every item of the block's G1 closures, so a block
-        // with no relevant sketch item holds no relevant sequence.
-        let filter = |header: &BlockHeader| {
-            header
-                .sketch
-                .iter()
-                .any(|&(item, _)| relevant_item.get(item as usize).copied().unwrap_or(false))
-        };
-        match scan_mode_from_env() {
-            ScanMode::Mmap => self
-                .scan_shard_mapped_inner(shard, Some(&filter), ScanSpace::Items, f)
-                .map_err(engine),
-            ScanMode::Buffered => {
-                let scan = self.scan_shard_filtered(shard, &filter).map_err(engine)?;
-                drive_batched(scan, f)
-            }
-        }
+        self.sketch_pruned_scan(shard, Some(relevant), ScanSpace::Items, f)
     }
 
     fn scan_shard_ranked(
@@ -730,10 +580,6 @@ impl ShardedCorpus for CorpusReader {
         f: &mut dyn FnMut(u64, &[ItemId]),
     ) -> lash_core::error::Result<()> {
         let _scan_span = lash_obs::span!("store.scan.shard", shard = shard, ranked = true);
-        let engine = |e: StoreError| {
-            lash_obs::flight::record_error("store.scan", &e.to_string());
-            CoreError::Engine(format!("store scan: {e}"))
-        };
         if self.manifest.rank_order.is_none() {
             return Err(CoreError::Engine(
                 "ranked scan requires a rank-ordered (v4) corpus".into(),
@@ -743,43 +589,7 @@ impl ShardedCorpus for CorpusReader {
         // while delivery is rank-space: for v4 blocks the stored bytes pass
         // through untouched, which is the map-phase no-op this scan exists
         // for.
-        let relevant_item = if self.manifest.sketches {
-            relevance_table(self.vocab.len() as u32, relevant)
-        } else {
-            Vec::new()
-        };
-        let filter = |header: &BlockHeader| {
-            header
-                .sketch
-                .iter()
-                .any(|&(item, _)| relevant_item.get(item as usize).copied().unwrap_or(false))
-        };
-        let filter: Option<&(dyn Fn(&BlockHeader) -> bool + Sync)> = if self.manifest.sketches {
-            Some(&filter)
-        } else {
-            None
-        };
-        match scan_mode_from_env() {
-            ScanMode::Mmap => self
-                .scan_shard_mapped_inner(
-                    shard,
-                    filter.map(|flt| flt as &dyn Fn(&BlockHeader) -> bool),
-                    ScanSpace::Ranks,
-                    f,
-                )
-                .map_err(engine),
-            ScanMode::Buffered => {
-                let scan = ShardScan::open_chain(
-                    self.segment_paths(shard),
-                    shard as u32,
-                    self.vocab.len() as u32,
-                    filter,
-                    self.manifest.rank_order.clone(),
-                    ScanSpace::Ranks,
-                );
-                drive_batched(scan, f)
-            }
-        }
+        self.sketch_pruned_scan(shard, Some(relevant), ScanSpace::Ranks, f)
     }
 }
 
@@ -1043,6 +853,8 @@ pub(crate) struct SegmentScan {
     header_buf: Vec<u8>,
     payload_buf: Vec<u8>,
     payload_len: usize,
+    /// Blocks passed by [`SegmentScan::next_header_only`].
+    blocks_seen: u64,
 }
 
 impl SegmentScan {
@@ -1063,6 +875,7 @@ impl SegmentScan {
             header_buf,
             payload_buf: Vec::new(),
             payload_len: 0,
+            blocks_seen: 0,
         })
     }
 
@@ -1072,9 +885,9 @@ impl SegmentScan {
         &self.payload_buf[..self.payload_len]
     }
 
-    /// Seeks past the next frame (a rejected block's payload) without
-    /// reading it, verifying the seek stays inside the file so truncation
-    /// is still detected.
+    /// Seeks past the next frame (a block's payload) without reading it.
+    /// Seeking past EOF succeeds silently, so truncation is caught by
+    /// position.
     fn skip_payload(&mut self) -> Result<()> {
         let Some(skip) = frame::read_frame_len(&mut self.file)? else {
             return Err(StoreError::Corrupt("missing block payload frame".into()));
@@ -1086,6 +899,20 @@ impl SegmentScan {
             ));
         }
         Ok(())
+    }
+
+    /// The header-only step: the next block's header, its payload seeked
+    /// over unread and the block counted; `None` at clean end-of-segment.
+    fn next_header_only(&mut self) -> Result<Option<BlockHeader>> {
+        let Some(header_len) =
+            frame::read_frame_into(&mut self.file, &mut self.header_buf, self.checksum)?
+        else {
+            return Ok(None);
+        };
+        let header = format::decode_block_header(&self.header_buf[..header_len], self.version)?;
+        self.skip_payload()?;
+        self.blocks_seen += 1;
+        Ok(Some(header))
     }
 
     /// Reads the next block whose header passes `filter` (counting skipped
@@ -1361,71 +1188,6 @@ impl Iterator for CorpusScan<'_> {
     }
 }
 
-/// One generation's segment file being header-scanned.
-struct SegmentHeaders {
-    file: BufReader<File>,
-    file_len: u64,
-    version: u32,
-    checksum: lash_encoding::FrameChecksum,
-    header_buf: Vec<u8>,
-    expected_blocks: u64,
-    seen_blocks: u64,
-}
-
-impl SegmentHeaders {
-    fn open(path: &Path, shard: u32, expected_blocks: u64) -> Result<Self> {
-        let file = File::open(path)?;
-        let file_len = file.metadata()?.len();
-        let mut file = BufReader::new(file);
-        let mut header_buf = Vec::new();
-        let len = read_required_frame(&mut file, &mut header_buf, "segment header")?;
-        let version = format::decode_segment_header(&header_buf[..len], shard)?;
-        Ok(SegmentHeaders {
-            file,
-            file_len,
-            version,
-            checksum: format::frame_checksum_for_version(version),
-            header_buf,
-            expected_blocks,
-            seen_blocks: 0,
-        })
-    }
-
-    /// Seeks past the next frame (a block payload) without reading it.
-    fn skip_frame(&mut self) -> Result<()> {
-        let Some(skip) = frame::read_frame_len(&mut self.file)? else {
-            return Err(StoreError::Corrupt("missing block payload frame".into()));
-        };
-        self.file.seek_relative(skip as i64)?;
-        // Seeking past EOF succeeds silently; catch it by position.
-        if self.file.stream_position()? > self.file_len {
-            return Err(StoreError::Corrupt(
-                "segment truncated inside a block payload".into(),
-            ));
-        }
-        Ok(())
-    }
-
-    /// The next header of this segment; `None` at (count-verified) EOF.
-    fn next_header(&mut self) -> Result<Option<BlockHeader>> {
-        let Some(header_len) =
-            frame::read_frame_into(&mut self.file, &mut self.header_buf, self.checksum)?
-        else {
-            if self.seen_blocks != self.expected_blocks {
-                return Err(StoreError::Corrupt(format!(
-                    "segment holds {} blocks, manifest says {}",
-                    self.seen_blocks, self.expected_blocks
-                )));
-            }
-            return Ok(None);
-        };
-        let header = format::decode_block_header(&self.header_buf[..header_len], self.version)?;
-        self.skip_frame()?;
-        self.seen_blocks += 1;
-        Ok(Some(header))
-    }
-}
-
 /// Iterates the block headers of one shard across all generations, seeking
 /// over payload frames without reading them.
 ///
@@ -1437,8 +1199,33 @@ pub struct BlockHeaders {
     shard: u32,
     /// Remaining segments as `(path, expected block count)`.
     pending: std::vec::IntoIter<(PathBuf, u64)>,
-    current: Option<SegmentHeaders>,
+    /// The open segment and the block count the manifest records for it.
+    current: Option<(SegmentScan, u64)>,
     done: bool,
+}
+
+impl BlockHeaders {
+    fn next_header(&mut self) -> Result<Option<BlockHeader>> {
+        loop {
+            if self.current.is_none() {
+                let Some((path, expected)) = self.pending.next() else {
+                    return Ok(None);
+                };
+                self.current = Some((SegmentScan::open(&path, self.shard)?, expected));
+            }
+            let (segment, expected) = self.current.as_mut().expect("opened above");
+            if let Some(header) = segment.next_header_only()? {
+                return Ok(Some(header));
+            }
+            if segment.blocks_seen != *expected {
+                return Err(StoreError::Corrupt(format!(
+                    "segment holds {} blocks, manifest says {expected}",
+                    segment.blocks_seen
+                )));
+            }
+            self.current = None;
+        }
+    }
 }
 
 impl Iterator for BlockHeaders {
@@ -1448,34 +1235,9 @@ impl Iterator for BlockHeaders {
         if self.done {
             return None;
         }
-        loop {
-            if self.current.is_none() {
-                match self.pending.next() {
-                    Some((path, expected)) => {
-                        match SegmentHeaders::open(&path, self.shard, expected) {
-                            Ok(seg) => self.current = Some(seg),
-                            Err(e) => {
-                                self.done = true;
-                                return Some(Err(e));
-                            }
-                        }
-                    }
-                    None => {
-                        self.done = true;
-                        return None;
-                    }
-                }
-            }
-            let segment = self.current.as_mut().expect("opened above");
-            match segment.next_header() {
-                Ok(Some(header)) => return Some(Ok(header)),
-                Ok(None) => self.current = None,
-                Err(e) => {
-                    self.done = true;
-                    return Some(Err(e));
-                }
-            }
-        }
+        let next = self.next_header().transpose();
+        self.done = !matches!(next, Some(Ok(_)));
+        next
     }
 }
 

@@ -20,38 +20,27 @@ use lash_encoding::varint;
 
 use crate::format::{
     self, BlockHeader, GenerationMeta, Manifest, PayloadCodec, RankOrder, ShardStats,
+    FORMAT_VERSION,
 };
 use crate::generations::write_manifest;
 use crate::{Result, StoreError, StoreOptions};
 
-/// Streaming writer of a new corpus.
+/// Writer of a new corpus.
 ///
-/// Sequences are appended one at a time (each gets the next corpus-wide id),
-/// routed to their shard, and delta/varint-encoded into that shard's open
-/// block. Blocks close at the first sequence boundary at or past the
-/// configured payload budget. [`CorpusWriter::finish`] seals every shard of
-/// generation 0 and writes the manifest — until then the directory holds no
-/// manifest, so a crashed write is never mistaken for a complete corpus.
+/// Sequences are appended one at a time (each gets the next corpus-wide id)
+/// and **buffered in memory**: rank-space blocks need the corpus-wide
+/// descending-frequency order before any item can be encoded, so the
+/// segments are written in one pass at [`CorpusWriter::finish`], which seals
+/// every shard of generation 0 and writes the manifest — until then the
+/// directory holds no manifest, so a crashed write is never mistaken for a
+/// complete corpus. An ingest larger than memory creates a small corpus and
+/// grows it through [`crate::IncrementalWriter`], which streams to disk
+/// under the order sealed here.
 pub struct CorpusWriter {
     dir: PathBuf,
     opts: StoreOptions,
     vocab: Vocabulary,
-    codec: PayloadCodec,
-    state: WriterState,
-    next_seq: u64,
-}
-
-/// How appends reach disk, decided by the codec.
-enum WriterState {
-    /// v2/v3 codecs stream each sequence straight into its shard's open
-    /// block.
-    Streaming(SegmentSetWriter),
-    /// The v4 rank codec needs the corpus-wide descending-frequency order
-    /// before any item can be encoded, so appends buffer in memory and the
-    /// segments are written in one pass at [`CorpusWriter::finish`].
-    /// Incremental growth past generation 0 stays streaming — later
-    /// generations reuse the order sealed here.
-    Buffering(SequenceDatabase),
+    db: SequenceDatabase,
 }
 
 /// One shard's open segment file plus the block being assembled.
@@ -62,13 +51,10 @@ struct ShardWriter {
     header_buf: Vec<u8>,
 }
 
-/// Accumulates one block: payload (streamed for the varint codec, columnar
-/// for group varint) plus header metadata.
+/// Accumulates one block: the payload's columns plus header metadata.
 #[derive(Default)]
 struct BlockBuilder {
-    /// The encoded payload. The varint codec streams records straight into
-    /// it (byte-identical to the v2 writer); the group-varint codec uses it
-    /// as the flush-time encode target.
+    /// The flush-time encode target, reused across blocks.
     payload: Vec<u8>,
     /// Group-varint columns, filled per append and encoded at flush.
     id_deltas: Vec<u64>,
@@ -105,15 +91,10 @@ impl BlockBuilder {
     }
 
     /// Exact payload size a flush would write right now.
-    fn encoded_len(&self, codec: PayloadCodec) -> usize {
-        match codec {
-            PayloadCodec::Varint => self.payload.len(),
-            PayloadCodec::GroupVarint | PayloadCodec::GroupVarintRank => {
-                self.delta_bytes
-                    + gv_stream_len(self.lens.len(), self.lens_data_bytes)
-                    + gv_stream_len(self.flat.len(), self.flat_data_bytes)
-            }
-        }
+    fn encoded_len(&self) -> usize {
+        self.delta_bytes
+            + gv_stream_len(self.lens.len(), self.lens_data_bytes)
+            + gv_stream_len(self.flat.len(), self.flat_data_bytes)
     }
 }
 
@@ -140,41 +121,31 @@ pub(crate) struct SegmentSetWriter {
     shards: Vec<ShardWriter>,
     block_budget: usize,
     sketches: bool,
-    codec: PayloadCodec,
-    /// The corpus item order for the rank codec; `None` for v2/v3.
-    rank: Option<Arc<RankOrder>>,
+    /// The corpus item order the flat column is rank-encoded in.
+    rank: Arc<RankOrder>,
     sequences: u64,
     total_items: u64,
     scratch: Vec<ItemId>,
 }
 
 impl SegmentSetWriter {
-    /// Creates `num_shards` segment files (with headers) under `dir`,
-    /// creating the directory if needed. The segment format version is
-    /// derived from `codec`: the varint codec writes byte-identical v2
-    /// segments, group varint writes v3, group varint over ranks writes v4.
-    /// The v4 codec requires `rank` — the corpus-wide descending-frequency
-    /// order its flat column is encoded in.
+    /// Creates `num_shards` format-v4 segment files (with headers) under
+    /// `dir`, creating the directory if needed. `rank` is the corpus-wide
+    /// descending-frequency order the flat item column is encoded in.
     pub(crate) fn create(
         dir: &Path,
         num_shards: u32,
         block_budget: usize,
         sketches: bool,
-        codec: PayloadCodec,
-        rank: Option<Arc<RankOrder>>,
+        rank: Arc<RankOrder>,
     ) -> Result<Self> {
-        if codec == PayloadCodec::GroupVarintRank && rank.is_none() {
-            return Err(StoreError::InvalidOptions(
-                "the rank codec (format v4) requires an item order",
-            ));
-        }
         fs::create_dir_all(dir)?;
         let mut shards = Vec::with_capacity(num_shards as usize);
         for shard in 0..num_shards {
             let path = dir.join(format::shard_file_name(shard));
             let mut file = BufWriter::new(File::create(path)?);
             let mut header = Vec::new();
-            format::encode_segment_header(shard, codec.format_version(), &mut header);
+            format::encode_segment_header(shard, &mut header);
             frame::write_frame(&header, &mut file)?;
             shards.push(ShardWriter {
                 file,
@@ -188,17 +159,11 @@ impl SegmentSetWriter {
             shards,
             block_budget: block_budget.max(1),
             sketches,
-            codec,
             rank,
             sequences: 0,
             total_items: 0,
             scratch: Vec::new(),
         })
-    }
-
-    /// The payload codec this writer encodes blocks with.
-    pub(crate) fn codec(&self) -> PayloadCodec {
-        self.codec
     }
 
     /// Sequences appended so far.
@@ -223,8 +188,7 @@ impl SegmentSetWriter {
         self.sequences += 1;
         self.total_items += seq.len() as u64;
         let params = WriteParams {
-            codec: self.codec,
-            rank_of: rank_of(self.codec, &self.rank),
+            rank_of: self.rank.rank_of(),
             sketches: self.sketches,
             block_budget: self.block_budget,
         };
@@ -255,10 +219,9 @@ impl SegmentSetWriter {
             return Ok(());
         }
         let workers = parallelism.clamp(1, num_shards);
-        let rank = self.rank.clone();
+        let rank = Arc::clone(&self.rank);
         let params = WriteParams {
-            codec: self.codec,
-            rank_of: rank_of(self.codec, &rank),
+            rank_of: rank.rank_of(),
             sketches: self.sketches,
             block_budget: self.block_budget,
         };
@@ -312,12 +275,6 @@ impl SegmentSetWriter {
         Ok(())
     }
 
-    /// Seals the open block of `shard`, writing its header and payload
-    /// frames.
-    fn flush_block(shard: &mut ShardWriter, codec: PayloadCodec) -> Result<()> {
-        flush_shard_block(shard, codec)
-    }
-
     /// Flushes and fsyncs every open block and segment file (and their
     /// directory); returns per-shard stats. The fsyncs make the segment
     /// data durable *before* any manifest references it — the first leg of
@@ -325,9 +282,8 @@ impl SegmentSetWriter {
     /// ahead of the data it names would otherwise let a power loss commit
     /// a manifest pointing at empty files).
     pub(crate) fn finish(mut self) -> Result<Vec<ShardStats>> {
-        let codec = self.codec;
         for shard in &mut self.shards {
-            Self::flush_block(shard, codec)?;
+            flush_shard_block(shard)?;
             shard.file.flush()?;
             shard.file.get_ref().sync_all()?;
         }
@@ -341,22 +297,12 @@ impl SegmentSetWriter {
 /// value while each holds a different shard's writer mutably.
 #[derive(Clone, Copy)]
 struct WriteParams<'a> {
-    codec: PayloadCodec,
-    /// id → rank mapping for the v4 codec; `None` otherwise.
-    rank_of: Option<&'a [u32]>,
+    /// id → rank mapping: the flat column is stored in rank space; everything
+    /// else (header min/max, sketches) stays in id space so header-only
+    /// consumers are version-oblivious.
+    rank_of: &'a [u32],
     sketches: bool,
     block_budget: usize,
-}
-
-/// The rank column mapping `append_record` encodes with, resolved from the
-/// codec: the rank codec stores the flat column in rank space; everything
-/// else (header min/max, sketches) stays in id space so header-only
-/// consumers are version-oblivious.
-fn rank_of(codec: PayloadCodec, rank: &Option<Arc<RankOrder>>) -> Option<&[u32]> {
-    match codec {
-        PayloadCodec::GroupVarintRank => Some(rank.as_ref().expect("checked at create").rank_of()),
-        _ => None,
-    }
 }
 
 /// Exclusive append access to one shard of a [`SegmentSetWriter`], handed
@@ -404,24 +350,14 @@ fn append_record(
         block.prev_seq = id;
     }
     let delta = id - block.prev_seq;
-    match params.codec {
-        PayloadCodec::Varint => {
-            format::encode_record(delta, seq, &mut block.payload);
-        }
-        PayloadCodec::GroupVarint | PayloadCodec::GroupVarintRank => {
-            block.id_deltas.push(delta);
-            block.delta_bytes += varint::encoded_len_u64(delta);
-            block.lens.push(seq.len() as u32);
-            block.lens_data_bytes += group_varint::bytes_for(seq.len() as u32);
-            for &item in seq {
-                let v = match params.rank_of {
-                    Some(ranks) => ranks[item.index()],
-                    None => item.as_u32(),
-                };
-                block.flat.push(v);
-                block.flat_data_bytes += group_varint::bytes_for(v);
-            }
-        }
+    block.id_deltas.push(delta);
+    block.delta_bytes += varint::encoded_len_u64(delta);
+    block.lens.push(seq.len() as u32);
+    block.lens_data_bytes += group_varint::bytes_for(seq.len() as u32);
+    for &item in seq {
+        let rank = params.rank_of[item.index()];
+        block.flat.push(rank);
+        block.flat_data_bytes += group_varint::bytes_for(rank);
     }
     block.prev_seq = id;
     block.records += 1;
@@ -440,32 +376,28 @@ fn append_record(
     shard.stats.sequences += 1;
     shard.stats.min_seq = shard.stats.min_seq.min(id);
     shard.stats.max_seq = shard.stats.max_seq.max(id);
-    if block.encoded_len(params.codec) >= params.block_budget {
-        flush_shard_block(shard, params.codec)?;
+    if block.encoded_len() >= params.block_budget {
+        flush_shard_block(shard)?;
     }
     Ok(())
 }
 
 /// Seals `shard`'s open block, writing its header and payload frames.
-fn flush_shard_block(shard: &mut ShardWriter, codec: PayloadCodec) -> Result<()> {
+fn flush_shard_block(shard: &mut ShardWriter) -> Result<()> {
     let block = &mut shard.block;
     if block.records == 0 {
         return Ok(());
     }
-    if codec != PayloadCodec::Varint {
-        // Flush-time columnar encode; the varint codec streamed records
-        // into the payload at append time.
-        debug_assert!(block.payload.is_empty());
-        format::encode_gv_payload(
-            &block.id_deltas,
-            &block.lens,
-            &block.flat,
-            &mut block.payload,
-        );
-        debug_assert_eq!(block.payload.len(), block.encoded_len(codec));
-    }
+    debug_assert!(block.payload.is_empty());
+    format::encode_gv_payload(
+        &block.id_deltas,
+        &block.lens,
+        &block.flat,
+        &mut block.payload,
+    );
+    debug_assert_eq!(block.payload.len(), block.encoded_len());
     let header = BlockHeader {
-        codec,
+        codec: PayloadCodec::GroupVarintRank,
         records: block.records,
         first_seq: block.first_seq,
         last_seq: block.prev_seq,
@@ -475,16 +407,11 @@ fn flush_shard_block(shard: &mut ShardWriter, codec: PayloadCodec) -> Result<()>
         sketch: Vec::new(),
     };
     shard.header_buf.clear();
-    format::encode_block_header(
-        &header,
-        &block.sketch,
-        codec.format_version(),
-        &mut shard.header_buf,
-    );
-    // Block frames use the version's checksum flavor (wide for v3); the
+    format::encode_block_header(&header, &block.sketch, &mut shard.header_buf);
+    // Block frames use the version's checksum flavor (wide since v3); the
     // segment header frame stays classic so readers can parse it before
     // knowing the version.
-    let kind = format::frame_checksum_for_version(codec.format_version());
+    let kind = format::frame_checksum_for_version(FORMAT_VERSION);
     frame::write_frame_with(&shard.header_buf, &mut shard.file, kind)?;
     frame::write_frame_with(&block.payload, &mut shard.file, kind)?;
     shard.stats.blocks += 1;
@@ -507,32 +434,11 @@ impl CorpusWriter {
         if dir.join(format::MANIFEST_FILE).exists() {
             return Err(StoreError::AlreadyExists(dir));
         }
-        // Generation 0 is written in place (no temp dir): without a
-        // manifest the directory is not a corpus, so a crash mid-write
-        // leaves nothing that could be mistaken for sealed data.
-        let codec = format::resolve_codec(opts.codec);
-        let state = if codec == PayloadCodec::GroupVarintRank {
-            // The rank order is a whole-corpus property; buffer until
-            // `finish` knows every frequency.
-            WriterState::Buffering(SequenceDatabase::new())
-        } else {
-            let gen_dir = dir.join(format::generation_dir_name(0));
-            WriterState::Streaming(SegmentSetWriter::create(
-                &gen_dir,
-                opts.partitioning.num_shards(),
-                opts.block_budget,
-                opts.sketches,
-                codec,
-                None,
-            )?)
-        };
         Ok(CorpusWriter {
             dir,
             opts,
             vocab: vocab.clone(),
-            codec,
-            state,
-            next_seq: 0,
+            db: SequenceDatabase::new(),
         })
     }
 
@@ -543,34 +449,25 @@ impl CorpusWriter {
 
     /// Number of sequences appended so far.
     pub fn len(&self) -> u64 {
-        self.next_seq
+        self.db.len() as u64
     }
 
     /// True if nothing has been appended yet.
     pub fn is_empty(&self) -> bool {
-        self.next_seq == 0
+        self.db.is_empty()
     }
 
     /// Appends one sequence; returns its corpus-wide id.
     pub fn append(&mut self, seq: &[ItemId]) -> Result<u64> {
-        let id = self.next_seq;
-        match &mut self.state {
-            WriterState::Streaming(segments) => {
-                let shard = self.opts.partitioning.shard_of(id) as usize;
-                segments.append(shard, id, seq, &self.vocab)?;
-            }
-            WriterState::Buffering(db) => {
-                // Validate now (the segment writer normally would) so errors
-                // surface at the append that caused them, not at finish.
-                for &item in seq {
-                    if item.index() >= self.vocab.len() {
-                        return Err(StoreError::UnknownItem(item.as_u32()));
-                    }
-                }
-                db.push(seq);
+        // Validate now (the segment writer would at `finish`) so errors
+        // surface at the append that caused them.
+        for &item in seq {
+            if item.index() >= self.vocab.len() {
+                return Err(StoreError::UnknownItem(item.as_u32()));
             }
         }
-        self.next_seq += 1;
+        let id = self.db.len() as u64;
+        self.db.push(seq);
         Ok(id)
     }
 
@@ -585,48 +482,40 @@ impl CorpusWriter {
     /// Seals generation 0 and writes the manifest. The corpus is complete —
     /// and only then readable — once this returns.
     ///
-    /// With the v4 rank codec this is also where the write-once item order
-    /// is fixed: the corpus-wide generalized f-list is computed over the
-    /// buffered sequences and the descending-frequency permutation (the same
-    /// sort as [`ItemOrder::build`]) is sealed into the manifest.
+    /// This is also where the write-once item order is fixed: the
+    /// corpus-wide generalized f-list is computed over the buffered
+    /// sequences and the descending-frequency permutation (the same sort as
+    /// [`ItemOrder::build`]) is sealed into the manifest.
     pub fn finish(self) -> Result<Manifest> {
-        let (segments, rank_order) = match self.state {
-            WriterState::Streaming(segments) => (segments, None),
-            WriterState::Buffering(db) => {
-                let rank = Arc::new(compute_rank_order(&db, &self.vocab));
-                let gen_dir = self.dir.join(format::generation_dir_name(0));
-                let mut segments = SegmentSetWriter::create(
-                    &gen_dir,
-                    self.opts.partitioning.num_shards(),
-                    self.opts.block_budget,
-                    self.opts.sketches,
-                    self.codec,
-                    Some(Arc::clone(&rank)),
-                )?;
-                for (id, seq) in db.iter().enumerate() {
-                    let id = id as u64;
-                    let shard = self.opts.partitioning.shard_of(id) as usize;
-                    segments.append(shard, id, seq, &self.vocab)?;
-                }
-                (segments, Some(rank))
-            }
-        };
+        let rank = Arc::new(compute_rank_order(&self.db, &self.vocab));
+        // Generation 0 is written in place (no temp dir): without a
+        // manifest the directory is not a corpus, so a crash mid-write
+        // leaves nothing that could be mistaken for sealed data.
+        let mut segments = SegmentSetWriter::create(
+            &self.dir.join(format::generation_dir_name(0)),
+            self.opts.partitioning.num_shards(),
+            self.opts.block_budget,
+            self.opts.sketches,
+            Arc::clone(&rank),
+        )?;
+        for (id, seq) in self.db.iter().enumerate() {
+            let id = id as u64;
+            let shard = self.opts.partitioning.shard_of(id) as usize;
+            segments.append(shard, id, seq, &self.vocab)?;
+        }
+        let num_sequences = segments.sequences();
         let total_items = segments.total_items();
-        // The manifest version tracks the newest segment format in the
-        // corpus, so a build that cannot read these blocks rejects the
-        // corpus at the manifest instead of choking on a segment.
-        let version = segments.codec().format_version();
         let shards = segments.finish()?;
         let generation = GenerationMeta {
             id: 0,
-            num_sequences: self.next_seq,
+            num_sequences,
             total_items,
             shards,
         };
         let manifest = Manifest {
-            version,
+            version: FORMAT_VERSION,
             partitioning: self.opts.partitioning,
-            num_sequences: self.next_seq,
+            num_sequences,
             total_items,
             sketches: self.opts.sketches,
             next_gen_id: 1,
@@ -635,7 +524,7 @@ impl CorpusWriter {
                 self.opts.partitioning.num_shards() as usize,
             ),
             generations: vec![generation],
-            rank_order,
+            rank_order: Some(rank),
         };
         write_manifest(&self.dir, &manifest, &self.vocab)?;
         Ok(manifest)

@@ -3,8 +3,8 @@
 //! `fixtures/v3_writer.rs` — frozen, independent of the production writer)
 //! must read, scan, f-list, and mine byte-identically through the current
 //! (v4-writing) build, both directly and after compaction re-blocks them
-//! into the current format. CI runs this suite in a dedicated
-//! `format-compat` leg.
+//! into the current format. The production writer's own (v4) bytes are
+//! pinned here too, by digest.
 
 #[path = "fixtures/v2_writer.rs"]
 mod v2_writer;
@@ -17,7 +17,7 @@ use lash_core::distributed::lash_job::LashResult;
 use lash_core::flist::FList;
 use lash_core::{GsmParams, ItemId, Lash, SequenceDatabase, Vocabulary, VocabularyBuilder};
 use lash_store::compact::{self, CompactionConfig};
-use lash_store::{CorpusReader, IncrementalWriter, PayloadCodec, StoreOptions, FORCE_CODEC_ENV};
+use lash_store::{CorpusReader, IncrementalWriter, StoreOptions};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -28,17 +28,6 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-/// The codec new segments are written with in this process — honors the
-/// `LASH_FORCE_CODEC` CI override, so version assertions adapt instead of
-/// fighting the forced-codec legs.
-fn effective_codec() -> PayloadCodec {
-    match std::env::var(FORCE_CODEC_ENV) {
-        Ok(v) if v.trim() == "v2" => PayloadCodec::Varint,
-        Ok(v) if v.trim() == "v3" => PayloadCodec::GroupVarint,
-        _ => PayloadCodec::GroupVarintRank,
-    }
 }
 
 fn compat_vocab() -> (Vocabulary, Vec<ItemId>) {
@@ -152,8 +141,7 @@ fn v2_corpus_grows_mixed_generations_and_migrates_via_compaction() {
     }
     let manifest = incr.finish().unwrap();
     assert_eq!(
-        manifest.version,
-        2u32.max(effective_codec().format_version()),
+        manifest.version, 4,
         "manifest version must track the newest segment format"
     );
 
@@ -169,7 +157,7 @@ fn v2_corpus_grows_mixed_generations_and_migrates_via_compaction() {
     let mixed_mined = named_patterns(&mixed.mine(&lash, &params).unwrap(), &vocab);
     assert_eq!(
         mixed_mined, reference,
-        "mixed v2+v3 corpus mined differently"
+        "mixed v2+v4 corpus mined differently"
     );
 
     // Compact down to one generation: the merge re-blocks every v2 payload
@@ -186,10 +174,7 @@ fn v2_corpus_grows_mixed_generations_and_migrates_via_compaction() {
     );
     let compacted = CorpusReader::open(&dir).unwrap();
     assert_eq!(compacted.num_generations(), 1);
-    assert_eq!(
-        compacted.manifest().version,
-        2u32.max(effective_codec().format_version())
-    );
+    assert_eq!(compacted.manifest().version, 4);
     let back = compacted.to_database().unwrap();
     for (i, seq) in all.iter().enumerate() {
         assert_eq!(back.get(i), &seq[..], "sequence {i} changed in migration");
@@ -251,7 +236,7 @@ fn v3_corpus_grows_mixed_generations_and_migrates_via_compaction() {
     let dir = temp_dir("v3-migrate");
     v3_writer::write_v3_corpus(&dir, &vocab, &seqs, 3, 512);
 
-    // Append a generation with the *current* (v4-by-default) writer: the
+    // Append a generation with the *current* (v4) writer: the
     // corpus now mixes v3 and rank-encoded segments, and every scan chains
     // across both spaces.
     let extra = compat_sequences(&items, 330);
@@ -261,16 +246,13 @@ fn v3_corpus_grows_mixed_generations_and_migrates_via_compaction() {
     }
     let manifest = incr.finish().unwrap();
     assert_eq!(
-        manifest.version,
-        3u32.max(effective_codec().format_version()),
+        manifest.version, 4,
         "manifest version must track the newest segment format"
     );
-    if manifest.version >= 4 {
-        assert!(
-            manifest.rank_order.is_some(),
-            "a v4 manifest must carry the rank order its segments encode with"
-        );
-    }
+    assert!(
+        manifest.rank_order.is_some(),
+        "a v4 manifest must carry the rank order its segments encode with"
+    );
 
     let mut all = seqs.clone();
     all.extend_from_slice(&extra[250..]);
@@ -299,13 +281,8 @@ fn v3_corpus_grows_mixed_generations_and_migrates_via_compaction() {
     );
     let compacted = CorpusReader::open(&dir).unwrap();
     assert_eq!(compacted.num_generations(), 1);
-    assert_eq!(
-        compacted.manifest().version,
-        3u32.max(effective_codec().format_version())
-    );
-    if compacted.manifest().version >= 4 {
-        assert!(compacted.manifest().rank_order.is_some());
-    }
+    assert_eq!(compacted.manifest().version, 4);
+    assert!(compacted.manifest().rank_order.is_some());
     let back = compacted.to_database().unwrap();
     for (i, seq) in all.iter().enumerate() {
         assert_eq!(back.get(i), &seq[..], "sequence {i} changed in migration");
@@ -318,90 +295,71 @@ fn v3_corpus_grows_mixed_generations_and_migrates_via_compaction() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-#[test]
-fn requested_codec_controls_written_version() {
-    // Under LASH_FORCE_CODEC both corpora collapse onto the forced codec;
-    // the assertions compare against what the writer will actually do.
-    let forced = std::env::var(FORCE_CODEC_ENV)
-        .ok()
-        .filter(|v| !v.trim().is_empty());
-    let (vocab, items) = compat_vocab();
-    let seqs = compat_sequences(&items, 60);
-    let db = to_db(&seqs);
-    for (codec, version) in [
-        (PayloadCodec::Varint, 2),
-        (PayloadCodec::GroupVarint, 3),
-        (PayloadCodec::GroupVarintRank, 4),
-    ] {
-        let expected_version = match &forced {
-            Some(_) => effective_codec().format_version(),
-            None => version,
-        };
-        let dir = temp_dir("codec");
-        lash_store::convert::write_database(
-            &dir,
-            &vocab,
-            &db,
-            StoreOptions::default().with_codec(codec),
-        )
-        .unwrap();
-        let reader = CorpusReader::open(&dir).unwrap();
-        assert_eq!(reader.manifest().version, expected_version);
-        assert_eq!(reader.to_database().unwrap().len(), seqs.len());
-        std::fs::remove_dir_all(&dir).unwrap();
+/// FNV-1a-64 over every file under `dir` — relative path, then contents, in
+/// path order — as 16 hex digits.
+fn corpus_digest(dir: &std::path::Path) -> String {
+    let mut files = Vec::new();
+    let mut stack = vec![dir.to_path_buf()];
+    while let Some(d) = stack.pop() {
+        for entry in std::fs::read_dir(&d).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                stack.push(path);
+            } else {
+                files.push(path);
+            }
+        }
     }
+    files.sort();
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut feed = |bytes: &[u8]| {
+        for &b in bytes {
+            hash = (hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for path in files {
+        feed(path.strip_prefix(dir).unwrap().to_str().unwrap().as_bytes());
+        feed(&std::fs::read(&path).unwrap());
+    }
+    format!("{hash:016x}")
 }
 
 #[test]
-fn pinned_corpus_stays_v2_through_codec_aware_appends() {
-    // A corpus kept on the v2 codec for old readers can keep growing on v2:
-    // `IncrementalWriter::open_with_codec` is the continuation of the
-    // `with_codec` pin, so neither the segments nor the manifest upgrade.
-    // (LASH_FORCE_CODEC still overrides both writers, so under the forced
-    // legs the assertion tracks the forced codec instead.)
+fn production_v4_bytes_are_frozen() {
+    // The v2/v3 layouts are pinned by the fixture writers; this pins v4, the
+    // one format the production writer emits: generation 0, an appended
+    // generation and their compaction must keep the bytes they had when the
+    // digests were recorded (at the commit before the writer lost its v2/v3
+    // arms).
     let (vocab, items) = compat_vocab();
-    let seqs = compat_sequences(&items, 80);
-    let db = to_db(&seqs);
-    let dir = temp_dir("pinned");
-    lash_store::convert::write_database(
-        &dir,
-        &vocab,
-        &db,
-        StoreOptions::default().with_codec(PayloadCodec::Varint),
-    )
-    .unwrap();
-
-    let mut incr =
-        IncrementalWriter::open_with_codec(&dir, 64 * 1024, PayloadCodec::Varint).unwrap();
-    let extra = compat_sequences(&items, 140);
-    for seq in &extra[80..] {
+    let seqs = compat_sequences(&items, 380);
+    let dir = temp_dir("golden");
+    let opts = StoreOptions::default()
+        .with_partitioning(lash_store::Partitioning::hash(3))
+        .with_block_budget(256)
+        .with_sketches(true);
+    lash_store::convert::write_database(&dir, &vocab, &to_db(&seqs[..300]), opts).unwrap();
+    assert_eq!(corpus_digest(&dir), "dbba21714346c876", "generation 0");
+    // Under the CI auto-compaction leg the seal below compacts at the default
+    // block budget, so only generation 0 is comparable there.
+    if std::env::var_os(lash_store::COMPACT_EVERY_ENV).is_some_and(|v| !v.is_empty()) {
+        std::fs::remove_dir_all(&dir).unwrap();
+        return;
+    }
+    let mut incr = IncrementalWriter::open_with_budget(&dir, 256).unwrap();
+    for seq in &seqs[300..] {
         incr.append(seq).unwrap();
     }
-    let manifest = incr.finish().unwrap();
-    let forced = std::env::var(FORCE_CODEC_ENV)
-        .ok()
-        .filter(|v| !v.trim().is_empty())
-        .is_some();
-    // LASH_COMPACT_EVERY auto-compacts on seal, and compaction re-encodes
-    // with the process-wide codec — so under either CI env the version
-    // tracks that codec instead of the pin.
-    let auto_compacted =
-        std::env::var_os(lash_store::COMPACT_EVERY_ENV).is_some_and(|v| !v.is_empty());
-    let expected_version = if forced || auto_compacted {
-        effective_codec().format_version()
-    } else {
-        2
-    };
+    incr.finish().unwrap();
     assert_eq!(
-        manifest.version, expected_version,
-        "pin must hold on append"
+        corpus_digest(&dir),
+        "f489c672a9aae45c",
+        "appended generation"
     );
-
-    let reader = CorpusReader::open(&dir).unwrap();
-    let back = reader.to_database().unwrap();
-    assert_eq!(back.len(), 140);
-    for (i, seq) in seqs.iter().chain(&extra[80..]).enumerate() {
-        assert_eq!(back.get(i), &seq[..], "sequence {i}");
-    }
+    let config = CompactionConfig::default()
+        .with_max_generations(1)
+        .with_block_budget(256);
+    compact::compact(&dir, &config).unwrap().expect("one round");
+    assert_eq!(corpus_digest(&dir), "e46666d2e8570f90", "compacted");
     std::fs::remove_dir_all(&dir).unwrap();
 }

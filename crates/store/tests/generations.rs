@@ -5,10 +5,17 @@
 //! compaction; compaction verifiably reduces the per-shard segment-file
 //! count and never drops or duplicates a sequence id.
 
+#[path = "fixtures/v2_writer.rs"]
+mod v2_writer;
+#[path = "fixtures/v3_writer.rs"]
+mod v3_writer;
+
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use lash_core::flist::FList;
-use lash_core::{GsmParams, ItemId, Lash, SequenceDatabase, Vocabulary, VocabularyBuilder};
+use lash_core::{
+    GsmParams, ItemId, Lash, SequenceDatabase, ShardedCorpus, Vocabulary, VocabularyBuilder,
+};
 use lash_datagen::{TextConfig, TextCorpus, TextHierarchy};
 use lash_store::compact::{self, CompactionConfig};
 use lash_store::{
@@ -437,45 +444,67 @@ proptest! {
 #[test]
 fn mixed_codec_generations_chain_transparently() {
     // A corpus whose generations were written in different block formats
-    // (v2 varint, then the current codec) must scan, f-list, and mine as
-    // one seamless corpus — readers dispatch per segment, not per corpus.
+    // (a frozen v2 or v3 fixture generation, then a v4 one) must scan,
+    // f-list, and mine as one seamless corpus — readers dispatch per
+    // segment, not per corpus.
+    type FixtureWriter = fn(&std::path::Path, &Vocabulary, &[Vec<ItemId>], u32, usize);
+    let fixtures: [(&str, FixtureWriter); 2] = [
+        ("v2", v2_writer::write_v2_corpus),
+        ("v3", v3_writer::write_v3_corpus),
+    ];
     let (vocab, items) = small_vocab();
     let db = sample_db(&items, 240);
-    let dir = temp_dir("mixed-codec");
-    let opts = StoreOptions::default()
-        .with_partitioning(Partitioning::hash(3))
-        .with_block_budget(64)
-        .with_codec(lash_store::PayloadCodec::Varint);
-    let mut writer = CorpusWriter::create(&dir, &vocab, opts).unwrap();
-    for i in 0..120 {
-        writer.append(db.get(i)).unwrap();
-    }
-    writer.finish().unwrap();
-    // The incremental generation uses the process-wide default codec
-    // (group varint, unless LASH_FORCE_CODEC collapses it to v2).
-    let mut incr = IncrementalWriter::open(&dir).unwrap();
-    for i in 120..240 {
-        incr.append(db.get(i)).unwrap();
-    }
-    incr.finish().unwrap();
+    for (tag, write_old) in fixtures {
+        let dir = temp_dir(&format!("mixed-codec-{tag}"));
+        let old: Vec<Vec<ItemId>> = (0..120).map(|i| db.get(i).to_vec()).collect();
+        write_old(&dir, &vocab, &old, 3, 64);
+        let mut incr = IncrementalWriter::open_with_budget(&dir, 64).unwrap();
+        for i in 120..240 {
+            incr.append(db.get(i)).unwrap();
+        }
+        incr.finish().unwrap();
 
-    let reader = CorpusReader::open(&dir).unwrap();
-    let back = reader.to_database().unwrap();
-    assert_eq!(back.len(), 240);
-    for i in 0..240 {
-        assert_eq!(back.get(i), db.get(i), "sequence {i}");
+        let reader = CorpusReader::open(&dir).unwrap();
+        assert_eq!(reader.manifest().version, 4, "{tag}: the append bumps it");
+        let back = reader.to_database().unwrap();
+        assert_eq!(back.len(), 240);
+        for i in 0..240 {
+            assert_eq!(back.get(i), db.get(i), "{tag}: sequence {i}");
+        }
+        let from_headers = reader.flist().unwrap().expect("fixtures write sketches");
+        let sequential = FList::compute(&db, &vocab);
+        for item in vocab.items() {
+            assert_eq!(from_headers.frequency(item), sequential.frequency(item));
+        }
+
+        // The ranked push scan maps the old generation's id-space blocks
+        // into rank space and passes the v4 generation's through: both must
+        // equal the pull scan's ids ranked by hand.
+        let rank_of = reader.rank_order().expect("sealed by the append").rank_of();
+        for shard in 0..reader.num_shards() {
+            let by_hand: Vec<(u64, Vec<u32>)> = reader
+                .scan_shard(shard)
+                .unwrap()
+                .map(|record| {
+                    let (id, seq) = record.unwrap();
+                    (id, seq.iter().map(|item| rank_of[item.index()]).collect())
+                })
+                .collect();
+            let mut ranked: Vec<(u64, Vec<u32>)> = Vec::new();
+            ShardedCorpus::scan_shard_ranked(&reader, shard, &|_| true, &mut |id, seq| {
+                ranked.push((id, seq.iter().map(|rank| rank.as_u32()).collect()));
+            })
+            .unwrap();
+            assert_eq!(ranked, by_hand, "{tag}: shard {shard}");
+        }
+
+        let params = GsmParams::new(2, 0, 2).unwrap();
+        let lash = Lash::default();
+        assert_eq!(
+            named_patterns(&reader.mine(&lash, &params).unwrap(), &vocab),
+            named_patterns(&lash.mine(&db, &vocab, &params).unwrap(), &vocab),
+            "{tag}: mixed-codec corpus mined differently"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
-    let from_headers = reader.flist().unwrap().expect("sketches on by default");
-    let sequential = FList::compute(&db, &vocab);
-    for item in vocab.items() {
-        assert_eq!(from_headers.frequency(item), sequential.frequency(item));
-    }
-    let params = GsmParams::new(2, 0, 2).unwrap();
-    let lash = Lash::default();
-    assert_eq!(
-        named_patterns(&reader.mine(&lash, &params).unwrap(), &vocab),
-        named_patterns(&lash.mine(&db, &vocab, &params).unwrap(), &vocab),
-        "mixed-codec corpus mined differently"
-    );
-    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -12,7 +12,7 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use lash_core::{ItemId, SequenceDatabase, Vocabulary, VocabularyBuilder};
+use lash_core::{ItemId, SequenceDatabase, ShardedCorpus, Vocabulary, VocabularyBuilder};
 use lash_store::compact::{self, CompactionConfig};
 use lash_store::{CorpusReader, CorpusWriter, IncrementalWriter, Partitioning, StoreOptions};
 
@@ -77,15 +77,15 @@ fn generation_dirs(dir: &Path, ids: &BTreeSet<u32>) -> Vec<PathBuf> {
         .collect()
 }
 
-/// Every sequence of the corpus through the explicit **mmap** scan path
-/// (`scan_shard_mapped` always maps, whatever `LASH_SCAN_MODE` says), read
-/// back in id order.
+/// Every sequence of the corpus through the push scan — the path that
+/// memory-maps segments — read back in id order.
 fn mapped_read_back(reader: &CorpusReader) -> Vec<(u64, Vec<ItemId>)> {
     let mut rows: Vec<(u64, Vec<ItemId>)> = Vec::new();
     for shard in 0..reader.num_shards() {
-        reader
-            .scan_shard_mapped(shard, &mut |id, items| rows.push((id, items.to_vec())))
-            .unwrap();
+        ShardedCorpus::scan_shard(reader, shard, &mut |id, items| {
+            rows.push((id, items.to_vec()))
+        })
+        .unwrap();
     }
     rows.sort_by_key(|(id, _)| *id);
     rows
