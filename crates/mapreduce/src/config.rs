@@ -3,8 +3,6 @@
 use std::collections::HashSet;
 use std::path::PathBuf;
 
-use crate::spill::SpillCodec;
-
 /// Job phase, for counters and failure injection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
@@ -106,12 +104,6 @@ pub struct EngineConfig {
     /// Requires the spill path to be active; an all-in-memory shuffle
     /// merges in one pass regardless. Clamped to ≥ 2.
     pub merge_fan_in: usize,
-    /// How spill chunks are encoded on disk: [`SpillCodec::Raw`] stores
-    /// framed records verbatim, [`SpillCodec::GroupVarint`] front-codes the
-    /// sorted keys and group-varint-compresses the length columns, shrinking
-    /// `spilled_bytes` without changing any job output. Defaults to the
-    /// `LASH_SPILL_CODEC` environment variable (`raw` when unset).
-    pub spill_codec: SpillCodec,
 }
 
 impl Default for EngineConfig {
@@ -130,7 +122,6 @@ impl Default for EngineConfig {
             spill_threshold_bytes: spill_threshold_from_env(),
             spill_dir: None,
             merge_fan_in: 64,
-            spill_codec: SpillCodec::from_env(),
         }
     }
 }
@@ -216,13 +207,6 @@ impl EngineConfig {
         self.merge_fan_in = n.max(2);
         self
     }
-
-    /// Sets the spill-chunk codec (overriding the `LASH_SPILL_CODEC`
-    /// default).
-    pub fn with_spill_codec(mut self, codec: SpillCodec) -> Self {
-        self.spill_codec = codec;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -252,15 +236,13 @@ mod tests {
             .with_split_size(100)
             .with_combiner(false)
             .with_spill_threshold(Some(4096))
-            .with_spill_dir("/tmp/lash-spill-test")
-            .with_spill_codec(SpillCodec::GroupVarint);
+            .with_spill_dir("/tmp/lash-spill-test");
         assert_eq!(cfg.map_parallelism, 4);
         assert_eq!(cfg.reduce_parallelism, 4);
         assert_eq!(cfg.num_reduce_tasks, 7);
         assert_eq!(cfg.split_size, 100);
         assert!(!cfg.use_combiner);
         assert_eq!(cfg.spill_threshold_bytes, Some(4096));
-        assert_eq!(cfg.spill_codec, SpillCodec::GroupVarint);
         assert_eq!(
             cfg.spill_dir.as_deref(),
             Some(std::path::Path::new("/tmp/lash-spill-test"))

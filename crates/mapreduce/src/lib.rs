@@ -66,19 +66,13 @@
 //! * deterministic failure injection with task retry, mirroring Hadoop's
 //!   transparent fault tolerance — on the spill path each attempt writes its
 //!   own run file, so retries never read a failed attempt's output;
-//! * **compressed spills**: every spill chunk carries a codec tag;
-//!   [`EngineConfig::spill_codec`] (or the `LASH_SPILL_CODEC` environment
-//!   variable) selects [`SpillCodec::GroupVarint`], which front-codes the
-//!   sorted keys and group-varint-compresses the length columns — same
-//!   records, same outputs, fewer `spilled_bytes`;
 //! * **merge-time combining**: hierarchical merge passes run the job's
 //!   combiner on the groups they materialize (Hadoop's merge-side
 //!   combiner), so repeated pre-merges shrink the data round over round —
 //!   the `merged_combined_pairs` counter measures the eliminated pairs;
 //! * the `LASH_SPILL_THRESHOLD` environment variable overrides the default
 //!   spill threshold, letting a test run force the whole workspace through
-//!   the out-of-core path (CI runs one leg with `LASH_SPILL_THRESHOLD=0`,
-//!   and one with `LASH_SPILL_CODEC=gv` on top).
+//!   the out-of-core path (CI runs one leg with `LASH_SPILL_THRESHOLD=0`).
 //!
 //! ```
 //! use lash_mapreduce::{run_job, EngineConfig, Emitter, Job};
@@ -154,5 +148,4 @@ pub use config::{EngineConfig, FailurePlan, Phase, SPILL_THRESHOLD_ENV};
 pub use counters::{CounterSnapshot, Counters};
 pub use error::EngineError;
 pub use runtime::{run_job, JobMetrics, JobResult};
-pub use spill::{SpillCodec, SPILL_CODEC_ENV};
 pub use types::{Emitter, Job};

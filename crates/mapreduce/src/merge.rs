@@ -168,7 +168,7 @@ impl<'a> Merger<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spill::{SpillCodec, SpillSpace, SpillWriter};
+    use crate::spill::{SpillSpace, SpillWriter};
 
     fn mem_run(pairs: &[(&[u8], &[u8])]) -> RunBuffer {
         let mut run = RunBuffer::default();
@@ -220,31 +220,28 @@ mod tests {
 
     #[test]
     fn merges_disk_and_memory_runs_together() {
-        for codec in [SpillCodec::Raw, SpillCodec::GroupVarint] {
-            let space = SpillSpace::create(None).unwrap();
-            let mut writer = SpillWriter::create(space.task_file(0, 0), codec).unwrap();
-            let spilled = mem_run(&[(b"a", b"disk1"), (b"m", b"disk2")]);
-            let meta = writer.write_run(0, &spilled).unwrap();
-            let file = writer.finish().unwrap();
-            let mem = mem_run(&[(b"a", b"mem1"), (b"z", b"mem2")]);
-            let sources = vec![
-                RunSource::Disk {
-                    file: SharedFile::open(&file).unwrap(),
-                    meta: &meta,
-                },
-                RunSource::Mem(&mem),
-            ];
-            let mut merger = Merger::new(&sources).unwrap();
-            assert_eq!(
-                drain(&mut merger),
-                vec![
-                    (b"a".to_vec(), b"disk1".to_vec()),
-                    (b"a".to_vec(), b"mem1".to_vec()),
-                    (b"m".to_vec(), b"disk2".to_vec()),
-                    (b"z".to_vec(), b"mem2".to_vec()),
-                ],
-                "{codec:?}"
-            );
-        }
+        let space = SpillSpace::create(None).unwrap();
+        let mut writer = SpillWriter::create(space.task_file(0, 0)).unwrap();
+        let spilled = mem_run(&[(b"a", b"disk1"), (b"m", b"disk2")]);
+        let meta = writer.write_run(0, &spilled).unwrap();
+        let file = writer.finish().unwrap();
+        let mem = mem_run(&[(b"a", b"mem1"), (b"z", b"mem2")]);
+        let sources = vec![
+            RunSource::Disk {
+                file: SharedFile::open(&file).unwrap(),
+                meta: &meta,
+            },
+            RunSource::Mem(&mem),
+        ];
+        let mut merger = Merger::new(&sources).unwrap();
+        assert_eq!(
+            drain(&mut merger),
+            vec![
+                (b"a".to_vec(), b"disk1".to_vec()),
+                (b"a".to_vec(), b"mem1".to_vec()),
+                (b"m".to_vec(), b"disk2".to_vec()),
+                (b"z".to_vec(), b"mem2".to_vec()),
+            ]
+        );
     }
 }

@@ -43,7 +43,7 @@ use crate::counters::{CounterSnapshot, Counters};
 use crate::error::EngineError;
 use crate::merge::{Merger, RunSource};
 use crate::shuffle::RunBuffer;
-use crate::spill::{RunMeta, RunStreamWriter, SharedFile, SpillSpace};
+use crate::spill::{RunMeta, SharedFile, SpillSpace, SpillWriter};
 use crate::types::{Emitter, Job, MapTaskOutput};
 
 /// Wall-clock and counter metrics of one job run.
@@ -269,7 +269,6 @@ fn run_map_task<J: Job>(
         config.use_combiner,
         config.spill_threshold_bytes,
         spill_path,
-        config.spill_codec,
         counters,
     );
     for record in records {
@@ -434,8 +433,7 @@ fn run_reduce_task<J: Job>(
             let sources = open_sources(group)?;
             let mut merger = Merger::new(&sources)?;
             Counters::add(&counters.merged_runs, merger.num_runs());
-            let path = space.merge_file(task, round, group_idx);
-            let mut writer = RunStreamWriter::create(&path, config.spill_codec)?;
+            let mut writer = SpillWriter::create(space.merge_file(task, round, group_idx))?;
             let mut key = Vec::new();
             let mut value = Vec::new();
             if config.use_combiner {
@@ -474,7 +472,8 @@ fn run_reduce_task<J: Job>(
                     writer.push(&key, &value)?;
                 }
             }
-            let meta = writer.finish(task as u32)?;
+            let meta = writer.end_run(task as u32)?;
+            let path = writer.finish()?;
             Counters::add(&counters.merge_passes, 1);
             // A child span of the ambient reduce-task span (the worker
             // entered it around this call).
@@ -893,43 +892,6 @@ mod tests {
             "hierarchical passes should combine equal-key pairs"
         );
         assert_eq!(plain.metrics.counters.merged_combined_pairs, 0);
-    }
-
-    #[test]
-    fn compressed_spills_shrink_spilled_bytes_but_not_results() {
-        use crate::spill::SpillCodec;
-        // Few distinct, long, shared-prefix words and a threshold that
-        // batches dozens of records per run: the sorted runs are highly
-        // front-codable. (Combiner off so the runs keep their duplicate
-        // keys — the representative low-σ shuffle shape.)
-        let corpus: Vec<String> = (0..200)
-            .map(|i| format!("prefix-shared-word-{} prefix-shared-word-{}", i % 3, i % 5))
-            .collect();
-        let base = EngineConfig::default()
-            .with_reduce_tasks(2)
-            .with_combiner(false)
-            .with_spill_threshold(Some(1024));
-        let raw = run_job(
-            &WordCount,
-            &corpus,
-            &base.clone().with_spill_codec(SpillCodec::Raw),
-        )
-        .unwrap();
-        let gv = run_job(
-            &WordCount,
-            &corpus,
-            &base.with_spill_codec(SpillCodec::GroupVarint),
-        )
-        .unwrap();
-        // Identical outputs in identical (partition, key) order.
-        assert_eq!(gv.outputs, raw.outputs);
-        assert!(raw.metrics.counters.spilled_runs > 0, "threshold too high");
-        assert!(
-            gv.metrics.counters.spilled_bytes * 2 < raw.metrics.counters.spilled_bytes,
-            "compressed spills should shrink spilled_bytes well below half ({} vs {})",
-            gv.metrics.counters.spilled_bytes,
-            raw.metrics.counters.spilled_bytes
-        );
     }
 
     #[test]

@@ -10,12 +10,16 @@
 
 use std::hash::{Hash, Hasher};
 
+use lash_encoding::varint::{decode_u64, encode_u64, encoded_len_u64};
+
+use crate::EngineError;
+
 /// Writes one framed record, returning (payload bytes, materialized bytes).
 pub fn write_record(buf: &mut Vec<u8>, key: &[u8], value: &[u8]) -> (u64, u64) {
     let before = buf.len();
-    write_varint(buf, key.len() as u64);
+    encode_u64(key.len() as u64, buf);
     buf.extend_from_slice(key);
-    write_varint(buf, value.len() as u64);
+    encode_u64(value.len() as u64, buf);
     buf.extend_from_slice(value);
     let payload = (key.len() + value.len()) as u64;
     (payload, (buf.len() - before) as u64)
@@ -74,8 +78,8 @@ impl RunBuffer {
         );
         let start = self.data.len() as u32;
         let sizes = write_record(&mut self.data, key, value);
-        let kstart = start + varint_len(key.len() as u64);
-        let vstart = kstart + key.len() as u32 + varint_len(value.len() as u64);
+        let kstart = start + encoded_len_u64(key.len() as u64) as u32;
+        let vstart = kstart + key.len() as u32 + encoded_len_u64(value.len() as u64) as u32;
         self.recs.push(RecordRef {
             start,
             key: (kstart, kstart + key.len() as u32),
@@ -128,68 +132,38 @@ impl RunBuffer {
 
     /// Parses a raw byte buffer of framed records into a `RunBuffer` (record
     /// references in storage order). Used by the reduce side to re-validate
-    /// spilled chunks; any framing inconsistency is corruption.
-    pub fn parse(data: Vec<u8>) -> Result<RunBuffer, crate::EngineError> {
+    /// spilled chunks; any framing inconsistency is corruption. `data` may
+    /// come straight off disk, so every length prefix is range-checked
+    /// before it moves the cursor.
+    pub fn parse(data: Vec<u8>) -> Result<RunBuffer, EngineError> {
+        let corrupt = |what: &str| EngineError::CorruptShuffle(what.into());
         let mut recs = Vec::new();
         let mut pos = 0usize;
         while pos < data.len() {
             let start = pos as u32;
-            let (klen, n) = read_varint(&data[pos..])
-                .ok_or_else(|| crate::EngineError::CorruptShuffle("key length".into()))?;
-            pos += n;
-            let kstart = pos;
-            pos += klen as usize;
-            if pos > data.len() {
-                return Err(crate::EngineError::CorruptShuffle("key bytes".into()));
-            }
-            let (vlen, n) = read_varint(&data[pos..])
-                .ok_or_else(|| crate::EngineError::CorruptShuffle("value length".into()))?;
-            pos += n;
-            let vstart = pos;
-            pos += vlen as usize;
-            if pos > data.len() {
-                return Err(crate::EngineError::CorruptShuffle("value bytes".into()));
-            }
+            let (klen, n) = decode_u64(&data[pos..]).map_err(|_| corrupt("key length"))?;
+            let kstart = pos + n;
+            let kend = field_end(kstart, klen, data.len()).ok_or_else(|| corrupt("key bytes"))?;
+            let (vlen, n) = decode_u64(&data[kend..]).map_err(|_| corrupt("value length"))?;
+            let vstart = kend + n;
+            pos = field_end(vstart, vlen, data.len()).ok_or_else(|| corrupt("value bytes"))?;
             recs.push(RecordRef {
                 start,
-                key: (kstart as u32, (kstart + klen as usize) as u32),
-                value: (vstart as u32, (vstart + vlen as usize) as u32),
+                key: (kstart as u32, kend as u32),
+                value: (vstart as u32, pos as u32),
             });
         }
         Ok(RunBuffer { data, recs })
     }
 }
 
-fn write_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(byte);
-            return;
-        }
-        buf.push(byte | 0x80);
-    }
-}
-
-fn varint_len(v: u64) -> u32 {
-    (64 - v.max(1).leading_zeros()).div_ceil(7).max(1)
-}
-
-pub(crate) fn read_varint(input: &[u8]) -> Option<(u64, usize)> {
-    let mut value = 0u64;
-    let mut shift = 0u32;
-    for (i, &byte) in input.iter().enumerate() {
-        if i >= 10 {
-            return None;
-        }
-        value |= ((byte & 0x7f) as u64) << shift;
-        if byte & 0x80 == 0 {
-            return Some((value, i + 1));
-        }
-        shift += 7;
-    }
-    None
+/// The end of a `len`-byte field starting at `start`, if it ends within
+/// `limit` bytes.
+fn field_end(start: usize, len: u64, limit: usize) -> Option<usize> {
+    usize::try_from(len)
+        .ok()?
+        .checked_add(start)
+        .filter(|&end| end <= limit)
 }
 
 /// A hash helper used in tests and by jobs that partition typed keys.
@@ -273,10 +247,17 @@ mod tests {
 
     #[test]
     fn varint_len_matches_encoding() {
-        for v in [0u64, 1, 127, 128, 16_383, 16_384, u32::MAX as u64, u64::MAX] {
-            let mut buf = Vec::new();
-            write_varint(&mut buf, v);
-            assert_eq!(varint_len(v) as usize, buf.len(), "v={v}");
+        // `push` derives record ranges from the prefix lengths instead of
+        // re-reading them; lengths straddling varint byte boundaries must
+        // land exactly where `parse` finds them.
+        let mut run = RunBuffer::default();
+        for len in [0usize, 1, 127, 128, 16_383, 16_384] {
+            run.push(&vec![b'k'; len], &vec![b'v'; len + 1]);
+        }
+        let reparsed = RunBuffer::parse(run.data.clone()).unwrap();
+        assert_eq!(run.len(), reparsed.len());
+        for (a, b) in run.recs.iter().zip(&reparsed.recs) {
+            assert_eq!((a.start, a.key, a.value), (b.start, b.key, b.value));
         }
     }
 
@@ -290,6 +271,11 @@ mod tests {
         // Length prefix pointing past the end.
         let bad = vec![0x20, b'a'];
         assert!(RunBuffer::parse(bad).is_err());
+        // A length prefix so large that adding it to the cursor overflows.
+        let mut huge = Vec::new();
+        encode_u64(u64::MAX - 3, &mut huge);
+        huge.push(b'a');
+        assert!(RunBuffer::parse(huge).is_err());
     }
 
     #[test]

@@ -16,20 +16,16 @@
 //! └── …
 //! ```
 //!
+//! A frame's payload is the framed records themselves, with no header: spill
+//! and merge files are private to one job and removed with its
+//! [`SpillSpace`], so every reader meets only bytes [`SpillWriter`] wrote.
+//! Hierarchical merge passes write their output runs with the same writer,
+//! one run per file.
+//!
 //! Truncation and bit-flips surface as [`EngineError::CorruptShuffle`], not
 //! panics: a frame is only handed to the record parser after its checksum
-//! verifies, and a run that ends mid-frame is reported as truncated.
-//!
-//! ## Chunk compression
-//!
-//! Each frame's payload starts with a one-byte codec tag. [`SpillCodec::Raw`]
-//! (tag 0) stores the framed records verbatim. [`SpillCodec::GroupVarint`]
-//! (tag 1) stores them columnar: the record count, three group-varint
-//! columns (key common-prefix lengths, key suffix lengths, value lengths),
-//! then the key suffix bytes and value bytes concatenated. Runs are sorted
-//! by key, so front-coding the keys collapses the repeated keys a low-σ
-//! mining shuffle is full of. The tag makes chunks self-describing: the
-//! reduce side never needs to know which codec a map task used.
+//! verifies, the parser range-checks every length prefix, and a run that
+//! ends mid-frame is reported as truncated.
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
@@ -37,181 +33,16 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use lash_encoding::{frame, group_varint, varint};
+use lash_encoding::frame;
+use lash_encoding::varint::encoded_len_u64;
 
 use crate::error::EngineError;
-use crate::shuffle::{read_varint, write_record, RunBuffer};
+use crate::shuffle::{write_record, RunBuffer};
 
 /// Target payload size of one spill frame (the workspace-wide
 /// [`frame::DEFAULT_BLOCK_BYTES`]). Chunks always contain at least one
 /// whole record, so oversized records still spill correctly.
 pub const SPILL_CHUNK_BYTES: usize = frame::DEFAULT_BLOCK_BYTES;
-
-/// Environment variable selecting the spill-chunk codec every
-/// default-constructed `EngineConfig` picks up: `raw` or `gv`. CI runs one
-/// leg with `gv` so the whole workspace exercises compressed spills.
-pub const SPILL_CODEC_ENV: &str = "LASH_SPILL_CODEC";
-
-/// Chunk tag byte of [`SpillCodec::Raw`].
-const CHUNK_TAG_RAW: u8 = 0;
-/// Chunk tag byte of [`SpillCodec::GroupVarint`].
-const CHUNK_TAG_GV: u8 = 1;
-
-/// How spill-chunk payloads are encoded on disk (see the module docs).
-///
-/// The codec is a pure representation choice: both codecs reproduce the
-/// framed records byte-for-byte on read, so job outputs are identical
-/// under either — only `spilled_bytes` changes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SpillCodec {
-    /// Framed records stored verbatim (tag 0).
-    #[default]
-    Raw,
-    /// Front-coded keys plus group-varint length columns (tag 1).
-    GroupVarint,
-}
-
-impl SpillCodec {
-    /// Reads [`SPILL_CODEC_ENV`]; unset or empty means [`SpillCodec::Raw`].
-    ///
-    /// A set-but-unknown value panics, for the same reason
-    /// `LASH_SPILL_THRESHOLD` does: the variable exists to force test runs
-    /// through the compressed path, and a typo silently falling back to
-    /// raw chunks would defeat exactly that.
-    pub fn from_env() -> SpillCodec {
-        match std::env::var(SPILL_CODEC_ENV) {
-            Ok(value) => match value.trim() {
-                "" | "raw" => SpillCodec::Raw,
-                "gv" => SpillCodec::GroupVarint,
-                other => panic!("{SPILL_CODEC_ENV}={other:?} is not a spill codec (raw|gv)"),
-            },
-            Err(_) => SpillCodec::Raw,
-        }
-    }
-}
-
-/// Encodes one chunk of framed records into its on-disk payload: the codec
-/// tag byte, then the raw bytes or the columnar form. `raw` was built by
-/// this module's writers, so its framing is trusted.
-fn encode_chunk(codec: SpillCodec, raw: &[u8], out: &mut Vec<u8>) {
-    out.clear();
-    match codec {
-        SpillCodec::Raw => {
-            out.push(CHUNK_TAG_RAW);
-            out.extend_from_slice(raw);
-        }
-        SpillCodec::GroupVarint => {
-            out.push(CHUNK_TAG_GV);
-            let mut prefix_lens: Vec<u32> = Vec::new();
-            let mut suffix_lens: Vec<u32> = Vec::new();
-            let mut value_lens: Vec<u32> = Vec::new();
-            let mut suffixes: Vec<u8> = Vec::new();
-            let mut values: Vec<u8> = Vec::new();
-            let mut prev_key: std::ops::Range<usize> = 0..0;
-            let mut pos = 0usize;
-            while pos < raw.len() {
-                let (klen, n) = read_varint(&raw[pos..]).expect("writer-built chunk");
-                pos += n;
-                let key = pos..pos + klen as usize;
-                pos = key.end;
-                let (vlen, n) = read_varint(&raw[pos..]).expect("writer-built chunk");
-                pos += n;
-                let value = pos..pos + vlen as usize;
-                pos = value.end;
-                let prefix = raw[prev_key.clone()]
-                    .iter()
-                    .zip(&raw[key.clone()])
-                    .take_while(|(a, b)| a == b)
-                    .count();
-                prefix_lens.push(prefix as u32);
-                suffix_lens.push((klen as usize - prefix) as u32);
-                value_lens.push(vlen as u32);
-                suffixes.extend_from_slice(&raw[key.start + prefix..key.end]);
-                values.extend_from_slice(&raw[value]);
-                prev_key = key;
-            }
-            varint::encode_u64(prefix_lens.len() as u64, out);
-            group_varint::encode(&prefix_lens, out);
-            group_varint::encode(&suffix_lens, out);
-            group_varint::encode(&value_lens, out);
-            out.extend_from_slice(&suffixes);
-            out.extend_from_slice(&values);
-        }
-    }
-}
-
-/// Decodes one on-disk chunk payload back into raw framed record bytes —
-/// the exact bytes [`encode_chunk`] was given, for either codec.
-fn decode_chunk(mut payload: Vec<u8>) -> Result<Vec<u8>, EngineError> {
-    fn corrupt(what: &str) -> EngineError {
-        EngineError::CorruptShuffle(format!("spill chunk: {what}"))
-    }
-    let Some(&tag) = payload.first() else {
-        return Err(corrupt("missing codec tag"));
-    };
-    match tag {
-        CHUNK_TAG_RAW => {
-            payload.drain(..1);
-            Ok(payload)
-        }
-        CHUNK_TAG_GV => {
-            let rest = &payload[1..];
-            let (n, used) = read_varint(rest).ok_or_else(|| corrupt("record count"))?;
-            let n = n as usize;
-            // Every record costs ≥ 1 encoded byte across the columns, so a
-            // count exceeding the payload is corruption, not an allocation.
-            if n > rest.len() * group_varint::GROUP_SIZE {
-                return Err(corrupt("record count overruns chunk"));
-            }
-            let mut rest = &rest[used..];
-            let mut columns = [
-                vec![0u32; n], // key common-prefix lengths
-                vec![0u32; n], // key suffix lengths
-                vec![0u32; n], // value lengths
-            ];
-            for column in &mut columns {
-                let used = group_varint::decode(rest, column)
-                    .map_err(|e| corrupt(&format!("length column: {e}")))?;
-                rest = &rest[used..];
-            }
-            let [prefix_lens, suffix_lens, value_lens] = &columns;
-            let suffix_total: u64 = suffix_lens.iter().map(|&l| l as u64).sum();
-            let value_total: u64 = value_lens.iter().map(|&l| l as u64).sum();
-            if suffix_total + value_total != rest.len() as u64 {
-                return Err(corrupt("byte columns do not fill the chunk"));
-            }
-            let (suffixes, values) = rest.split_at(suffix_total as usize);
-            let mut out = Vec::with_capacity(rest.len() + 4 * n);
-            let mut key: Vec<u8> = Vec::new();
-            let (mut spos, mut vpos) = (0usize, 0usize);
-            for i in 0..n {
-                let prefix = prefix_lens[i] as usize;
-                if prefix > key.len() {
-                    return Err(corrupt("key prefix exceeds previous key"));
-                }
-                key.truncate(prefix);
-                key.extend_from_slice(&suffixes[spos..spos + suffix_lens[i] as usize]);
-                spos += suffix_lens[i] as usize;
-                let value = &values[vpos..vpos + value_lens[i] as usize];
-                vpos += value_lens[i] as usize;
-                write_record(&mut out, &key, value);
-            }
-            Ok(out)
-        }
-        other => Err(corrupt(&format!("unknown codec tag {other}"))),
-    }
-}
-
-/// Write-through compression accounting, published process-wide as
-/// `shuffle.spill.bytes_written_raw` / `bytes_written_compressed` so a
-/// metrics dump shows the spill compression ratio while a job runs.
-fn record_chunk_bytes(raw: usize, encoded: usize) {
-    let obs = lash_obs::global();
-    obs.counter("shuffle.spill.bytes_written_raw")
-        .add(raw as u64);
-    obs.counter("shuffle.spill.bytes_written_compressed")
-        .add(encoded as u64);
-}
 
 /// Maps an I/O error to an [`EngineError::SpillIo`] with context.
 fn io_err(what: &str, e: std::io::Error) -> EngineError {
@@ -275,154 +106,113 @@ pub struct RunMeta {
     pub records: u64,
 }
 
-/// Appends sorted runs to one map task's spill file.
+/// Appends sorted runs to one file, chunked into checksummed frames.
+///
+/// A map task writes many runs per file (one per spilled partition buffer,
+/// via [`SpillWriter::write_run`]); a hierarchical merge pass streams one
+/// run into its own file record by record ([`SpillWriter::push`]), so the
+/// merged run is never materialized in memory. Either way a run ends with
+/// [`SpillWriter::end_run`], and the next record starts a new one.
 #[derive(Debug)]
 pub struct SpillWriter {
     path: PathBuf,
     writer: BufWriter<File>,
-    codec: SpillCodec,
-    /// Encoded-chunk scratch, reused across flushes.
-    payload: Vec<u8>,
+    /// Framed records of the frame being filled, reused across frames.
+    chunk: Vec<u8>,
+    /// File offset of the next frame.
     pos: u64,
+    /// File offset of the open run's first frame.
+    run_offset: u64,
+    /// Records pushed into the open run.
+    run_records: u64,
 }
 
 impl SpillWriter {
-    /// Creates (truncating) the spill file at `path`; chunks are encoded
-    /// with `codec`.
-    pub fn create(path: PathBuf, codec: SpillCodec) -> Result<SpillWriter, EngineError> {
+    /// Creates (truncating) the file at `path`.
+    pub fn create(path: PathBuf) -> Result<SpillWriter, EngineError> {
         let file = File::create(&path).map_err(|e| io_err("create spill file", e))?;
         Ok(SpillWriter {
             path,
             writer: BufWriter::new(file),
-            codec,
-            payload: Vec::new(),
+            chunk: Vec::new(),
             pos: 0,
+            run_offset: 0,
+            run_records: 0,
         })
     }
 
-    /// The spill file path.
-    pub fn path(&self) -> &Path {
-        &self.path
+    /// Appends one record to the open run. Records must arrive in run order
+    /// (a merge produces them that way by construction).
+    pub fn push(&mut self, key: &[u8], value: &[u8]) -> Result<(), EngineError> {
+        let framed = encoded_len_u64(key.len() as u64)
+            + key.len()
+            + encoded_len_u64(value.len() as u64)
+            + value.len();
+        self.start_record(framed)?;
+        write_record(&mut self.chunk, key, value);
+        Ok(())
     }
 
-    /// Writes one sorted run: the records of `buffer` in reference order,
-    /// chunked into checksummed frames.
+    /// Writes one whole sorted run — the records of `buffer` in reference
+    /// order — and ends it.
     pub fn write_run(
         &mut self,
         partition: u32,
         buffer: &RunBuffer,
     ) -> Result<RunMeta, EngineError> {
         debug_assert!(!buffer.is_empty(), "runs are never empty");
-        let offset = self.pos;
-        let mut chunk: Vec<u8> = Vec::with_capacity(SPILL_CHUNK_BYTES.min(buffer.data.len() + 64));
-        let mut written = 0u64;
         for rec in &buffer.recs {
-            if !chunk.is_empty() && chunk.len() + buffer.framed(rec).len() > SPILL_CHUNK_BYTES {
-                written += self.flush_chunk(&chunk)?;
-                chunk.clear();
-            }
-            chunk.extend_from_slice(buffer.framed(rec));
+            let framed = buffer.framed(rec);
+            self.start_record(framed.len())?;
+            self.chunk.extend_from_slice(framed);
         }
-        if !chunk.is_empty() {
-            written += self.flush_chunk(&chunk)?;
-        }
-        self.pos += written;
-        Ok(RunMeta {
-            partition,
-            offset,
-            len: written,
-            records: buffer.len() as u64,
-        })
+        self.end_run(partition)
     }
 
-    fn flush_chunk(&mut self, chunk: &[u8]) -> Result<u64, EngineError> {
-        encode_chunk(self.codec, chunk, &mut self.payload);
-        record_chunk_bytes(chunk.len(), self.payload.len());
-        frame::write_frame(&self.payload, &mut self.writer)
-            .map_err(|e| io_err("write spill frame", e))?;
-        Ok(frame::encoded_frame_len(self.payload.len()) as u64)
-    }
-
-    /// Flushes buffered bytes to the OS so reduce tasks can read them back.
-    pub fn finish(mut self) -> Result<PathBuf, EngineError> {
-        self.writer
-            .flush()
-            .map_err(|e| io_err("flush spill file", e))?;
-        Ok(self.path)
-    }
-}
-
-/// Streams one sorted run into its own file, record by record — the
-/// output side of a hierarchical merge pass, where the run being written
-/// is itself the merge of many runs and must never be materialized in
-/// memory. Chunking and framing match [`SpillWriter::write_run`], so the
-/// result reads back through the same [`DiskCursor`].
-#[derive(Debug)]
-pub struct RunStreamWriter {
-    writer: BufWriter<File>,
-    codec: SpillCodec,
-    chunk: Vec<u8>,
-    scratch: Vec<u8>,
-    /// Encoded-chunk scratch, reused across flushes.
-    payload: Vec<u8>,
-    written: u64,
-    records: u64,
-}
-
-impl RunStreamWriter {
-    /// Creates (truncating) the run file at `path`; chunks are encoded with
-    /// `codec`.
-    pub fn create(path: &Path, codec: SpillCodec) -> Result<RunStreamWriter, EngineError> {
-        let file = File::create(path).map_err(|e| io_err("create merge run file", e))?;
-        Ok(RunStreamWriter {
-            writer: BufWriter::new(file),
-            codec,
-            chunk: Vec::with_capacity(SPILL_CHUNK_BYTES + 64),
-            scratch: Vec::new(),
-            payload: Vec::new(),
-            written: 0,
-            records: 0,
-        })
-    }
-
-    /// Appends one record. Records must arrive in run order (the caller is
-    /// a merge, so they do by construction).
-    pub fn push(&mut self, key: &[u8], value: &[u8]) -> Result<(), EngineError> {
-        self.scratch.clear();
-        crate::shuffle::write_record(&mut self.scratch, key, value);
-        if !self.chunk.is_empty() && self.chunk.len() + self.scratch.len() > SPILL_CHUNK_BYTES {
+    /// Counts one more record of `framed` bytes into the open run, first
+    /// sealing the current frame if the record would overflow it. A frame
+    /// always holds at least one record.
+    fn start_record(&mut self, framed: usize) -> Result<(), EngineError> {
+        if !self.chunk.is_empty() && self.chunk.len() + framed > SPILL_CHUNK_BYTES {
             self.flush_chunk()?;
         }
-        self.chunk.extend_from_slice(&self.scratch);
-        self.records += 1;
+        self.run_records += 1;
         Ok(())
     }
 
     fn flush_chunk(&mut self) -> Result<(), EngineError> {
-        encode_chunk(self.codec, &self.chunk, &mut self.payload);
-        record_chunk_bytes(self.chunk.len(), self.payload.len());
-        frame::write_frame(&self.payload, &mut self.writer)
-            .map_err(|e| io_err("write merge run frame", e))?;
-        self.written += frame::encoded_frame_len(self.payload.len()) as u64;
+        frame::write_frame(&self.chunk, &mut self.writer)
+            .map_err(|e| io_err("write spill frame", e))?;
+        self.pos += frame::encoded_frame_len(self.chunk.len()) as u64;
         self.chunk.clear();
         Ok(())
     }
 
-    /// Flushes the run and returns its metadata (the run starts at offset 0
-    /// of its dedicated file; `partition` is recorded for bookkeeping).
-    pub fn finish(mut self, partition: u32) -> Result<RunMeta, EngineError> {
+    /// Seals the open run and returns its metadata (`partition` is recorded
+    /// for bookkeeping). A run with no records has `len` 0.
+    pub fn end_run(&mut self, partition: u32) -> Result<RunMeta, EngineError> {
         if !self.chunk.is_empty() {
             self.flush_chunk()?;
         }
+        let meta = RunMeta {
+            partition,
+            offset: self.run_offset,
+            len: self.pos - self.run_offset,
+            records: self.run_records,
+        };
+        self.run_offset = self.pos;
+        self.run_records = 0;
+        Ok(meta)
+    }
+
+    /// Flushes buffered bytes to the OS so reduce tasks can read them back,
+    /// returning the file's path. Every run must have been ended.
+    pub fn finish(mut self) -> Result<PathBuf, EngineError> {
+        debug_assert!(self.chunk.is_empty(), "finish with an open run");
         self.writer
             .flush()
-            .map_err(|e| io_err("flush merge run file", e))?;
-        Ok(RunMeta {
-            partition,
-            offset: 0,
-            len: self.written,
-            records: self.records,
-        })
+            .map_err(|e| io_err("flush spill file", e))?;
+        Ok(self.path)
     }
 }
 
@@ -526,7 +316,7 @@ impl DiskCursor {
             ));
         }
         self.remaining -= encoded;
-        self.chunk = RunBuffer::parse(decode_chunk(payload)?)?;
+        self.chunk = RunBuffer::parse(payload)?;
         if self.chunk.is_empty() {
             return Err(EngineError::CorruptShuffle("empty spill frame".into()));
         }
@@ -580,168 +370,145 @@ mod tests {
         }
     }
 
-    const CODECS: [SpillCodec; 2] = [SpillCodec::Raw, SpillCodec::GroupVarint];
-
     #[test]
     fn runs_round_trip_through_disk() {
-        for codec in CODECS {
-            let space = SpillSpace::create(None).unwrap();
-            let mut writer = SpillWriter::create(space.task_file(0, 0), codec).unwrap();
-            let a = build_run(&[(b"b", b"1"), (b"a", b"2"), (b"b", b"3")]);
-            let b = build_run(&[(b"z", b"9")]);
-            let ma = writer.write_run(3, &a).unwrap();
-            let mb = writer.write_run(5, &b).unwrap();
-            let file = writer.finish().unwrap();
-            assert_eq!(ma.records, 3);
-            assert_eq!(mb.offset, ma.offset + ma.len);
-            assert_eq!(
-                drain(&file, &ma).unwrap(),
-                vec![
-                    (b"a".to_vec(), b"2".to_vec()),
-                    (b"b".to_vec(), b"1".to_vec()),
-                    (b"b".to_vec(), b"3".to_vec()),
-                ],
-                "{codec:?}"
-            );
-            assert_eq!(
-                drain(&file, &mb).unwrap(),
-                vec![(b"z".to_vec(), b"9".to_vec())]
-            );
-        }
+        let space = SpillSpace::create(None).unwrap();
+        let mut writer = SpillWriter::create(space.task_file(0, 0)).unwrap();
+        let a = build_run(&[(b"b", b"1"), (b"a", b"2"), (b"b", b"3")]);
+        let b = build_run(&[(b"z", b"9")]);
+        let ma = writer.write_run(3, &a).unwrap();
+        let mb = writer.write_run(5, &b).unwrap();
+        let file = writer.finish().unwrap();
+        assert_eq!(ma.records, 3);
+        assert_eq!(mb.offset, ma.offset + ma.len);
+        assert_eq!(
+            drain(&file, &ma).unwrap(),
+            vec![
+                (b"a".to_vec(), b"2".to_vec()),
+                (b"b".to_vec(), b"1".to_vec()),
+                (b"b".to_vec(), b"3".to_vec()),
+            ]
+        );
+        assert_eq!(
+            drain(&file, &mb).unwrap(),
+            vec![(b"z".to_vec(), b"9".to_vec())]
+        );
     }
 
     #[test]
     fn large_runs_split_into_multiple_frames() {
-        for codec in CODECS {
-            let space = SpillSpace::create(None).unwrap();
-            let mut writer = SpillWriter::create(space.task_file(1, 0), codec).unwrap();
-            let big_value = vec![0xabu8; 40 * 1024];
-            let mut run = RunBuffer::default();
-            for i in 0..8u8 {
-                run.push(&[i], &big_value);
-            }
-            run.sort();
-            let meta = writer.write_run(0, &run).unwrap();
-            let file = writer.finish().unwrap();
-            // 8 × 40 KiB of incompressible values cannot fit one 64 KiB chunk.
-            assert!(meta.len > frame::encoded_frame_len(SPILL_CHUNK_BYTES) as u64);
-            let drained = drain(&file, &meta).unwrap();
-            assert_eq!(drained.len(), 8, "{codec:?}");
-            assert!(drained.iter().all(|(_, v)| v == &big_value));
+        let space = SpillSpace::create(None).unwrap();
+        let mut writer = SpillWriter::create(space.task_file(1, 0)).unwrap();
+        let big_value = vec![0xabu8; 40 * 1024];
+        let mut run = RunBuffer::default();
+        for i in 0..8u8 {
+            run.push(&[i], &big_value);
         }
+        run.sort();
+        let meta = writer.write_run(0, &run).unwrap();
+        let file = writer.finish().unwrap();
+        // 8 × 40 KiB of values cannot fit one 64 KiB chunk.
+        assert!(meta.len > frame::encoded_frame_len(SPILL_CHUNK_BYTES) as u64);
+        let drained = drain(&file, &meta).unwrap();
+        assert_eq!(drained.len(), 8);
+        assert!(drained.iter().all(|(_, v)| v == &big_value));
     }
 
     #[test]
     fn streamed_runs_read_back_like_buffered_ones() {
-        for codec in CODECS {
-            let space = SpillSpace::create(None).unwrap();
-            let path = space.merge_file(0, 0, 0);
-            let mut writer = RunStreamWriter::create(&path, codec).unwrap();
-            let big_value = vec![0x5au8; 30 * 1024];
-            // Records in run order, large enough to span several chunks.
-            let mut expect: Records = Vec::new();
-            for i in 0..6u8 {
-                let key = vec![i];
-                writer.push(&key, &big_value).unwrap();
-                expect.push((key, big_value.clone()));
-            }
-            let meta = writer.finish(3).unwrap();
-            assert_eq!(meta.partition, 3);
-            assert_eq!(meta.records, 6);
-            assert_eq!(meta.offset, 0);
-            assert!(meta.len > frame::encoded_frame_len(SPILL_CHUNK_BYTES) as u64);
-            assert_eq!(drain(&path, &meta).unwrap(), expect, "{codec:?}");
-        }
-    }
-
-    /// The compression win the codec exists for: sorted runs full of
-    /// repeated keys front-code to a fraction of their raw size, and the
-    /// reduce side still sees the identical records.
-    #[test]
-    fn group_varint_chunks_shrink_repeated_keys() {
-        let mut run = RunBuffer::default();
-        for i in 0..2000u32 {
-            let key = format!("pivot-item-{:04}", i / 50);
-            run.push(key.as_bytes(), &(i % 7).to_le_bytes());
-        }
-        run.sort();
-        let mut metas = Vec::new();
-        let mut drains = Vec::new();
-        for codec in CODECS {
-            let space = SpillSpace::create(None).unwrap();
-            let mut writer = SpillWriter::create(space.task_file(0, 0), codec).unwrap();
-            metas.push(writer.write_run(0, &run).unwrap());
-            let file = writer.finish().unwrap();
-            drains.push(drain(&file, metas.last().unwrap()).unwrap());
-        }
-        assert_eq!(drains[0], drains[1]);
-        assert!(
-            metas[1].len * 2 < metas[0].len,
-            "front-coded run ({} B) should be well under half the raw run ({} B)",
-            metas[1].len,
-            metas[0].len
-        );
-    }
-
-    #[test]
-    fn unknown_chunk_tag_is_corrupt_shuffle() {
         let space = SpillSpace::create(None).unwrap();
-        let path = space.task_file(0, 0);
-        // A checksummed frame whose payload carries a bogus codec tag.
-        let mut payload = vec![7u8];
-        crate::shuffle::write_record(&mut payload, b"k", b"v");
-        let mut file = std::fs::File::create(&path).unwrap();
-        frame::write_frame(&payload, &mut file).unwrap();
-        let meta = RunMeta {
-            partition: 0,
-            offset: 0,
-            len: frame::encoded_frame_len(payload.len()) as u64,
-            records: 1,
-        };
-        let result = drain(&path, &meta);
-        assert!(
-            matches!(result, Err(EngineError::CorruptShuffle(_))),
-            "{result:?}"
+        let streamed = space.merge_file(0, 0, 0);
+        let mut writer = SpillWriter::create(streamed.clone()).unwrap();
+        let big_value = vec![0x5au8; 30 * 1024];
+        // Records in run order, large enough to span several chunks.
+        let mut expect: Records = Vec::new();
+        let mut buffered = RunBuffer::default();
+        for i in 0..6u8 {
+            let key = vec![i];
+            writer.push(&key, &big_value).unwrap();
+            buffered.push(&key, &big_value);
+            expect.push((key, big_value.clone()));
+        }
+        let meta = writer.end_run(3).unwrap();
+        writer.finish().unwrap();
+        assert_eq!(meta.partition, 3);
+        assert_eq!(meta.records, 6);
+        assert_eq!(meta.offset, 0);
+        assert!(meta.len > frame::encoded_frame_len(SPILL_CHUNK_BYTES) as u64);
+        assert_eq!(drain(&streamed, &meta).unwrap(), expect);
+        // The same records written as one buffer produce the same frames.
+        let mut writer = SpillWriter::create(space.task_file(0, 0)).unwrap();
+        let buffered_meta = writer.write_run(3, &buffered).unwrap();
+        let buffered_file = writer.finish().unwrap();
+        assert_eq!(buffered_meta.len, meta.len);
+        assert_eq!(
+            std::fs::read(&buffered_file).unwrap(),
+            std::fs::read(&streamed).unwrap()
         );
+    }
+
+    /// Frames whose checksum verifies but whose payload is not a sequence
+    /// of well-formed records: only the record parser can catch these.
+    #[test]
+    fn malformed_records_in_a_valid_frame_are_corrupt_shuffle() {
+        let mut huge_key = Vec::new();
+        lash_encoding::varint::encode_u64(u64::MAX - 3, &mut huge_key);
+        huge_key.extend_from_slice(b"k\x01v");
+        let mut value_past_end = Vec::new();
+        write_record(&mut value_past_end, b"k", b"value");
+        value_past_end.truncate(value_past_end.len() - 2);
+        for payload in [huge_key, value_past_end, Vec::new()] {
+            let space = SpillSpace::create(None).unwrap();
+            let path = space.task_file(0, 0);
+            let mut file = std::fs::File::create(&path).unwrap();
+            frame::write_frame(&payload, &mut file).unwrap();
+            let meta = RunMeta {
+                partition: 0,
+                offset: 0,
+                len: frame::encoded_frame_len(payload.len()) as u64,
+                records: 1,
+            };
+            let result = drain(&path, &meta);
+            assert!(
+                matches!(result, Err(EngineError::CorruptShuffle(_))),
+                "{payload:?}: {result:?}"
+            );
+        }
     }
 
     #[test]
     fn truncated_run_is_corrupt_shuffle_not_a_panic() {
-        for codec in CODECS {
-            let space = SpillSpace::create(None).unwrap();
-            let mut writer = SpillWriter::create(space.task_file(2, 0), codec).unwrap();
-            let run = build_run(&[(b"key", b"a value with some length"), (b"key2", b"x")]);
-            let meta = writer.write_run(0, &run).unwrap();
-            let file = writer.finish().unwrap();
-            let full = std::fs::read(&file).unwrap();
-            for cut in [0, 1, full.len() / 2, full.len() - 1] {
-                std::fs::write(&file, &full[..cut]).unwrap();
-                let result = drain(&file, &meta);
-                assert!(
-                    matches!(result, Err(EngineError::CorruptShuffle(_))),
-                    "{codec:?} cut at {cut}: {result:?}"
-                );
-            }
+        let space = SpillSpace::create(None).unwrap();
+        let mut writer = SpillWriter::create(space.task_file(2, 0)).unwrap();
+        let run = build_run(&[(b"key", b"a value with some length"), (b"key2", b"x")]);
+        let meta = writer.write_run(0, &run).unwrap();
+        let file = writer.finish().unwrap();
+        let full = std::fs::read(&file).unwrap();
+        for cut in [0, 1, full.len() / 2, full.len() - 1] {
+            std::fs::write(&file, &full[..cut]).unwrap();
+            let result = drain(&file, &meta);
+            assert!(
+                matches!(result, Err(EngineError::CorruptShuffle(_))),
+                "cut at {cut}: {result:?}"
+            );
         }
     }
 
     #[test]
     fn bit_flip_is_corrupt_shuffle() {
-        for codec in CODECS {
-            let space = SpillSpace::create(None).unwrap();
-            let mut writer = SpillWriter::create(space.task_file(3, 0), codec).unwrap();
-            let run = build_run(&[(b"key", b"payload")]);
-            let meta = writer.write_run(0, &run).unwrap();
-            let file = writer.finish().unwrap();
-            let mut bytes = std::fs::read(&file).unwrap();
-            let mid = bytes.len() / 2;
-            bytes[mid] ^= 0x40;
-            std::fs::write(&file, &bytes).unwrap();
-            assert!(matches!(
-                drain(&file, &meta),
-                Err(EngineError::CorruptShuffle(_))
-            ));
-        }
+        let space = SpillSpace::create(None).unwrap();
+        let mut writer = SpillWriter::create(space.task_file(3, 0)).unwrap();
+        let run = build_run(&[(b"key", b"payload")]);
+        let meta = writer.write_run(0, &run).unwrap();
+        let file = writer.finish().unwrap();
+        let mut bytes = std::fs::read(&file).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x40;
+        std::fs::write(&file, &bytes).unwrap();
+        assert!(matches!(
+            drain(&file, &meta),
+            Err(EngineError::CorruptShuffle(_))
+        ));
     }
 
     #[test]

@@ -8,7 +8,7 @@ use std::path::PathBuf;
 use crate::counters::Counters;
 use crate::error::EngineError;
 use crate::shuffle::{partition_of, RunBuffer};
-use crate::spill::{RunMeta, SpillCodec, SpillWriter};
+use crate::spill::{RunMeta, SpillWriter};
 
 /// A MapReduce job.
 ///
@@ -97,8 +97,6 @@ pub struct Emitter<'a, J: Job> {
     buffered: usize,
     /// Target spill file (set iff the threshold is set).
     spill_path: Option<PathBuf>,
-    /// Chunk codec for spilled runs.
-    spill_codec: SpillCodec,
     writer: Option<SpillWriter>,
     runs: Vec<RunMeta>,
     records: u64,
@@ -133,7 +131,6 @@ impl<'a, J: Job> Emitter<'a, J> {
         use_combiner: bool,
         threshold: Option<usize>,
         spill_path: Option<PathBuf>,
-        spill_codec: SpillCodec,
         counters: &'a Counters,
     ) -> Self {
         debug_assert!(
@@ -148,7 +145,6 @@ impl<'a, J: Job> Emitter<'a, J> {
             parts: (0..num_parts).map(|_| RunBuffer::default()).collect(),
             buffered: 0,
             spill_path,
-            spill_codec,
             writer: None,
             runs: Vec::new(),
             records: 0,
@@ -200,7 +196,7 @@ impl<'a, J: Job> Emitter<'a, J> {
                 .spill_path
                 .clone()
                 .expect("spill threshold requires a spill file");
-            self.writer = Some(SpillWriter::create(path, self.spill_codec)?);
+            self.writer = Some(SpillWriter::create(path)?);
         }
         for part in 0..self.num_parts {
             if self.parts[part].is_empty() {
@@ -357,7 +353,7 @@ mod tests {
     #[test]
     fn emitter_sorts_and_groups_in_memory() {
         let counters = Counters::default();
-        let mut emitter = Emitter::new(&ByteJob, 1, false, None, None, SpillCodec::Raw, &counters);
+        let mut emitter = Emitter::new(&ByteJob, 1, false, None, None, &counters);
         emitter.emit(b"b".to_vec(), 1);
         emitter.emit(b"a".to_vec(), 2);
         emitter.emit(b"b".to_vec(), 3);
@@ -388,8 +384,7 @@ mod tests {
     fn emit_ref_serializes_like_emit() {
         let runs = |by_ref: bool| {
             let counters = Counters::default();
-            let mut emitter =
-                Emitter::new(&ByteJob, 2, false, None, None, SpillCodec::Raw, &counters);
+            let mut emitter = Emitter::new(&ByteJob, 2, false, None, None, &counters);
             for (key, value) in [(b"b".to_vec(), 1u8), (b"a".to_vec(), 2), (b"b".to_vec(), 3)] {
                 if by_ref {
                     emitter.emit_ref(&key, &value);
@@ -410,7 +405,7 @@ mod tests {
     #[test]
     fn emitter_combines_per_key_group() {
         let counters = Counters::default();
-        let mut emitter = Emitter::new(&ByteJob, 1, true, None, None, SpillCodec::Raw, &counters);
+        let mut emitter = Emitter::new(&ByteJob, 1, true, None, None, &counters);
         emitter.emit(b"k".to_vec(), 10);
         emitter.emit(b"k".to_vec(), 20);
         emitter.emit(b"other".to_vec(), 1);
@@ -436,7 +431,6 @@ mod tests {
             true,
             Some(0),
             Some(space.task_file(0, 0)),
-            SpillCodec::GroupVarint,
             &counters,
         );
         for i in 0..5u8 {

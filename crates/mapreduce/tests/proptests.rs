@@ -1,7 +1,7 @@
 //! Property tests for the MapReduce engine: against an in-memory oracle, the
 //! engine must produce identical results for any input, any parallelism, any
-//! split size, combiner on or off, any spill threshold, and any recoverable
-//! failure plan.
+//! split size, combiner on or off, any spill threshold and merge fan-in, and
+//! any recoverable failure plan.
 
 use std::collections::BTreeMap;
 
@@ -95,12 +95,17 @@ proptest! {
         reduce_tasks in 1usize..5,
         combiner in any::<bool>(),
         threshold in 0usize..256,
+        fan_in in 2usize..5,
     ) {
+        // A small fan-in sends the spilled path through hierarchical merge
+        // passes, so runs written by a merge face the same property as
+        // map-task spills.
         let base = EngineConfig::default()
             .with_parallelism(parallelism)
             .with_split_size(split_size)
             .with_reduce_tasks(reduce_tasks)
-            .with_combiner(combiner);
+            .with_combiner(combiner)
+            .with_merge_fan_in(fan_in);
         let in_memory = run_job(
             &SumJob,
             &inputs,
