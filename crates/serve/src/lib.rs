@@ -29,8 +29,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::time::Duration;
-
 pub mod client;
 pub mod daemon;
 pub mod ops;
@@ -113,8 +111,8 @@ impl From<lash_core::error::Error> for ServeError {
 pub type Result<T> = std::result::Result<T, ServeError>;
 
 /// Daemon configuration: where to listen, how wide the worker pool is, how
-/// long a worker waits to grow a batch, and how hard background compaction
-/// may hit the disk while serving.
+/// large a batch may grow, and how hard background compaction may hit the
+/// disk while serving.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// The address the listener binds (`"127.0.0.1:0"` picks a free port;
@@ -124,10 +122,6 @@ pub struct ServeConfig {
     /// Worker threads answering query batches; `0` (the default) uses one
     /// per available core, capped at 8.
     pub worker_threads: usize,
-    /// After picking up the first queued request, a worker waits at most
-    /// this long for more to join the batch. Zero disables batching
-    /// entirely (every request is its own batch).
-    pub batch_window: Duration,
     /// Upper bound on requests answered per batch (clamped to ≥ 1).
     pub batch_max: usize,
     /// Byte-rate budget handed to background compaction
@@ -142,7 +136,6 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             worker_threads: 0,
-            batch_window: Duration::from_micros(500),
             batch_max: 64,
             compaction_bytes_per_sec: Some(64 * 1024 * 1024),
         }
@@ -159,12 +152,6 @@ impl ServeConfig {
     /// Sets the worker-thread count (`0` = one per available core, ≤ 8).
     pub fn with_worker_threads(mut self, n: usize) -> Self {
         self.worker_threads = n;
-        self
-    }
-
-    /// Sets how long a worker waits to grow a batch past its first request.
-    pub fn with_batch_window(mut self, window: Duration) -> Self {
-        self.batch_window = window;
         self
     }
 

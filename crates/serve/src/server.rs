@@ -4,12 +4,17 @@
 //!
 //! Why batches: [`QueryService::execute`] acquires a snapshot per call — a
 //! read-lock plus an `Arc` bump. Under a saturating client load that
-//! acquisition dominates the cheap queries. The workers here drain the
-//! shared queue in gulps (up to [`crate::ServeConfig::batch_max`], waiting
-//! [`crate::ServeConfig::batch_window`] for stragglers after the first
-//! request) and call [`QueryService::execute_batch`], which snapshots
-//! once. A batch is also the unit of swap consistency: every request in it
-//! is answered by the same index generation.
+//! acquisition dominates the cheap queries. A worker that wakes takes
+//! whatever is queued (up to [`crate::ServeConfig::batch_max`]) and calls
+//! [`QueryService::execute_batch`], which snapshots once. Nothing waits for
+//! a batch to fill: an idle daemon answers each request alone, and a busy
+//! one batches whatever queued up while its workers were executing. A
+//! batch is also the unit of swap consistency: every request in it is
+//! answered by the same index generation.
+//!
+//! A client that stops reading cannot pin a worker: every accepted socket
+//! carries [`WRITE_TIMEOUT`], and a response write that fails shuts the
+//! connection down, since a partly written frame has desynced the stream.
 //!
 //! Failure policy: *envelope* problems (bad tag, hostile count, unknown
 //! version) come back as typed [`QueryReply::Error`] responses and the
@@ -40,6 +45,10 @@ use crate::ops::HealthState;
 use crate::proto::{self, AdminCall, AdminReply, AdminRequest, Inbound, Response};
 use crate::proto::{MAGIC, PROTOCOL_VERSION};
 use crate::{Result, ServeConfig};
+
+/// How long one write to a client may block before the server gives up
+/// on that connection and shuts it down.
+pub const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Registry handles resolved once at startup; the per-request path never
 /// touches the registry's maps.
@@ -104,7 +113,6 @@ struct Shared {
     reader_threads: Mutex<Vec<JoinHandle<()>>>,
     metrics: Metrics,
     batch_max: usize,
-    batch_window: Duration,
     /// Live queue length, mirrored into the `serve.queue.depth` gauge —
     /// kept as its own atomic so the admin lane reads it without taking
     /// the queue lock.
@@ -156,7 +164,6 @@ impl Server {
             reader_threads: Mutex::new(Vec::new()),
             metrics: Metrics::new(),
             batch_max: config.batch_max.max(1),
-            batch_window: config.batch_window,
             depth: AtomicU64::new(0),
             inflight: AtomicU64::new(0),
             workers: config.effective_workers() as u64,
@@ -256,6 +263,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         // Response frames are small and latency-sensitive; Nagle would
         // hold them hostage to the client's delayed ACKs.
         let _ = stream.set_nodelay(true);
+        let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
         if let Ok(clone) = stream.try_clone() {
             shared.conns.lock().expect("conns lock").push(clone);
         }
@@ -285,8 +293,19 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 /// Writes one response frame to a connection's (mutex-guarded) write half.
 fn write_response(out: &Mutex<TcpStream>, resp: &Response, scratch: &mut Vec<u8>) -> bool {
     proto::encode_response(resp, scratch);
+    write_payload(out, scratch)
+}
+
+/// Frames `payload` onto a connection. A failed write may have left half a
+/// frame on the wire, so it shuts the connection down: later writes fail
+/// at once and the reader exits.
+fn write_payload(out: &Mutex<TcpStream>, payload: &[u8]) -> bool {
     let mut stream = out.lock().expect("connection write lock");
-    frame::write_frame(scratch, &mut *stream).is_ok()
+    let written = frame::write_frame(payload, &mut *stream).is_ok();
+    if !written {
+        let _ = stream.shutdown(Shutdown::Both);
+    }
+    written
 }
 
 /// The per-connection reader: handshake, then frames → decoded jobs for
@@ -448,8 +467,7 @@ fn answer_admin(shared: &Shared, call: &AdminCall, out: &Mutex<TcpStream>, scrat
     };
     obs.emit_event("admin", "serve.admin", &[("kind", FieldValue::from(kind))]);
     proto::encode_admin_response(call.id, &reply, scratch);
-    let mut stream = out.lock().expect("connection write lock");
-    let _ = frame::write_frame(scratch, &mut *stream);
+    write_payload(out, scratch);
 }
 
 /// The newest `max` lines (all of them when `max == 0`), oldest first.
@@ -472,67 +490,63 @@ fn worker_loop(shared: &Arc<Shared>) {
             return;
         }
         let started = Instant::now();
-        let _batch_span = lash_obs::span!("serve.batch", size = batch.len());
-        // Each job's queue wait ends here: the batch is picked up and the
-        // snapshot acquisition is next. This is the "batch gulp" latency
-        // that end-to-end numbers used to hide (the Nagle-class signal).
-        for job in &batch {
+        let size = batch.len();
+        let _batch_span = lash_obs::span!("serve.batch", size = size);
+        shared.inflight.fetch_add(size as u64, Ordering::Relaxed);
+
+        // Each job's queue wait ends here. Split the gulp: decodable
+        // queries move to the service as one batch (one snapshot),
+        // envelope failures answer directly, and every job's id and write
+        // half wait in `pending` for its reply.
+        let mut queries: Vec<Query> = Vec::with_capacity(size);
+        let mut pending: Vec<(u64, Arc<Mutex<TcpStream>>, Option<QueryError>)> =
+            Vec::with_capacity(size);
+        for job in batch {
             let waited = job.enqueued.elapsed();
             shared.metrics.queue_wait_us.record_duration(waited);
             shared.metrics.queue_wait_win.record_duration(waited);
-        }
-        shared
-            .inflight
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
-
-        // Split the gulp: decodable queries go to the service as one
-        // batch (one snapshot), envelope failures answer directly.
-        let mut queries: Vec<Query> = Vec::with_capacity(batch.len());
-        let mut slots: Vec<usize> = Vec::with_capacity(batch.len());
-        let mut replies: Vec<Option<QueryReply>> = Vec::with_capacity(batch.len());
-        for (i, job) in batch.iter().enumerate() {
-            match &job.query {
+            let failed = match job.query {
                 Ok(query) => {
-                    queries.push(query.clone());
-                    slots.push(i);
-                    replies.push(None);
+                    queries.push(query);
+                    None
                 }
-                Err(err) => replies.push(Some(QueryReply::Error(err.clone()))),
-            }
+                Err(err) => Some(err),
+            };
+            pending.push((job.id, job.out, failed));
         }
-        if !queries.is_empty() {
-            for (slot, reply) in slots.iter().zip(shared.service.execute_batch(&queries)) {
-                replies[*slot] = Some(reply);
-            }
+        let mut answers = if queries.is_empty() {
+            Vec::new()
+        } else {
+            shared.service.execute_batch(&queries)
         }
+        .into_iter();
 
-        for (job, reply) in batch.iter().zip(replies) {
-            let reply = reply.expect("every job got a reply");
+        for (id, out, failed) in pending {
+            let reply = match failed {
+                Some(err) => QueryReply::Error(err),
+                None => answers.next().expect("one answer per query"),
+            };
             if matches!(reply, QueryReply::Error(_)) {
                 shared.metrics.error_replies.inc();
             }
-            let resp = Response { id: job.id, reply };
-            if write_response(&job.out, &resp, &mut scratch) {
+            if write_response(&out, &Response { id, reply }, &mut scratch) {
                 shared.metrics.responses.inc();
             }
         }
-        shared
-            .inflight
-            .fetch_sub(batch.len() as u64, Ordering::Relaxed);
+        shared.inflight.fetch_sub(size as u64, Ordering::Relaxed);
         shared.metrics.batches.inc();
-        shared.metrics.batch_size.record(batch.len() as u64);
+        shared.metrics.batch_size.record(size as u64);
         shared.metrics.batch_us.record_duration(started.elapsed());
     }
 }
 
-/// Blocks for the next gulp of jobs. Returns empty only when the server is
-/// shutting down and the queue is drained.
+/// Blocks until a job is queued, then takes everything queued up to
+/// `batch_max` without waiting for more: one request when the daemon is
+/// idle, a full gulp when its workers were busy. Returns empty only when
+/// the server is shutting down and the queue is drained.
 fn next_batch(shared: &Shared) -> Vec<Job> {
     let mut queue = shared.queue.lock().expect("queue lock");
-    loop {
-        if !queue.is_empty() {
-            break;
-        }
+    while queue.is_empty() {
         if shared.shutdown.load(Ordering::SeqCst) {
             return Vec::new();
         }
@@ -542,29 +556,8 @@ fn next_batch(shared: &Shared) -> Vec<Job> {
             .expect("queue lock")
             .0;
     }
-    let mut batch: Vec<Job> = Vec::new();
-    while batch.len() < shared.batch_max {
-        match queue.pop_front() {
-            Some(job) => batch.push(job),
-            None => break,
-        }
-    }
-    // One bounded wait for stragglers: cheap when the load is heavy (the
-    // queue refills before the wait), harmless when idle (one request pays
-    // the window once).
-    if batch.len() < shared.batch_max && !shared.batch_window.is_zero() {
-        queue = shared
-            .available
-            .wait_timeout(queue, shared.batch_window)
-            .expect("queue lock")
-            .0;
-        while batch.len() < shared.batch_max {
-            match queue.pop_front() {
-                Some(job) => batch.push(job),
-                None => break,
-            }
-        }
-    }
+    let take = queue.len().min(shared.batch_max);
+    let batch: Vec<Job> = queue.drain(..take).collect();
     let depth = queue.len() as u64;
     drop(queue);
     shared.depth.store(depth, Ordering::Relaxed);

@@ -8,13 +8,16 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use lash_core::{GsmParams, ItemId, Lash, Vocabulary, VocabularyBuilder};
 use lash_encoding::frame::{self, FrameChecksum};
 use lash_index::{Query, QueryError, QueryReply};
 use lash_serve::proto::{self, Request};
+use lash_serve::server::WRITE_TIMEOUT;
 use lash_serve::{
-    AdminReply, AdminRequest, Client, Lifecycle, ServeConfig, Server, MAGIC, PROTOCOL_VERSION,
+    AdminReply, AdminRequest, Client, Lifecycle, Response, ServeConfig, Server, MAGIC,
+    PROTOCOL_VERSION,
 };
 use lash_store::{CorpusWriter, StoreOptions};
 
@@ -447,6 +450,94 @@ fn garbage_admin_envelope_keeps_connection_serving() {
     let resp = read_reply(&mut stream);
     assert_eq!(resp.id, 11);
     assert!(matches!(resp.reply, QueryReply::Patterns(_)));
+
+    server.shutdown();
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// A client that pipelines requests and never reads the replies must not
+/// freeze the pool: the worker writing to it gives up after
+/// `WRITE_TIMEOUT`, shuts that connection down, and goes on answering
+/// everyone else.
+#[test]
+fn client_that_stops_reading_cannot_freeze_the_workers() {
+    let config = ServeConfig::default().with_worker_threads(1);
+    let (lifecycle, server, root) = boot("stalled", &config);
+    let addr = server.local_addr();
+    let service = lifecycle.service();
+    let everything = Query::Enumerate {
+        prefix: vec![],
+        limit: None,
+    };
+
+    // Enough replies to overrun the loopback buffers several times over (a
+    // socket that is never read stops at about the 4 MiB send buffer plus
+    // the peer's initial receive buffer).
+    let mut reply = Vec::new();
+    proto::encode_response(
+        &Response {
+            id: 1,
+            reply: service.execute(&everything).unwrap(),
+        },
+        &mut reply,
+    );
+    let flood = (16 << 20) / reply.len() + 1;
+    let mut payload = Vec::new();
+    proto::encode_request(&Request::new(1, everything), &mut payload);
+    let mut burst = Vec::new();
+    for _ in 0..flood {
+        frame::encode_frame(&payload, &mut burst);
+    }
+    let mut stalled = raw_handshake(addr);
+    stalled.write_all(&burst).unwrap();
+
+    // Wait until the only worker is stuck writing to the stalled client:
+    // the queue stops draining while it still holds jobs.
+    let mut admin = Client::connect(addr).unwrap();
+    let queue_depth = |admin: &mut Client| match admin.admin(&AdminRequest::Health).unwrap() {
+        AdminReply::Health { fields, .. } => fields
+            .iter()
+            .find(|(k, _)| k == "queue_depth")
+            .map(|(_, v)| *v)
+            .expect("health reports queue_depth"),
+        other => panic!("expected a Health reply, got {other:?}"),
+    };
+    let mut last = queue_depth(&mut admin);
+    for poll in 0.. {
+        assert!(poll < 300, "the worker never stalled on the flood");
+        std::thread::sleep(Duration::from_millis(100));
+        let depth = queue_depth(&mut admin);
+        if depth > 0 && depth == last {
+            break;
+        }
+        last = depth;
+    }
+
+    // Another client is still answered, correctly and in bounded time. A
+    // stuck frame can cost two timed-out writes: the one that made partial
+    // progress and the next.
+    let started = Instant::now();
+    let deadline = WRITE_TIMEOUT * 2 + Duration::from_secs(5);
+    let mut other = raw_handshake(addr);
+    other.set_read_timeout(Some(deadline)).unwrap();
+    let (_, items) = small_vocab();
+    let support = Query::Support {
+        items: vec![items[0]],
+    };
+    let mut payload = Vec::new();
+    proto::encode_request(&Request::new(7, support.clone()), &mut payload);
+    frame::write_frame(&payload, &mut other).unwrap();
+    let resp = read_reply(&mut other);
+    assert!(started.elapsed() < deadline, "{:?}", started.elapsed());
+    assert_eq!(resp.id, 7);
+    assert_eq!(resp.reply, service.execute(&support).unwrap());
+
+    // The stalled connection was shut down: draining it reaches EOF.
+    stalled.set_read_timeout(Some(deadline)).unwrap();
+    let mut rest = Vec::new();
+    stalled
+        .read_to_end(&mut rest)
+        .expect("the server closes the stalled connection");
 
     server.shutdown();
     std::fs::remove_dir_all(&root).unwrap();
