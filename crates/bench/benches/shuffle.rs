@@ -1,11 +1,35 @@
 //! Throughput of the MapReduce shuffle: the all-in-memory fast path against
-//! the out-of-core external-sort path at several spill thresholds, plus a
-//! LASH mine job end-to-end on both paths.
+//! the out-of-core external-sort path at several spill thresholds, a
+//! semi-naive-shaped spilling job (the perf ledger's hottest shuffle path),
+//! plus a LASH mine job end-to-end on both paths.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use lash_core::{GsmParams, Lash, LashConfig};
 use lash_datagen::{TextConfig, TextCorpus, TextHierarchy};
-use lash_mapreduce::{run_job, Emitter, EngineConfig, Job};
+use lash_encoding::varint;
+use lash_mapreduce::{run_job, Combined, Emitter, EngineConfig, Job, Values};
+
+fn count(bytes: &[u8]) -> u64 {
+    varint::decode_u64(bytes).expect("varint count").0
+}
+
+/// Sums varint counts on their bytes; a one-value group passes through.
+fn combine_counts(values: &[&[u8]], out: &mut Combined<'_>) {
+    if let [only] = values {
+        out.push(only);
+        return;
+    }
+    let sum: u64 = values.iter().map(|v| count(v)).sum();
+    out.push_with(|buf| varint::encode_u64(sum, buf));
+}
+
+fn sum_counts(values: &mut Values<'_, '_>) -> u64 {
+    let mut sum = 0;
+    while let Some(v) = values.next() {
+        sum += count(v);
+    }
+    sum
+}
 
 /// A word-count-shaped job over synthetic token sequences: enough emitted
 /// pairs per input to make the shuffle the dominant cost.
@@ -23,30 +47,74 @@ impl Job for TokenCount {
         }
     }
 
-    fn combine(&self, _key: &u32, values: Vec<u64>) -> Vec<u64> {
-        vec![values.into_iter().sum()]
+    fn combine(&self, _key: &[u8], values: &mut [&[u8]], out: &mut Combined<'_>) {
+        combine_counts(values, out);
     }
 
-    fn reduce(&self, key: u32, values: impl Iterator<Item = u64>, out: &mut Vec<(u32, u64)>) {
-        out.push((key, values.sum()));
+    fn reduce(&self, key: &[u8], values: &mut Values<'_, '_>, out: &mut Vec<(u32, u64)>) {
+        let key = u32::from_be_bytes(key.try_into().expect("4-byte key"));
+        out.push((key, sum_counts(values)));
     }
 
     fn encode_key(&self, key: &u32, buf: &mut Vec<u8>) {
         buf.extend_from_slice(&key.to_be_bytes());
     }
-    fn decode_key(&self, bytes: &[u8]) -> u32 {
-        u32::from_be_bytes(bytes.try_into().expect("4-byte key"))
+    fn encode_value(&self, value: &u64, buf: &mut Vec<u8>) {
+        varint::encode_u64(*value, buf);
+    }
+}
+
+/// The semi-naive baseline's shuffle without its enumeration: every
+/// contiguous window of 2–5 ranks is a key in the sequence wire format,
+/// counted and thresholded like a candidate pattern.
+struct WindowCount {
+    sigma: u64,
+}
+
+impl Job for WindowCount {
+    type Input = Vec<u32>;
+    type Key = Vec<u32>;
+    type Value = u64;
+    type Output = (Vec<u32>, u64);
+
+    fn map(&self, ranks: &Vec<u32>, emit: &mut Emitter<'_, Self>) {
+        let mut key = Vec::new();
+        for len in 2..=5 {
+            for window in ranks.windows(len) {
+                key.clear();
+                key.extend_from_slice(window);
+                emit.emit_ref(&key, &1);
+            }
+        }
+    }
+
+    fn combine(&self, _key: &[u8], values: &mut [&[u8]], out: &mut Combined<'_>) {
+        combine_counts(values, out);
+    }
+
+    fn reduce(&self, key: &[u8], values: &mut Values<'_, '_>, out: &mut Vec<(Vec<u32>, u64)>) {
+        let frequency = sum_counts(values);
+        if frequency >= self.sigma {
+            let pattern = lash_encoding::decode_sequence(key).expect("valid pattern key");
+            out.push((pattern, frequency));
+        }
+    }
+
+    fn encode_key(&self, key: &Vec<u32>, buf: &mut Vec<u8>) {
+        lash_encoding::encode_sequence(key, buf);
     }
     fn encode_value(&self, value: &u64, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&value.to_le_bytes());
-    }
-    fn decode_value(&self, bytes: &[u8]) -> u64 {
-        u64::from_le_bytes(bytes.try_into().expect("8-byte value"))
+        varint::encode_u64(*value, buf);
     }
 }
 
 /// Deterministic Zipf-ish token sequences.
 fn inputs() -> Vec<Vec<u32>> {
+    inputs_of_len(4_000, 12)
+}
+
+/// `n` deterministic Zipf-ish token sequences of `len` tokens each.
+fn inputs_of_len(n: usize, len: usize) -> Vec<Vec<u32>> {
     let mut state = 0x2545f4914f6cdd1du64;
     let mut next = move || {
         state ^= state << 13;
@@ -54,9 +122,9 @@ fn inputs() -> Vec<Vec<u32>> {
         state ^= state << 17;
         state
     };
-    (0..4_000)
+    (0..n)
         .map(|_| {
-            (0..12)
+            (0..len)
                 .map(|_| {
                     let r = next();
                     // Skew towards small keys so groups have many values.
@@ -86,6 +154,28 @@ fn bench_shuffle_paths(c: &mut Criterion) {
             b.iter(|| black_box(run_job(&TokenCount, &data, &cfg).unwrap().outputs.len()));
         });
     }
+
+    // One map task over every sentence, spilling at the ledger's 4 MiB:
+    // sort, combine, spill and merge all run on one thread, as in the
+    // ledger's `nyt_seminaive` workload.
+    let sentences = inputs_of_len(10_000, 25);
+    let windows: u64 = sentences
+        .iter()
+        .map(|s| {
+            (2..=5)
+                .map(|n| (s.len() + 1).saturating_sub(n) as u64)
+                .sum::<u64>()
+        })
+        .sum();
+    let cfg = EngineConfig::default()
+        .with_reduce_tasks(2)
+        .with_split_size(sentences.len())
+        .with_spill_threshold(Some(4 << 20));
+    group.throughput(Throughput::Elements(windows));
+    group.bench_function("seminaive_shaped", |b| {
+        let job = WindowCount { sigma: 10 };
+        b.iter(|| black_box(run_job(&job, &sentences, &cfg).unwrap().outputs.len()));
+    });
     group.finish();
 }
 

@@ -12,7 +12,7 @@
 
 use std::sync::Mutex;
 
-use lash_mapreduce::{run_job, Emitter, EngineConfig, Job, JobMetrics};
+use lash_mapreduce::{run_job, Combined, Emitter, EngineConfig, Job, JobMetrics, Values};
 
 use crate::enumeration::g1_items;
 use crate::error::{Error, Result};
@@ -41,25 +41,19 @@ impl Job for FListJob<'_> {
         }
     }
 
-    fn combine(&self, _key: &u32, values: Vec<u64>) -> Vec<u64> {
-        vec![values.into_iter().sum()]
+    fn combine(&self, _key: &[u8], values: &mut [&[u8]], out: &mut Combined<'_>) {
+        super::combine_counts(values, out);
     }
 
-    fn reduce(&self, key: u32, values: impl Iterator<Item = u64>, out: &mut Vec<(u32, u64)>) {
-        out.push((key, values.sum()));
+    fn reduce(&self, key: &[u8], values: &mut Values<'_, '_>, out: &mut Vec<(u32, u64)>) {
+        out.push((super::decode_u32_key(key), super::sum_counts(values)));
     }
 
     fn encode_key(&self, key: &u32, buf: &mut Vec<u8>) {
         super::encode_u32_key(*key, buf);
     }
-    fn decode_key(&self, bytes: &[u8]) -> u32 {
-        super::decode_u32_key(bytes)
-    }
     fn encode_value(&self, value: &u64, buf: &mut Vec<u8>) {
         super::encode_count(*value, buf);
-    }
-    fn decode_value(&self, bytes: &[u8]) -> u64 {
-        super::decode_count(bytes)
     }
 }
 
@@ -114,25 +108,19 @@ impl<C: ShardedCorpus> Job for ShardedFListJob<'_, C> {
         }
     }
 
-    fn combine(&self, _key: &u32, values: Vec<u64>) -> Vec<u64> {
-        vec![values.into_iter().sum()]
+    fn combine(&self, _key: &[u8], values: &mut [&[u8]], out: &mut Combined<'_>) {
+        super::combine_counts(values, out);
     }
 
-    fn reduce(&self, key: u32, values: impl Iterator<Item = u64>, out: &mut Vec<(u32, u64)>) {
-        out.push((key, values.sum()));
+    fn reduce(&self, key: &[u8], values: &mut Values<'_, '_>, out: &mut Vec<(u32, u64)>) {
+        out.push((super::decode_u32_key(key), super::sum_counts(values)));
     }
 
     fn encode_key(&self, key: &u32, buf: &mut Vec<u8>) {
         super::encode_u32_key(*key, buf);
     }
-    fn decode_key(&self, bytes: &[u8]) -> u32 {
-        super::decode_u32_key(bytes)
-    }
     fn encode_value(&self, value: &u64, buf: &mut Vec<u8>) {
         super::encode_count(*value, buf);
-    }
-    fn decode_value(&self, bytes: &[u8]) -> u64 {
-        super::decode_count(bytes)
     }
 }
 

@@ -3,12 +3,14 @@
 //! The map function routes each input sequence `T` to the partition of every
 //! frequent item `w ∈ G1(T)`, shipping the rewritten sequence `P_w(T)`
 //! (Sec. 4). The combiner aggregates duplicate rewrites into weighted
-//! sequences; each reduce task assembles its partition and runs the
-//! configured local miner, emitting the frequent pivot sequences.
+//! sequences on their encoded bytes; each reduce task assembles its
+//! partition and runs the configured local miner, emitting the frequent
+//! pivot sequences.
 
 use std::sync::Mutex;
 
-use lash_mapreduce::{run_job, Emitter, EngineConfig, Job, JobMetrics};
+use lash_encoding::varint;
+use lash_mapreduce::{run_job, Combined, Emitter, EngineConfig, Job, JobMetrics, Values};
 
 use crate::context::MiningContext;
 use crate::error::{Error, Result};
@@ -471,31 +473,40 @@ impl Job for LashJob<'_> {
         }
     }
 
-    fn combine(&self, _key: &u32, mut values: Vec<(Vec<u32>, u64)>) -> Vec<(Vec<u32>, u64)> {
-        if self.aggregate {
-            // Equal rewrites end up adjacent; the weights of a run add up.
-            values.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-            values.dedup_by(|later, first| {
-                let equal = later.0 == first.0;
-                if equal {
-                    first.1 += later.1;
-                }
-                equal
+    /// Sums the weights of equal rewrites. The sequence encoding is
+    /// canonical, so byte-equal sequences are equal: sorting on the
+    /// sequence bytes makes equal rewrites adjacent, and a rewrite seen
+    /// once passes through untouched.
+    fn combine(&self, _pivot: &[u8], values: &mut [&[u8]], out: &mut Combined<'_>) {
+        if !self.aggregate {
+            for value in values.iter() {
+                out.push(value);
+            }
+            return;
+        }
+        fn seq(value: &[u8]) -> &[u8] {
+            super::split_weighted_seq(value).1
+        }
+        values.sort_unstable_by(|a, b| seq(a).cmp(seq(b)));
+        for equal in values.chunk_by(|a, b| seq(a) == seq(b)) {
+            if let [only] = equal {
+                out.push(only);
+                continue;
+            }
+            let weight = equal.iter().map(|v| super::split_weighted_seq(v).0).sum();
+            out.push_with(|buf| {
+                varint::encode_u64(weight, buf);
+                buf.extend_from_slice(seq(equal[0]));
             });
         }
-        values
     }
 
-    fn reduce(
-        &self,
-        pivot: u32,
-        values: impl Iterator<Item = (Vec<u32>, u64)>,
-        out: &mut Vec<(Vec<u32>, u64)>,
-    ) {
+    fn reduce(&self, pivot: &[u8], values: &mut Values<'_, '_>, out: &mut Vec<(Vec<u32>, u64)>) {
+        let pivot = super::decode_u32_key(pivot);
         // The local miners need the whole partition, so the value stream is
         // aggregated here — one partition resident per reduce task, which is
         // exactly the bound the paper's reduce phase has.
-        let partition = Partition::aggregate(values);
+        let partition = assemble_partition(values);
         let mine_started = std::time::Instant::now();
         let (patterns, stats) = self
             .miner
@@ -512,15 +523,39 @@ impl Job for LashJob<'_> {
     fn encode_key(&self, key: &u32, buf: &mut Vec<u8>) {
         super::encode_u32_key(*key, buf);
     }
-    fn decode_key(&self, bytes: &[u8]) -> u32 {
-        super::decode_u32_key(bytes)
-    }
     fn encode_value(&self, value: &(Vec<u32>, u64), buf: &mut Vec<u8>) {
         super::encode_weighted_seq(&value.0, value.1, buf);
     }
-    fn decode_value(&self, bytes: &[u8]) -> (Vec<u32>, u64) {
-        super::decode_weighted_seq(bytes)
+}
+
+/// Builds a pivot's partition from its `(weight, sequence)` value stream,
+/// aggregating on the encoded bytes: each value's sequence bytes are copied
+/// once into an arena, sorted, equal sequences' weights summed, and each
+/// distinct sequence decoded once, straight into the partition's CSR arena.
+/// The stream is a concatenation of runs the combiner already sorted, so
+/// the stable merge sort runs in about linear time. The partition comes out
+/// in encoded-byte order.
+fn assemble_partition(values: &mut Values<'_, '_>) -> Partition {
+    let mut arena: Vec<u8> = Vec::new();
+    // (start, end) of each value's sequence bytes in `arena`, and its weight.
+    let mut staged: Vec<(u32, u32, u64)> = Vec::new();
+    while let Some(value) = values.next() {
+        let (weight, seq) = super::split_weighted_seq(value);
+        let start = arena.len() as u32;
+        arena.extend_from_slice(seq);
+        let end = u32::try_from(arena.len()).expect("partition bytes exceed u32 offsets");
+        staged.push((start, end, weight));
     }
+    let bytes = |&(start, end, _): &(u32, u32, u64)| &arena[start as usize..end as usize];
+    staged.sort_by(|a, b| bytes(a).cmp(bytes(b)));
+    let mut partition = Partition::new();
+    for equal in staged.chunk_by(|a, b| bytes(a) == bytes(b)) {
+        let weight = equal.iter().map(|s| s.2).sum();
+        partition
+            .push_encoded(bytes(&equal[0]), weight)
+            .expect("valid sequence");
+    }
+    partition
 }
 
 /// Runs the partition-and-mine job over a prepared context, one input record

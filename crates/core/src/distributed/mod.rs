@@ -11,7 +11,8 @@
 //!
 //! All jobs serialize their intermediate data through [`lash_encoding`]'s
 //! varint/sequence codecs, so the engine's `MAP_OUTPUT_BYTES` counter measures
-//! the representation the paper measures.
+//! the representation the paper measures. Combiners and reducers work on
+//! those encoded bytes and decode only what they keep.
 
 pub mod flist_job;
 pub mod lash_job;
@@ -20,6 +21,7 @@ pub mod naive_job;
 pub mod semi_naive_job;
 
 use lash_encoding::varint;
+use lash_mapreduce::{Combined, Values};
 
 /// Encodes a `u32` key (item rank or raw id) as a varint.
 pub(crate) fn encode_u32_key(key: u32, buf: &mut Vec<u8>) {
@@ -48,11 +50,11 @@ pub(crate) fn encode_weighted_seq(seq: &[u32], weight: u64, buf: &mut Vec<u8>) {
     lash_encoding::encode_sequence(seq, buf);
 }
 
-/// Decodes a (sequence, weight) value.
-pub(crate) fn decode_weighted_seq(bytes: &[u8]) -> (Vec<u32>, u64) {
+/// Splits a (sequence, weight) value into its weight and the encoded
+/// sequence bytes.
+pub(crate) fn split_weighted_seq(bytes: &[u8]) -> (u64, &[u8]) {
     let (weight, n) = varint::decode_u64(bytes).expect("valid weight");
-    let seq = lash_encoding::decode_sequence(&bytes[n..]).expect("valid sequence");
-    (seq, weight)
+    (weight, &bytes[n..])
 }
 
 /// Encodes a pattern key (a blank-free rank sequence).
@@ -63,6 +65,26 @@ pub(crate) fn encode_pattern_key(pattern: &[u32], buf: &mut Vec<u8>) {
 /// Decodes a pattern key.
 pub(crate) fn decode_pattern_key(bytes: &[u8]) -> Vec<u32> {
     lash_encoding::decode_sequence(bytes).expect("valid pattern key")
+}
+
+/// The combiner of every count-valued job: sums the group's varint counts.
+/// A one-value group passes through untouched.
+pub(crate) fn combine_counts(values: &[&[u8]], out: &mut Combined<'_>) {
+    if let [only] = values {
+        out.push(only);
+        return;
+    }
+    let sum: u64 = values.iter().map(|v| decode_count(v)).sum();
+    out.push_with(|buf| encode_count(sum, buf));
+}
+
+/// Sums a reduce group's varint counts.
+pub(crate) fn sum_counts(values: &mut Values<'_, '_>) -> u64 {
+    let mut sum = 0;
+    while let Some(v) = values.next() {
+        sum += decode_count(v);
+    }
+    sum
 }
 
 #[cfg(test)]
@@ -84,9 +106,9 @@ mod tests {
         let mut buf = Vec::new();
         let seq = vec![0u32, crate::BLANK, 7];
         encode_weighted_seq(&seq, 42, &mut buf);
-        let (s, w) = decode_weighted_seq(&buf);
-        assert_eq!(s, seq);
+        let (w, s) = split_weighted_seq(&buf);
         assert_eq!(w, 42);
+        assert_eq!(lash_encoding::decode_sequence(s).unwrap(), seq);
     }
 
     #[test]

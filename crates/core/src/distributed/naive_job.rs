@@ -6,7 +6,7 @@
 //! γ = 0 and `O((δ+1)^l)` unconstrained — the exponential blow-up Fig. 4(a,b)
 //! quantifies.
 
-use lash_mapreduce::{run_job, Emitter, EngineConfig, Job, JobMetrics};
+use lash_mapreduce::{run_job, Combined, Emitter, EngineConfig, Job, JobMetrics, Values};
 
 use crate::context::MiningContext;
 use crate::enumeration::enumerate_gl;
@@ -33,33 +33,23 @@ impl Job for NaiveJob<'_> {
         }
     }
 
-    fn combine(&self, _key: &Vec<u32>, values: Vec<u64>) -> Vec<u64> {
-        vec![values.into_iter().sum()]
+    fn combine(&self, _key: &[u8], values: &mut [&[u8]], out: &mut Combined<'_>) {
+        super::combine_counts(values, out);
     }
 
-    fn reduce(
-        &self,
-        key: Vec<u32>,
-        values: impl Iterator<Item = u64>,
-        out: &mut Vec<(Vec<u32>, u64)>,
-    ) {
-        let frequency: u64 = values.sum();
+    /// Decodes the pattern only when its group reaches σ.
+    fn reduce(&self, key: &[u8], values: &mut Values<'_, '_>, out: &mut Vec<(Vec<u32>, u64)>) {
+        let frequency = super::sum_counts(values);
         if frequency >= self.params.sigma {
-            out.push((key, frequency));
+            out.push((super::decode_pattern_key(key), frequency));
         }
     }
 
     fn encode_key(&self, key: &Vec<u32>, buf: &mut Vec<u8>) {
         super::encode_pattern_key(key, buf);
     }
-    fn decode_key(&self, bytes: &[u8]) -> Vec<u32> {
-        super::decode_pattern_key(bytes)
-    }
     fn encode_value(&self, value: &u64, buf: &mut Vec<u8>) {
         super::encode_count(*value, buf);
-    }
-    fn decode_value(&self, bytes: &[u8]) -> u64 {
-        super::decode_count(bytes)
     }
 }
 

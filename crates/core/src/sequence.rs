@@ -295,6 +295,28 @@ impl Partition {
         self.weights.push(weight);
     }
 
+    /// Appends one weighted sequence given in the shuffle's wire encoding
+    /// ([`lash_encoding::encode_sequence`]), decoding it straight into the
+    /// arena. On error the partition is left unchanged.
+    ///
+    /// # Panics
+    /// As [`Partition::push`], when the arena would exceed `u32` offsets.
+    pub fn push_encoded(
+        &mut self,
+        encoded: &[u8],
+        weight: u64,
+    ) -> Result<(), lash_encoding::DecodeError> {
+        let start = self.items.len();
+        if let Err(e) = lash_encoding::decode_sequence_into(encoded, &mut self.items) {
+            self.items.truncate(start);
+            return Err(e);
+        }
+        let end = u32::try_from(self.items.len()).expect("partition arena exceeds u32 offsets");
+        self.offsets.push(end);
+        self.weights.push(weight);
+        Ok(())
+    }
+
     /// Builds a partition from raw (sequence, weight) pairs, aggregating
     /// duplicates by sort-and-merge. The result is in lexicographic sequence
     /// order, whatever order the pairs arrive in.
@@ -303,8 +325,8 @@ impl Partition {
         for (seq, weight) in raw {
             staged.push(seq.as_ref(), weight);
         }
-        // A stable merge sort: the reduce stream is a concatenation of runs
-        // each combiner already sorted, which it merges in linear time.
+        // A stable merge sort of an index permutation: input that arrives
+        // as a few sorted runs merges in about linear time.
         let mut order: Vec<u32> = (0..staged.len() as u32).collect();
         order.sort_by(|&a, &b| staged.seq(a as usize).cmp(staged.seq(b as usize)));
         let mut merged = Partition::new();
@@ -450,6 +472,21 @@ mod tests {
             Partition::new()
         );
         assert!(Partition::default().is_empty());
+    }
+
+    #[test]
+    fn push_encoded_decodes_into_the_arena() {
+        let mut p = Partition::new();
+        let mut buf = Vec::new();
+        lash_encoding::encode_sequence(&[4, crate::BLANK, 130], &mut buf);
+        p.push_encoded(&buf, 3).unwrap();
+        p.push_encoded(&[], 1).unwrap();
+        // A zero-length blank run is corrupt and leaves no trace.
+        assert!(p.push_encoded(&[5, 0, 0], 9).is_err());
+        let mut want = Partition::new();
+        want.push(&[4, crate::BLANK, 130], 3);
+        want.push(&[], 1);
+        assert_eq!(p, want);
     }
 
     #[test]

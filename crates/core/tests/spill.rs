@@ -118,3 +118,69 @@ fn spilled_baselines_agree_with_lash() {
     assert_eq!(lash.pattern_set(), &naive);
     assert!(metrics.counters.spilled_bytes > 0);
 }
+
+/// 150 frequent items under 4 parents (ranks up to ~153, so two-byte
+/// tokens) and 260 copies of one session, whose rewrites aggregate to
+/// weights past 127 (two-byte weight varints). Every other session pairs
+/// two neighbouring items around two items seen only three times — below
+/// σ = 4 and without a parent, so rewrites carry them as a blank run.
+fn dense_corpus() -> (Vocabulary, SequenceDatabase) {
+    let mut vb = VocabularyBuilder::new();
+    let parents: Vec<_> = (0..4).map(|p| vb.intern(&format!("P{p}"))).collect();
+    let items: Vec<_> = (0..150)
+        .map(|i| vb.child(&format!("w{i}"), parents[i % parents.len()]))
+        .collect();
+    let rare: Vec<_> = (0..300).map(|r| vb.intern(&format!("r{r}"))).collect();
+    let vocab = vb.finish().unwrap();
+    let mut db = SequenceDatabase::new();
+    for _ in 0..260 {
+        db.push(&[items[0], items[1], items[2]]);
+    }
+    for i in 0..items.len() {
+        for _ in 0..3 {
+            db.push(&[
+                items[i],
+                rare[2 * i],
+                rare[2 * i + 1],
+                items[(i + 1) % items.len()],
+            ]);
+        }
+    }
+    (vocab, db)
+}
+
+#[test]
+fn byte_combine_across_merge_passes_matches_in_memory() {
+    let (vocab, db) = dense_corpus();
+    let params = GsmParams::new(4, 2, 3).unwrap();
+    let cluster = |threshold| {
+        EngineConfig::default()
+            .with_split_size(64)
+            .with_reduce_tasks(2)
+            .with_spill_threshold(threshold)
+            .with_merge_fan_in(2)
+    };
+    let in_memory = Lash::new(LashConfig::new(cluster(None)))
+        .mine(&db, &vocab, &params)
+        .unwrap();
+    // The shared session's pair is supported by all 260 copies.
+    assert!(
+        in_memory.patterns().iter().any(|p| p.frequency >= 260),
+        "test corpus must aggregate weights past 127"
+    );
+    // Every record spills as its own run, so nearly all aggregation
+    // happens in the hierarchical merge passes.
+    let spilled = Lash::new(LashConfig::new(cluster(Some(4))))
+        .mine(&db, &vocab, &params)
+        .unwrap();
+    assert_eq!(
+        spilled.pattern_set(),
+        in_memory.pattern_set(),
+        "diff: {:?}",
+        spilled.pattern_set().diff(in_memory.pattern_set())
+    );
+    assert_eq!(spilled.patterns(), in_memory.patterns());
+    let c = &spilled.mine_metrics.counters;
+    assert!(c.merge_passes > 0, "no merge passes: {c:?}");
+    assert!(c.merged_combined_pairs > 0, "nothing combined: {c:?}");
+}

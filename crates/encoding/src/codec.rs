@@ -35,10 +35,19 @@ pub fn encode_sequence(items: &[u32], buf: &mut Vec<u8>) {
 
 /// Decodes a sequence previously written by [`encode_sequence`], consuming the
 /// entire input slice.
-pub fn decode_sequence(mut input: &[u8]) -> Result<Vec<u32>, DecodeError> {
+pub fn decode_sequence(input: &[u8]) -> Result<Vec<u32>, DecodeError> {
     // Every token takes at least one byte, so only blank runs can outgrow
     // this: one allocation per sequence instead of one per doubling.
     let mut items = Vec::with_capacity(input.len());
+    decode_sequence_into(input, &mut items)?;
+    Ok(items)
+}
+
+/// Decodes a sequence previously written by [`encode_sequence`], consuming
+/// the entire input slice, and appends its items to `items` — so many
+/// sequences can decode into one shared arena. On error, `items` may hold
+/// part of the sequence.
+pub fn decode_sequence_into(mut input: &[u8], items: &mut Vec<u32>) -> Result<(), DecodeError> {
     while !input.is_empty() {
         let (tok, n) = varint::decode_u32(input)?;
         input = &input[n..];
@@ -53,7 +62,7 @@ pub fn decode_sequence(mut input: &[u8]) -> Result<Vec<u32>, DecodeError> {
             items.push(tok - 1);
         }
     }
-    Ok(items)
+    Ok(())
 }
 
 /// Stateful sequence codec that reuses an internal buffer across calls, for use
@@ -107,6 +116,17 @@ mod tests {
         let mut buf = Vec::new();
         encode_sequence(&seq, &mut buf);
         assert_eq!(decode_sequence(&buf).unwrap(), seq);
+    }
+
+    #[test]
+    fn decode_into_appends_to_a_shared_arena() {
+        let mut arena = vec![42u32];
+        for seq in [&[1u32, BLANK, BLANK, 3][..], &[], &[200, 0]] {
+            let mut buf = Vec::new();
+            encode_sequence(seq, &mut buf);
+            decode_sequence_into(&buf, &mut arena).unwrap();
+        }
+        assert_eq!(arena, [42, 1, BLANK, BLANK, 3, 200, 0]);
     }
 
     #[test]

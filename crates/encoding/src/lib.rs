@@ -35,7 +35,7 @@ pub mod rle;
 pub mod varint;
 pub mod zigzag;
 
-pub use codec::{decode_sequence, encode_sequence, SequenceCodec, BLANK};
+pub use codec::{decode_sequence, decode_sequence_into, encode_sequence, SequenceCodec, BLANK};
 pub use frame::{
     decode_frame, decode_frame_with, encode_frame, read_frame, read_frame_into,
     split_frame_unverified, write_frame, write_frame_with, FrameChecksum, FrameRead, MappedFrames,

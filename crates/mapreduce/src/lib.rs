@@ -13,45 +13,50 @@
 //! map task                          shuffle               reduce task
 //! ┌─────────────────────────┐                             ┌──────────────────┐
 //! │ map() → Emitter          │      run lists per         │ k-way merge of   │
-//! │  serialize → per-part    │      partition             │ the partition's  │
+//! │  encode → per-part       │      partition             │ the partition's  │
 //! │  sort buffers            │  ┌──────────────────┐      │ runs             │
 //! │  ├ sort + combine        │→ │ mem runs         │ ───→ │  │               │
-//! │  └ over threshold?       │  │ disk runs (spill │      │  └ stream groups │
-//! │     spill sorted run ────┼─→│ files)           │      │    reduce(key,   │
-//! │     (checksummed frames) │  └──────────────────┘      │      values: impl│
-//! └─────────────────────────┘                             │      Iterator)   │
-//!                                                         └──────────────────┘
+//! │  │ (on bytes)            │  │ disk runs (spill │      │  └ stream groups │
+//! │  └ over threshold?       │  │ files)           │      │    reduce(key,   │
+//! │     spill sorted run ────┼─→│                  │      │      &mut Values)│
+//! │     (checksummed frames) │  └──────────────────┘      │    (on bytes)    │
+//! └─────────────────────────┘                             └──────────────────┘
 //! ```
 //!
-//! * **Map side.** Each emitted pair is serialized through the job's codec
-//!   into one sort buffer per reduce partition. On finalize a buffer is
-//!   stably sorted by key bytes and run through the combiner (Hadoop's
-//!   map-side sort). With [`EngineConfig::spill_threshold_bytes`] set, a
-//!   task whose buffers exceed the budget *spills*: every partition buffer
-//!   is finalized and appended to the task's spill file as a sorted run of
+//! * **One record layout.** The map side is typed: each emitted pair is
+//!   encoded through the job's codec the moment it is emitted. Everything
+//!   after that — sort, combine, spill, merge, reduce — reads and writes
+//!   those encoded records in place. [`Job::combine`] receives a key
+//!   group as borrowed value slices and pushes combined values through
+//!   [`Combined`]; [`Job::reduce`] receives the encoded key and a
+//!   [`Values`] cursor of borrowed values. Jobs decode only what they use.
+//! * **Map side.** Records go into one sort buffer per reduce partition. On
+//!   finalize a buffer is sorted by key bytes — in place, ties in emission
+//!   order, each record carrying its key's first 8 bytes as a sort prefix —
+//!   and run through the combiner (Hadoop's map-side sort). With
+//!   [`EngineConfig::spill_threshold_bytes`] set, a task whose buffers
+//!   exceed the budget *spills*: every partition buffer is finalized and
+//!   appended to the task's spill file as a sorted run of
 //!   length-prefixed, checksummed frames (`lash-encoding`'s frame format),
 //!   and mapping continues with empty buffers. `None` is the all-in-memory
 //!   fast path; `Some(0)` spills after every record.
 //! * **Reduce side.** Each reduce task k-way merges its partition's runs —
 //!   in-memory buffers from unspilled tasks and streamed disk runs (one
 //!   ~64 KiB chunk resident per open run) — and hands the reducer one
-//!   *streamed* group at a time: [`Job::reduce`] receives
-//!   `values: impl Iterator<Item = Value>` decoded lazily off the merge, so
-//!   reduce memory no longer scales with partition size. Results are
-//!   byte-identical between the two paths: the merge's (key bytes, run
-//!   sequence) order reproduces the stable global sort exactly. A
-//!   partition with more runs than [`EngineConfig::merge_fan_in`]
-//!   (default 64, Hadoop's `io.sort.factor`) merges **hierarchically**:
-//!   adjacent groups of at most `merge_fan_in` runs are pre-merged into
-//!   intermediate on-disk runs (the `merge_passes` counter), and spill-file
-//!   handles are opened per pass and closed between passes — so run count,
-//!   not the fd limit or resident chunk memory, is the only thing that
-//!   grows with the number of spilled map tasks.
+//!   *streamed* group at a time, so reduce memory does not scale with
+//!   partition size. Results are byte-identical between the two paths: the
+//!   merge's (key bytes, run sequence) order reproduces the stable global
+//!   sort exactly. A partition with more runs than
+//!   [`EngineConfig::merge_fan_in`] (default 64, Hadoop's
+//!   `io.sort.factor`) merges **hierarchically**: adjacent groups of at
+//!   most `merge_fan_in` runs are pre-merged into intermediate on-disk
+//!   runs (the `merge_passes` counter), and spill-file handles are opened
+//!   per pass and closed between passes — so run count, not the fd limit
+//!   or resident chunk memory, is the only thing that grows with the
+//!   number of spilled map tasks.
 //!
 //! Further features:
 //!
-//! * typed [`Job`] trait with `map`, optional `combine`, and streaming
-//!   `reduce`;
 //! * real byte-level shuffle: counters like
 //!   [`CounterSnapshot::map_output_bytes`] measure the representation a
 //!   Hadoop job would ship, and the out-of-core counters
@@ -75,10 +80,14 @@
 //!   the out-of-core path (CI runs one leg with `LASH_SPILL_THRESHOLD=0`).
 //!
 //! ```
-//! use lash_mapreduce::{run_job, EngineConfig, Emitter, Job};
+//! use lash_mapreduce::{run_job, Combined, EngineConfig, Emitter, Job, Values};
 //!
-//! /// Classic word count.
+//! /// Classic word count: UTF-8 keys, little-endian `u64` counts.
 //! struct WordCount;
+//!
+//! fn count(bytes: &[u8]) -> u64 {
+//!     u64::from_le_bytes(bytes.try_into().unwrap())
+//! }
 //!
 //! impl Job for WordCount {
 //!     type Input = String;
@@ -92,30 +101,25 @@
 //!         }
 //!     }
 //!
-//!     fn combine(&self, _key: &String, values: Vec<u64>) -> Vec<u64> {
-//!         vec![values.into_iter().sum()]
+//!     // Sums the encoded counts of one word without decoding the word.
+//!     fn combine(&self, _key: &[u8], values: &mut [&[u8]], out: &mut Combined<'_>) {
+//!         let sum: u64 = values.iter().map(|v| count(v)).sum();
+//!         out.push(&sum.to_le_bytes());
 //!     }
 //!
-//!     fn reduce(
-//!         &self,
-//!         key: String,
-//!         values: impl Iterator<Item = u64>,
-//!         out: &mut Vec<(String, u64)>,
-//!     ) {
-//!         out.push((key, values.sum()));
+//!     fn reduce(&self, key: &[u8], values: &mut Values<'_, '_>, out: &mut Vec<(String, u64)>) {
+//!         let mut sum = 0;
+//!         while let Some(v) = values.next() {
+//!             sum += count(v);
+//!         }
+//!         out.push((String::from_utf8(key.to_vec()).unwrap(), sum));
 //!     }
 //!
 //!     fn encode_key(&self, key: &String, buf: &mut Vec<u8>) {
 //!         buf.extend_from_slice(key.as_bytes());
 //!     }
-//!     fn decode_key(&self, bytes: &[u8]) -> String {
-//!         String::from_utf8(bytes.to_vec()).unwrap()
-//!     }
 //!     fn encode_value(&self, value: &u64, buf: &mut Vec<u8>) {
 //!         buf.extend_from_slice(&value.to_le_bytes());
-//!     }
-//!     fn decode_value(&self, bytes: &[u8]) -> u64 {
-//!         u64::from_le_bytes(bytes.try_into().unwrap())
 //!     }
 //! }
 //!
@@ -148,4 +152,4 @@ pub use config::{EngineConfig, FailurePlan, Phase, SPILL_THRESHOLD_ENV};
 pub use counters::{CounterSnapshot, Counters};
 pub use error::EngineError;
 pub use runtime::{run_job, JobMetrics, JobResult};
-pub use types::{Emitter, Job};
+pub use types::{Combined, Emitter, Job, Values};

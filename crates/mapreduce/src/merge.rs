@@ -6,15 +6,16 @@
 //! binary heap keyed by (key bytes, run sequence): ascending key order with
 //! run order breaking ties, which reproduces byte-for-byte the value order
 //! of a single global stable sort (map task order, then emission order).
-//! Groups are *streamed*: the engine hands each reducer an iterator that
-//! decodes values straight off the merge, so no partition, group, or value
+//! Groups are *streamed*: the engine hands each reducer a cursor that reads
+//! encoded values straight off the merge, so no partition, group, or value
 //! list is ever materialized.
 
 use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 use crate::error::EngineError;
-use crate::shuffle::RunBuffer;
+use crate::shuffle::{key_prefix, RunBuffer};
 use crate::spill::{DiskCursor, RunMeta, SharedFile};
 
 /// One sorted run feeding a reduce merge.
@@ -68,10 +69,23 @@ impl Cursor<'_> {
 /// Heap entry: the current key of one cursor. `BinaryHeap` is a max-heap,
 /// so the ordering is reversed to pop the smallest (key, seq) first.
 struct HeapEntry {
+    /// The key's sort prefix (see [`key_prefix`]): most comparisons end
+    /// on this word.
+    prefix: u64,
     key: Vec<u8>,
     /// Global run sequence (map task order, then spill order) — the
     /// stability tie-break for equal keys.
     seq: u32,
+}
+
+impl HeapEntry {
+    fn new(key: &[u8], seq: u32) -> HeapEntry {
+        HeapEntry {
+            prefix: key_prefix(key),
+            key: key.to_vec(),
+            seq,
+        }
+    }
 }
 
 impl PartialEq for HeapEntry {
@@ -89,8 +103,9 @@ impl Ord for HeapEntry {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: the heap's "greatest" entry is the smallest (key, seq).
         other
-            .key
-            .cmp(&self.key)
+            .prefix
+            .cmp(&self.prefix)
+            .then_with(|| other.key.cmp(&self.key))
             .then_with(|| other.seq.cmp(&self.seq))
     }
 }
@@ -120,11 +135,7 @@ impl<'a> Merger<'a> {
                 }
                 RunSource::Disk { file, meta } => Cursor::Disk(DiskCursor::open(file, meta)?),
             };
-            let seq = cursors.len() as u32;
-            heap.push(HeapEntry {
-                key: cursor.key().to_vec(),
-                seq,
-            });
+            heap.push(HeapEntry::new(cursor.key(), cursors.len() as u32));
             cursors.push(cursor);
         }
         let runs = cursors.len() as u64;
@@ -146,20 +157,19 @@ impl<'a> Merger<'a> {
     }
 
     /// Pops the smallest record: copies its value bytes into `value` and
-    /// advances the merge.
+    /// advances the merge. The advanced cursor's entry is updated in place
+    /// at the top of the heap and sifted down once.
     pub fn pop_value_into(&mut self, value: &mut Vec<u8>) -> Result<(), EngineError> {
-        let entry = self.heap.pop().expect("pop on empty merge");
-        let cursor = &mut self.cursors[entry.seq as usize];
+        let mut top = self.heap.peek_mut().expect("pop on empty merge");
+        let cursor = &mut self.cursors[top.seq as usize];
         value.clear();
         value.extend_from_slice(cursor.value());
         if cursor.advance()? {
-            let mut key = entry.key;
-            key.clear();
-            key.extend_from_slice(cursor.key());
-            self.heap.push(HeapEntry {
-                key,
-                seq: entry.seq,
-            });
+            top.key.clear();
+            top.key.extend_from_slice(cursor.key());
+            top.prefix = key_prefix(&top.key);
+        } else {
+            PeekMut::pop(top);
         }
         Ok(())
     }

@@ -12,8 +12,8 @@
 //! 2. **shuffle** — the sorted runs (in-memory buffers and on-disk spill
 //!    runs) are assembled into one run list per reduce partition;
 //! 3. **reduce** — each reduce task k-way merges its partition's runs and
-//!    *streams* key groups into the reducer: values are decoded one at a
-//!    time off the merge, so no partition is ever materialized. A partition
+//!    *streams* key groups into the reducer: encoded values are read one at
+//!    a time off the merge, so no partition is ever materialized. A partition
 //!    with more runs than [`EngineConfig::merge_fan_in`] is merged
 //!    *hierarchically* (Hadoop's `io.sort.factor`): adjacent groups of at
 //!    most `merge_fan_in` runs are pre-merged into intermediate on-disk
@@ -43,8 +43,8 @@ use crate::counters::{CounterSnapshot, Counters};
 use crate::error::EngineError;
 use crate::merge::{Merger, RunSource};
 use crate::shuffle::RunBuffer;
-use crate::spill::{RunMeta, SharedFile, SpillSpace, SpillWriter};
-use crate::types::{Emitter, Job, MapTaskOutput};
+use crate::spill::{RunMeta, SharedFile, SpillSpace, SpillWriter, SPILL_CHUNK_BYTES};
+use crate::types::{combine_run, Emitter, Job, MapTaskOutput, Values};
 
 /// Wall-clock and counter metrics of one job run.
 #[derive(Debug, Clone, Default)]
@@ -280,42 +280,6 @@ fn run_map_task<J: Job>(
     Ok(output)
 }
 
-/// Streams one key group's values off the merge, decoding lazily. The
-/// engine drains any values the reducer leaves unconsumed, so the merge is
-/// always positioned on the next group when the reducer returns.
-struct GroupValues<'a, 'm, J: Job> {
-    job: &'a J,
-    merger: &'a mut Merger<'m>,
-    key: &'a [u8],
-    value_buf: &'a mut Vec<u8>,
-    records: &'a mut u64,
-    error: &'a mut Option<EngineError>,
-}
-
-impl<J: Job> Iterator for GroupValues<'_, '_, J> {
-    type Item = J::Value;
-
-    fn next(&mut self) -> Option<J::Value> {
-        if self.error.is_some() {
-            return None;
-        }
-        match self.merger.peek_key() {
-            Some(k) if k == self.key => {}
-            _ => return None,
-        }
-        match self.merger.pop_value_into(self.value_buf) {
-            Ok(()) => {
-                *self.records += 1;
-                Some(self.job.decode_value(self.value_buf))
-            }
-            Err(e) => {
-                *self.error = Some(e);
-                None
-            }
-        }
-    }
-}
-
 /// One run feeding a reduce task, referenced rather than opened: disk runs
 /// carry their spill file *path*, and file handles live only for the
 /// duration of one merge pass.
@@ -443,25 +407,29 @@ fn run_reduce_task<J: Job>(
                 // of re-merging every original one — low-σ shuffles shrink
                 // round over round instead of staying disk-bound. Combiners
                 // are associative and regrouping-insensitive by contract,
-                // so the final reduce sees equivalent value streams.
+                // so the final reduce sees equivalent value streams. Whole
+                // groups are copied off the merge into a batch, and each
+                // batch of about one spill chunk is combined like a map-side
+                // sort buffer.
+                let mut batch = RunBuffer::default();
+                let mut combined = RunBuffer::default();
+                let mut scratch = Vec::new();
                 while let Some(k) = merger.peek_key() {
                     key.clear();
                     key.extend_from_slice(k);
-                    let mut values: Vec<J::Value> = Vec::new();
                     while merger.peek_key() == Some(key.as_slice()) {
                         merger.pop_value_into(&mut value)?;
-                        values.push(job.decode_value(&value));
+                        batch.push(&key, &value);
                     }
-                    let before = values.len();
-                    let combined = job.combine(&job.decode_key(&key), values);
-                    Counters::add(
-                        &counters.merged_combined_pairs,
-                        before.saturating_sub(combined.len()) as u64,
-                    );
-                    for v in &combined {
-                        value.clear();
-                        job.encode_value(v, &mut value);
-                        writer.push(&key, &value)?;
+                    if batch.data.len() >= SPILL_CHUNK_BYTES || merger.peek_key().is_none() {
+                        combine_run(job, &batch, &mut combined, &mut scratch);
+                        Counters::add(
+                            &counters.merged_combined_pairs,
+                            batch.len().saturating_sub(combined.len()) as u64,
+                        );
+                        writer.append(&combined)?;
+                        batch.clear();
+                        combined.clear();
                     }
                 }
             } else {
@@ -516,34 +484,13 @@ fn run_reduce_task<J: Job>(
     let mut records = 0u64;
     let mut key_bytes: Vec<u8> = Vec::new();
     let mut value_buf: Vec<u8> = Vec::new();
-    loop {
-        match merger.peek_key() {
-            None => break,
-            Some(k) => {
-                key_bytes.clear();
-                key_bytes.extend_from_slice(k);
-            }
-        }
+    while let Some(k) = merger.peek_key() {
+        key_bytes.clear();
+        key_bytes.extend_from_slice(k);
         groups += 1;
-        let key = job.decode_key(&key_bytes);
-        let mut error: Option<EngineError> = None;
-        {
-            let mut values = GroupValues {
-                job,
-                merger: &mut merger,
-                key: &key_bytes,
-                value_buf: &mut value_buf,
-                records: &mut records,
-                error: &mut error,
-            };
-            job.reduce(key, &mut values, &mut out);
-            // Drain whatever the reducer did not consume so the merge sits
-            // on the next group.
-            for _ in values.by_ref() {}
-        }
-        if let Some(e) = error {
-            return Err(e);
-        }
+        let mut values = Values::new(&mut merger, &key_bytes, &mut value_buf);
+        job.reduce(&key_bytes, &mut values, &mut out);
+        records += values.finish()?;
     }
     Counters::add(&counters.reduce_input_groups, groups);
     Counters::add(&counters.reduce_input_records, records);
@@ -672,9 +619,15 @@ where
 mod tests {
     use super::*;
     use crate::config::FailurePlan;
+    use crate::types::Combined;
 
-    /// Word count used across the engine tests.
+    /// Word count used across the engine tests: varint counts, summed on
+    /// bytes by the combiner.
     struct WordCount;
+
+    fn count(bytes: &[u8]) -> u64 {
+        lash_encoding::varint::decode_u64(bytes).unwrap().0
+    }
 
     impl Job for WordCount {
         type Input = String;
@@ -688,48 +641,24 @@ mod tests {
             }
         }
 
-        fn combine(&self, _key: &String, values: Vec<u64>) -> Vec<u64> {
-            vec![values.into_iter().sum()]
+        fn combine(&self, _key: &[u8], values: &mut [&[u8]], out: &mut Combined<'_>) {
+            let sum: u64 = values.iter().map(|v| count(v)).sum();
+            out.push_with(|buf| lash_encoding::varint::encode_u64(sum, buf));
         }
 
-        fn reduce(
-            &self,
-            key: String,
-            values: impl Iterator<Item = u64>,
-            out: &mut Vec<(String, u64)>,
-        ) {
-            out.push((key, values.sum()));
+        fn reduce(&self, key: &[u8], values: &mut Values<'_, '_>, out: &mut Vec<(String, u64)>) {
+            let mut sum = 0;
+            while let Some(v) = values.next() {
+                sum += count(v);
+            }
+            out.push((String::from_utf8(key.to_vec()).unwrap(), sum));
         }
 
         fn encode_key(&self, key: &String, buf: &mut Vec<u8>) {
             buf.extend_from_slice(key.as_bytes());
         }
-        fn decode_key(&self, bytes: &[u8]) -> String {
-            String::from_utf8(bytes.to_vec()).unwrap()
-        }
         fn encode_value(&self, value: &u64, buf: &mut Vec<u8>) {
-            let mut v = *value;
-            loop {
-                let b = (v & 0x7f) as u8;
-                v >>= 7;
-                if v == 0 {
-                    buf.push(b);
-                    break;
-                }
-                buf.push(b | 0x80);
-            }
-        }
-        fn decode_value(&self, bytes: &[u8]) -> u64 {
-            let mut value = 0u64;
-            let mut shift = 0;
-            for &b in bytes {
-                value |= ((b & 0x7f) as u64) << shift;
-                if b & 0x80 == 0 {
-                    break;
-                }
-                shift += 7;
-            }
-            value
+            lash_encoding::varint::encode_u64(*value, buf);
         }
     }
 
@@ -1080,23 +1009,20 @@ mod tests {
             }
             fn reduce(
                 &self,
-                key: String,
-                mut values: impl Iterator<Item = u64>,
+                key: &[u8],
+                values: &mut Values<'_, '_>,
                 out: &mut Vec<(String, u64)>,
             ) {
-                out.push((key, values.next().unwrap_or(0)));
+                let first = values
+                    .next()
+                    .map_or(0, |v| u64::from_le_bytes(v.try_into().unwrap()));
+                out.push((String::from_utf8(key.to_vec()).unwrap(), first));
             }
             fn encode_key(&self, key: &String, buf: &mut Vec<u8>) {
                 buf.extend_from_slice(key.as_bytes());
             }
-            fn decode_key(&self, bytes: &[u8]) -> String {
-                String::from_utf8(bytes.to_vec()).unwrap()
-            }
             fn encode_value(&self, value: &u64, buf: &mut Vec<u8>) {
                 buf.extend_from_slice(&value.to_le_bytes());
-            }
-            fn decode_value(&self, bytes: &[u8]) -> u64 {
-                u64::from_le_bytes(bytes.try_into().unwrap())
             }
         }
         // Combiner off so groups genuinely hold multiple values.

@@ -2,12 +2,13 @@
 //!
 //! Map tasks serialize records as `[varint klen][key][varint vlen][value]`
 //! into one [`RunBuffer`] per reduce partition. A finalized buffer is a
-//! *sorted run*: its record references are stably sorted by key bytes
-//! (preserving emission order within equal keys), optionally combined, and
+//! *sorted run*: its record references are sorted by key bytes (preserving
+//! emission order within equal keys), optionally combined, and
 //! either handed to the reduce phase in memory or spilled to disk (see
 //! [`crate::spill`]). Partition assignment hashes the encoded key, as
 //! Hadoop's default `HashPartitioner` hashes serialized keys.
 
+use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 
 use lash_encoding::varint::{decode_u64, encode_u64, encoded_len_u64};
@@ -36,22 +37,54 @@ pub fn partition_of(key: &[u8], num_partitions: usize) -> usize {
     (h % num_partitions as u64) as usize
 }
 
-/// A reference to one record inside a shuffle buffer.
+/// A reference to one record inside a shuffle buffer: 16 bytes, so a sort
+/// moves little and the buffer of references stays small. The value's range
+/// is read back from its length prefix, which follows the key.
 #[derive(Debug, Clone, Copy)]
 pub struct RecordRef {
-    /// Byte offset of the record's first framing byte.
-    pub start: u32,
-    /// Byte range of the key.
-    pub key: (u32, u32),
-    /// Byte range of the value. The record ends at `value.1`.
-    pub value: (u32, u32),
+    /// The key's first 8 bytes, big-endian, zero-padded: the sort orders
+    /// most records on this word alone, without touching the data buffer.
+    pub prefix: u64,
+    /// Byte offset of the key.
+    pub key_start: u32,
+    /// Key length in bytes.
+    pub key_len: u32,
 }
 
 impl RecordRef {
-    /// The full framed byte range of the record.
-    pub fn framed(&self) -> (u32, u32) {
-        (self.start, self.value.1)
+    /// Orders two records of one buffer by key bytes, then by position —
+    /// which is push order, since every record starts after the previous
+    /// one ends. Equal prefixes fall back to the data only when both keys
+    /// run past 8 bytes; otherwise the shorter key is a prefix of the
+    /// longer one (its padding zeros matched real bytes), so lengths
+    /// decide.
+    fn cmp_in(&self, other: &RecordRef, data: &[u8]) -> Ordering {
+        self.prefix
+            .cmp(&other.prefix)
+            .then_with(|| {
+                if self.key_len.min(other.key_len) > 8 {
+                    let tail = |r: &RecordRef| &data[r.key_start as usize + 8..r.key_end()];
+                    tail(self).cmp(tail(other))
+                } else {
+                    self.key_len.cmp(&other.key_len)
+                }
+            })
+            .then(self.key_start.cmp(&other.key_start))
     }
+
+    fn key_end(&self) -> usize {
+        (self.key_start + self.key_len) as usize
+    }
+}
+
+/// The sort prefix of a key: its first 8 bytes, big-endian, zero-padded.
+/// Comparing prefixes never contradicts comparing keys: a shorter key pads
+/// with the smallest byte, exactly where lexicographic order ranks it.
+pub(crate) fn key_prefix(key: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    let n = key.len().min(8);
+    word[..n].copy_from_slice(&key[..n]);
+    u64::from_be_bytes(word)
 }
 
 /// A buffer of framed records plus their references — the unit the map side
@@ -78,12 +111,10 @@ impl RunBuffer {
         );
         let start = self.data.len() as u32;
         let sizes = write_record(&mut self.data, key, value);
-        let kstart = start + encoded_len_u64(key.len() as u64) as u32;
-        let vstart = kstart + key.len() as u32 + encoded_len_u64(value.len() as u64) as u32;
         self.recs.push(RecordRef {
-            start,
-            key: (kstart, kstart + key.len() as u32),
-            value: (vstart, vstart + value.len() as u32),
+            prefix: key_prefix(key),
+            key_start: start + encoded_len_u64(key.len() as u64) as u32,
+            key_len: key.len() as u32,
         });
         sizes
     }
@@ -106,28 +137,37 @@ impl RunBuffer {
 
     /// The key bytes of record `r`.
     pub fn key(&self, r: &RecordRef) -> &[u8] {
-        &self.data[r.key.0 as usize..r.key.1 as usize]
+        &self.data[r.key_start as usize..r.key_end()]
     }
 
     /// The value bytes of record `r`.
     pub fn value(&self, r: &RecordRef) -> &[u8] {
-        &self.data[r.value.0 as usize..r.value.1 as usize]
+        let (start, end) = self.value_range(r);
+        &self.data[start..end]
     }
 
     /// The full framed bytes of record `r` (length prefixes included).
     pub fn framed(&self, r: &RecordRef) -> &[u8] {
-        let (lo, hi) = r.framed();
-        &self.data[lo as usize..hi as usize]
+        let start = r.key_start as usize - encoded_len_u64(r.key_len as u64);
+        let (_, end) = self.value_range(r);
+        &self.data[start..end]
     }
 
-    /// Stable-sorts the record references by key bytes; records with equal
-    /// keys keep their emission order. The data bytes are not moved.
+    /// The byte range of record `r`'s value, read off its length prefix.
+    fn value_range(&self, r: &RecordRef) -> (usize, usize) {
+        let at = r.key_end();
+        let (len, n) = decode_u64(&self.data[at..]).expect("records are framed on push or parse");
+        (at + n, at + n + len as usize)
+    }
+
+    /// Sorts the record references by key bytes; records with equal keys
+    /// keep their push order. The sort is unstable and in place — the
+    /// position tie-break in [`RecordRef`]'s order makes it reproduce the
+    /// stable sort exactly, with no side buffer. The data bytes are not
+    /// moved.
     pub fn sort(&mut self) {
-        let data = std::mem::take(&mut self.data);
-        self.recs.sort_by(|a, b| {
-            data[a.key.0 as usize..a.key.1 as usize].cmp(&data[b.key.0 as usize..b.key.1 as usize])
-        });
-        self.data = data;
+        let data = &self.data;
+        self.recs.sort_unstable_by(|a, b| a.cmp_in(b, data));
     }
 
     /// Parses a raw byte buffer of framed records into a `RunBuffer` (record
@@ -140,7 +180,6 @@ impl RunBuffer {
         let mut recs = Vec::new();
         let mut pos = 0usize;
         while pos < data.len() {
-            let start = pos as u32;
             let (klen, n) = decode_u64(&data[pos..]).map_err(|_| corrupt("key length"))?;
             let kstart = pos + n;
             let kend = field_end(kstart, klen, data.len()).ok_or_else(|| corrupt("key bytes"))?;
@@ -148,9 +187,9 @@ impl RunBuffer {
             let vstart = kend + n;
             pos = field_end(vstart, vlen, data.len()).ok_or_else(|| corrupt("value bytes"))?;
             recs.push(RecordRef {
-                start,
-                key: (kstart as u32, kend as u32),
-                value: (vstart as u32, pos as u32),
+                prefix: key_prefix(&data[kstart..kend]),
+                key_start: kstart as u32,
+                key_len: klen as u32,
             });
         }
         Ok(RunBuffer { data, recs })
@@ -191,6 +230,7 @@ pub fn stable_hash<T: Hash>(value: &T) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn push_and_parse_agree_on_ranges() {
@@ -203,26 +243,75 @@ mod tests {
         for (a, b) in run.recs.iter().zip(reparsed.recs.iter()) {
             assert_eq!(run.key(a), reparsed.key(b));
             assert_eq!(run.value(a), reparsed.value(b));
-            assert_eq!(a.framed(), b.framed());
+            assert_eq!(run.framed(a), reparsed.framed(b));
         }
     }
 
-    #[test]
-    fn sort_is_stable_by_key_bytes() {
-        let mut run = RunBuffer::default();
-        run.push(b"banana", b"1");
-        run.push(b"apple", b"2");
-        run.push(b"banana", b"3");
-        run.sort();
-        let keys: Vec<&[u8]> = run.recs.iter().map(|r| run.key(r)).collect();
-        assert_eq!(keys, vec![b"apple".as_ref(), b"banana", b"banana"]);
-        let banana_vals: Vec<&[u8]> = run
-            .recs
-            .iter()
-            .filter(|r| run.key(r) == b"banana")
-            .map(|r| run.value(r))
-            .collect();
-        assert_eq!(banana_vals, vec![b"1".as_ref(), b"3".as_ref()]);
+    /// Keys over `{\0, 1, 0xff}`, half of them behind a shared 8-byte
+    /// stem: duplicates, empty keys, keys shorter than the 8-byte prefix,
+    /// keys sharing it that differ only past it, and keys that differ only
+    /// by trailing zeros (the prefix's padding) all come up often.
+    fn arb_key() -> impl Strategy<Value = Vec<u8>> {
+        let bytes = |len| {
+            prop::collection::vec(0usize..3, len).prop_map(|k| {
+                k.into_iter()
+                    .map(|b| [0u8, 1, 0xff][b])
+                    .collect::<Vec<u8>>()
+            })
+        };
+        prop_oneof![
+            bytes(0..12),
+            bytes(0..4).prop_map(|tail| [b"stemstem".as_slice(), &tail].concat()),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The in-place sort is the stable sort by key bytes: every key
+        /// in the same place, equal keys in push order.
+        #[test]
+        fn sort_is_the_stable_sort_by_key_bytes(
+            random in prop::collection::vec(arb_key(), 0..64),
+        ) {
+            let edge_cases: [&[u8]; 13] = [
+                b"banana",
+                b"apple",
+                b"banana",
+                b"",
+                b"\0",
+                b"a",
+                b"a\0",
+                b"abcdefgh",
+                b"abcdefghz",
+                b"abcdefgh\0",
+                b"abcdefghi",
+                b"abcdefgh",
+                b"",
+            ];
+            let keys: Vec<&[u8]> = edge_cases
+                .into_iter()
+                .chain(random.iter().map(Vec::as_slice))
+                .collect();
+            let mut run = RunBuffer::default();
+            for (i, key) in keys.iter().enumerate() {
+                run.push(key, &(i as u32).to_be_bytes());
+            }
+            run.sort();
+            let got: Vec<(&[u8], &[u8])> =
+                run.recs.iter().map(|r| (run.key(r), run.value(r))).collect();
+            let mut stable: Vec<(usize, &[u8])> = keys.iter().copied().enumerate().collect();
+            stable.sort_by(|a, b| a.1.cmp(b.1));
+            let want: Vec<(&[u8], [u8; 4])> = stable
+                .into_iter()
+                .map(|(i, key)| (key, (i as u32).to_be_bytes()))
+                .collect();
+            prop_assert_eq!(got.len(), want.len());
+            for (g, w) in got.iter().zip(&want) {
+                prop_assert_eq!(g.0, w.0);
+                prop_assert_eq!(g.1, &w.1[..]);
+            }
+        }
     }
 
     #[test]
@@ -257,7 +346,12 @@ mod tests {
         let reparsed = RunBuffer::parse(run.data.clone()).unwrap();
         assert_eq!(run.len(), reparsed.len());
         for (a, b) in run.recs.iter().zip(&reparsed.recs) {
-            assert_eq!((a.start, a.key, a.value), (b.start, b.key, b.value));
+            assert_eq!(
+                (a.prefix, a.key_start, a.key_len),
+                (b.prefix, b.key_start, b.key_len)
+            );
+            assert_eq!(run.value(a), reparsed.value(b));
+            assert_eq!(run.framed(a), reparsed.framed(b));
         }
     }
 

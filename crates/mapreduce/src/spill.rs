@@ -161,12 +161,19 @@ impl SpillWriter {
         buffer: &RunBuffer,
     ) -> Result<RunMeta, EngineError> {
         debug_assert!(!buffer.is_empty(), "runs are never empty");
+        self.append(buffer)?;
+        self.end_run(partition)
+    }
+
+    /// Appends the records of `buffer`, in reference order, to the open
+    /// run.
+    pub fn append(&mut self, buffer: &RunBuffer) -> Result<(), EngineError> {
         for rec in &buffer.recs {
             let framed = buffer.framed(rec);
             self.start_record(framed.len())?;
             self.chunk.extend_from_slice(framed);
         }
-        self.end_run(partition)
+        Ok(())
     }
 
     /// Counts one more record of `framed` bytes into the open run, first

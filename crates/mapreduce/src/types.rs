@@ -1,32 +1,38 @@
-//! The [`Job`] trait — the typed map/combine/reduce contract plus the codec
-//! that defines the wire format of the shuffle — and the [`Emitter`], the
-//! map-side sort buffer that serializes, sorts, combines, and (when the
-//! engine runs out-of-core) spills map output.
+//! The [`Job`] trait — typed map-side emission and codec, byte-level
+//! combine and reduce — its two byte-level views ([`Combined`] and
+//! [`Values`]), and the [`Emitter`], the map-side sort buffer that
+//! serializes, sorts, combines, and (when the engine runs out-of-core)
+//! spills map output.
 
 use std::path::PathBuf;
 
 use crate::counters::Counters;
 use crate::error::EngineError;
+use crate::merge::Merger;
 use crate::shuffle::{partition_of, RunBuffer};
 use crate::spill::{RunMeta, SpillWriter};
 
 /// A MapReduce job.
 ///
-/// Keys must serialize injectively through [`Job::encode_key`]: the engine
-/// partitions and groups by *encoded* key bytes, exactly as Hadoop partitions
-/// on serialized keys.
+/// The map side is typed: [`Job::map`] emits `(Key, Value)` pairs, and the
+/// [`Emitter`] serializes each one on the spot through [`Job::encode_key`]
+/// and [`Job::encode_value`]. From there to the reducer the engine moves
+/// only bytes. It partitions, sorts, and groups by *encoded* key bytes,
+/// exactly as Hadoop does with serialized keys, so keys must encode
+/// injectively. [`Job::combine`] and [`Job::reduce`] receive the encoded
+/// key and borrowed encoded values, and decode only what they need — a
+/// thresholding reducer decodes just the keys that pass.
 ///
-/// [`Job::reduce`] receives its values as a **streaming iterator**: values
-/// are decoded one at a time off the shuffle merge, so a reducer never
+/// [`Job::reduce`] reads its group through [`Values`], a lending cursor
+/// over the shuffle merge: values arrive one at a time, so a reducer never
 /// requires the whole group in memory. A reducer that needs random access
-/// can still `collect()` — it then pays exactly the footprint the old
-/// `Vec`-based contract always paid.
+/// copies what it keeps.
 pub trait Job: Send + Sync {
     /// One input record (map tasks receive contiguous slices of records).
     type Input: Send + Sync;
-    /// Intermediate key.
+    /// Intermediate key, as the map side emits it.
     type Key: Send;
-    /// Intermediate value.
+    /// Intermediate value, as the map side emits it.
     type Value: Send;
     /// Final output record.
     type Output: Send;
@@ -36,34 +42,144 @@ pub trait Job: Send + Sync {
     where
         Self: Sized;
 
-    /// Optional map-side pre-aggregation: reduces the values of one key to a
-    /// smaller list. Default: identity (no combiner).
+    /// Optional pre-aggregation of one key group: reads the group's encoded
+    /// values and writes the combined ones to `out`. The combiner may
+    /// reorder `values`. Default: every value passes through unchanged (no
+    /// combiner).
     ///
-    /// With spilling enabled the combiner runs once per *spill* rather than
-    /// once per map task, so it may see a subset of a key's task-local
-    /// values at a time — combiners must therefore be associative and
+    /// The engine combines each finalized map-side sort buffer — once per
+    /// *spill* when spilling — and again in hierarchical merge passes, so a
+    /// combiner may see any subset of a key's values, including values it
+    /// produced itself. Combiners must therefore be associative and
     /// insensitive to such regrouping (the same contract Hadoop imposes).
-    fn combine(&self, _key: &Self::Key, values: Vec<Self::Value>) -> Vec<Self::Value> {
-        values
+    fn combine(&self, _key: &[u8], values: &mut [&[u8]], out: &mut Combined<'_>) {
+        for value in values.iter() {
+            out.push(value);
+        }
     }
 
     /// Reduces the complete value stream of one key.
-    fn reduce(
-        &self,
-        key: Self::Key,
-        values: impl Iterator<Item = Self::Value>,
-        out: &mut Vec<Self::Output>,
-    ) where
-        Self: Sized;
+    fn reduce(&self, key: &[u8], values: &mut Values<'_, '_>, out: &mut Vec<Self::Output>);
 
     /// Serializes a key (must be injective).
     fn encode_key(&self, key: &Self::Key, buf: &mut Vec<u8>);
-    /// Inverse of [`Job::encode_key`].
-    fn decode_key(&self, bytes: &[u8]) -> Self::Key;
     /// Serializes a value.
     fn encode_value(&self, value: &Self::Value, buf: &mut Vec<u8>);
-    /// Inverse of [`Job::encode_value`].
-    fn decode_value(&self, bytes: &[u8]) -> Self::Value;
+}
+
+/// Where [`Job::combine`] writes one key group's combined values: each
+/// pushed value becomes one record under the group's key.
+pub struct Combined<'a> {
+    key: &'a [u8],
+    run: &'a mut RunBuffer,
+    scratch: &'a mut Vec<u8>,
+}
+
+impl Combined<'_> {
+    /// Appends one combined value.
+    pub fn push(&mut self, value: &[u8]) {
+        self.run.push(self.key, value);
+    }
+
+    /// Appends one combined value that `write` serializes into an empty
+    /// buffer.
+    pub fn push_with(&mut self, write: impl FnOnce(&mut Vec<u8>)) {
+        self.scratch.clear();
+        write(self.scratch);
+        self.run.push(self.key, self.scratch);
+    }
+}
+
+/// Runs the job's combiner over every key group of a sorted run, appending
+/// the combined records — still sorted — to `out`. `scratch` backs
+/// [`Combined::push_with`].
+pub(crate) fn combine_run<J: Job>(
+    job: &J,
+    run: &RunBuffer,
+    out: &mut RunBuffer,
+    scratch: &mut Vec<u8>,
+) {
+    let mut values: Vec<&[u8]> = Vec::new();
+    let mut i = 0;
+    while i < run.recs.len() {
+        let first = &run.recs[i];
+        let key = run.key(first);
+        let mut j = i + 1;
+        while j < run.recs.len()
+            && run.recs[j].prefix == first.prefix
+            && run.key(&run.recs[j]) == key
+        {
+            j += 1;
+        }
+        values.clear();
+        values.extend(run.recs[i..j].iter().map(|r| run.value(r)));
+        job.combine(
+            key,
+            &mut values,
+            &mut Combined {
+                key,
+                run: out,
+                scratch,
+            },
+        );
+        i = j;
+    }
+}
+
+/// The value stream of one reduce group: a lending cursor over encoded
+/// values, read straight off the shuffle merge. A value borrows the cursor
+/// until the next call to [`Values::next`]. The engine drains whatever the
+/// reducer leaves, so the merge always moves on to the next group.
+pub struct Values<'a, 'm> {
+    merger: &'a mut Merger<'m>,
+    key: &'a [u8],
+    value: &'a mut Vec<u8>,
+    records: u64,
+    error: Option<EngineError>,
+}
+
+impl<'a, 'm> Values<'a, 'm> {
+    /// The group of `key`, which must be the merge's next key; `value` is
+    /// the buffer each value is read into.
+    pub(crate) fn new(merger: &'a mut Merger<'m>, key: &'a [u8], value: &'a mut Vec<u8>) -> Self {
+        Values {
+            merger,
+            key,
+            value,
+            records: 0,
+            error: None,
+        }
+    }
+
+    /// The next encoded value of the group, or `None` once it is exhausted.
+    /// A merge error also ends the stream; the engine reports it when the
+    /// reducer returns.
+    #[allow(clippy::should_implement_trait)] // a lending cursor cannot be an `Iterator`
+    pub fn next(&mut self) -> Option<&[u8]> {
+        if self.error.is_some() || self.merger.peek_key() != Some(self.key) {
+            return None;
+        }
+        match self.merger.pop_value_into(self.value) {
+            Ok(()) => {
+                self.records += 1;
+                Some(self.value)
+            }
+            Err(e) => {
+                self.error = Some(e);
+                None
+            }
+        }
+    }
+
+    /// Drains the values the reducer left and returns how many values the
+    /// group held, or the first merge error.
+    pub(crate) fn finish(mut self) -> Result<u64, EngineError> {
+        while self.next().is_some() {}
+        match self.error {
+            Some(e) => Err(e),
+            None => Ok(self.records),
+        }
+    }
 }
 
 /// What a finished map task hands to the shuffle: either its sorted
@@ -238,7 +354,7 @@ impl<'a, J: Job> Emitter<'a, J> {
         self.sort_hist.record_duration(sort_started.elapsed());
         let mut payload = 0u64;
         for r in &run.recs {
-            payload += (r.key.1 - r.key.0) as u64 + (r.value.1 - r.value.0) as u64;
+            payload += (r.key_len as usize + run.value(r).len()) as u64;
         }
         Counters::add(&self.counters.map_output_bytes, payload);
         Counters::add(
@@ -252,32 +368,9 @@ impl<'a, J: Job> Emitter<'a, J> {
     /// a (still sorted) buffer from the combined values.
     fn combine_sorted(&mut self, buf: RunBuffer) -> RunBuffer {
         let mut out = RunBuffer::default();
-        let mut combine_in = 0u64;
-        let mut combine_out = 0u64;
-        let mut i = 0;
-        while i < buf.recs.len() {
-            let key_bytes = buf.key(&buf.recs[i]);
-            let mut j = i + 1;
-            while j < buf.recs.len() && buf.key(&buf.recs[j]) == key_bytes {
-                j += 1;
-            }
-            let key = self.job.decode_key(key_bytes);
-            let values: Vec<J::Value> = buf.recs[i..j]
-                .iter()
-                .map(|r| self.job.decode_value(buf.value(r)))
-                .collect();
-            combine_in += (j - i) as u64;
-            let combined = self.job.combine(&key, values);
-            combine_out += combined.len() as u64;
-            for value in combined {
-                self.vbuf.clear();
-                self.job.encode_value(&value, &mut self.vbuf);
-                out.push(key_bytes, &self.vbuf);
-            }
-            i = j;
-        }
-        Counters::add(&self.counters.combine_input_records, combine_in);
-        Counters::add(&self.counters.combine_output_records, combine_out);
+        combine_run(self.job, &buf, &mut out, &mut self.vbuf);
+        Counters::add(&self.counters.combine_input_records, buf.len() as u64);
+        Counters::add(&self.counters.combine_output_records, out.len() as u64);
         out
     }
 
@@ -332,21 +425,16 @@ mod tests {
         type Output = ();
 
         fn map(&self, _input: &(), _emit: &mut Emitter<'_, Self>) {}
-        fn combine(&self, _key: &Vec<u8>, values: Vec<u8>) -> Vec<u8> {
-            vec![values.iter().copied().fold(0u8, u8::wrapping_add)]
+        fn combine(&self, _key: &[u8], values: &mut [&[u8]], out: &mut Combined<'_>) {
+            let sum = values.iter().fold(0u8, |acc, v| acc.wrapping_add(v[0]));
+            out.push_with(|buf| buf.push(sum));
         }
-        fn reduce(&self, _key: Vec<u8>, _values: impl Iterator<Item = u8>, _out: &mut Vec<()>) {}
+        fn reduce(&self, _key: &[u8], _values: &mut Values<'_, '_>, _out: &mut Vec<()>) {}
         fn encode_key(&self, key: &Vec<u8>, buf: &mut Vec<u8>) {
             buf.extend_from_slice(key);
         }
-        fn decode_key(&self, bytes: &[u8]) -> Vec<u8> {
-            bytes.to_vec()
-        }
         fn encode_value(&self, value: &u8, buf: &mut Vec<u8>) {
             buf.push(*value);
-        }
-        fn decode_value(&self, bytes: &[u8]) -> u8 {
-            bytes[0]
         }
     }
 

@@ -9,7 +9,7 @@
 use std::fs;
 use std::path::PathBuf;
 
-use lash_mapreduce::{run_job, Emitter, EngineConfig, EngineError, Job};
+use lash_mapreduce::{run_job, Emitter, EngineConfig, EngineError, Job, Values};
 use lash_obs::trace::TraceCtx;
 
 /// A job whose second map task flips bytes in the first task's sealed
@@ -60,21 +60,19 @@ impl Job for CorruptingJob {
         }
     }
 
-    fn reduce(&self, key: u32, values: impl Iterator<Item = u64>, out: &mut Vec<(u32, u64)>) {
-        out.push((key, values.sum()));
+    fn reduce(&self, key: &[u8], values: &mut Values<'_, '_>, out: &mut Vec<(u32, u64)>) {
+        let mut sum = 0;
+        while let Some(v) = values.next() {
+            sum += u64::from_le_bytes(v.try_into().expect("8-byte value"));
+        }
+        out.push((u32::from_be_bytes(key.try_into().expect("4-byte key")), sum));
     }
 
     fn encode_key(&self, key: &u32, buf: &mut Vec<u8>) {
         buf.extend_from_slice(&key.to_be_bytes());
     }
-    fn decode_key(&self, bytes: &[u8]) -> u32 {
-        u32::from_be_bytes(bytes.try_into().expect("4-byte key"))
-    }
     fn encode_value(&self, value: &u64, buf: &mut Vec<u8>) {
         buf.extend_from_slice(&value.to_le_bytes());
-    }
-    fn decode_value(&self, bytes: &[u8]) -> u64 {
-        u64::from_le_bytes(bytes.try_into().expect("8-byte value"))
     }
 }
 

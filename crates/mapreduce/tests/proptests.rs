@@ -5,7 +5,7 @@
 
 use std::collections::BTreeMap;
 
-use lash_mapreduce::{run_job, Emitter, EngineConfig, FailurePlan, Job, Phase};
+use lash_mapreduce::{run_job, Combined, Emitter, EngineConfig, FailurePlan, Job, Phase, Values};
 use proptest::prelude::*;
 
 /// Counts (key, value) pair sums per key — a weighted word count.
@@ -23,26 +23,30 @@ impl Job for SumJob {
         }
     }
 
-    fn combine(&self, _key: &u16, values: Vec<u64>) -> Vec<u64> {
-        vec![values.into_iter().sum()]
+    fn combine(&self, _key: &[u8], values: &mut [&[u8]], out: &mut Combined<'_>) {
+        let sum: u64 = values.iter().map(|v| value(v)).sum();
+        out.push(&sum.to_le_bytes());
     }
 
-    fn reduce(&self, key: u16, values: impl Iterator<Item = u64>, out: &mut Vec<(u16, u64)>) {
-        out.push((key, values.sum()));
+    fn reduce(&self, key: &[u8], values: &mut Values<'_, '_>, out: &mut Vec<(u16, u64)>) {
+        let mut sum = 0;
+        while let Some(v) = values.next() {
+            sum += value(v);
+        }
+        out.push((u16::from_be_bytes(key.try_into().expect("2-byte key")), sum));
     }
 
     fn encode_key(&self, key: &u16, buf: &mut Vec<u8>) {
         buf.extend_from_slice(&key.to_be_bytes());
     }
-    fn decode_key(&self, bytes: &[u8]) -> u16 {
-        u16::from_be_bytes(bytes.try_into().expect("2-byte key"))
-    }
     fn encode_value(&self, value: &u64, buf: &mut Vec<u8>) {
         buf.extend_from_slice(&value.to_le_bytes());
     }
-    fn decode_value(&self, bytes: &[u8]) -> u64 {
-        u64::from_le_bytes(bytes.try_into().expect("8-byte value"))
-    }
+}
+
+/// Decodes one of [`SumJob`]'s 8-byte little-endian values.
+fn value(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("8-byte value"))
 }
 
 fn oracle(inputs: &[Vec<(u16, u32)>]) -> BTreeMap<u16, u64> {
