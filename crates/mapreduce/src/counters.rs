@@ -188,9 +188,10 @@ define_counters! {
         failed_reduce_tasks,
     }
     max {
-        /// High-water mark of any single map task's sort buffer, in
-        /// serialized bytes — the quantity bounded by
-        /// `spill_threshold_bytes`.
+        /// High-water mark of any single set of a map task's sort buffers,
+        /// in framed bytes — the quantity bounded by
+        /// `spill_threshold_bytes`. A spilling task holds up to two such
+        /// sets at once: one being filled and one being spilled.
         peak_resident_bytes,
     }
 }

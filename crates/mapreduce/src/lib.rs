@@ -12,14 +12,19 @@
 //! ```text
 //! map task                          shuffle               reduce task
 //! ┌─────────────────────────┐                             ┌──────────────────┐
-//! │ map() → Emitter          │      run lists per         │ k-way merge of   │
-//! │  encode → per-part       │      partition             │ the partition's  │
-//! │  sort buffers            │  ┌──────────────────┐      │ runs             │
-//! │  ├ sort + combine        │→ │ mem runs         │ ───→ │  │               │
-//! │  │ (on bytes)            │  │ disk runs (spill │      │  └ stream groups │
-//! │  └ over threshold?       │  │ files)           │      │    reduce(key,   │
-//! │     spill sorted run ────┼─→│                  │      │      &mut Values)│
-//! │     (checksummed frames) │  └──────────────────┘      │    (on bytes)    │
+//! │ map thread               │      run lists per         │ k-way merge of   │
+//! │  map() → Emitter         │      partition             │ the partition's  │
+//! │  encode → per-part sort  │  ┌──────────────────┐      │ runs             │
+//! │  buffers (bytes + u32    │  │ mem runs         │ ───→ │  │               │
+//! │  offsets)                │  │ disk runs (spill │      │  └ stream groups │
+//! │  ├ never spilled: sort + │→ │ files)           │      │    reduce(key,   │
+//! │  │ combine at the end    │  │                  │      │      &mut Values)│
+//! │  └ over threshold? hand  │  │                  │      │    (on bytes)    │
+//! │    the set off ↓, go on  │  │                  │      │                  │
+//! │ spill thread             │  │                  │      │                  │
+//! │  sort + combine, write   │  │                  │      │                  │
+//! │  sorted runs ────────────┼─→│                  │      │                  │
+//! │  (checksummed frames)    │  └──────────────────┘      │                  │
 //! └─────────────────────────┘                             └──────────────────┘
 //! ```
 //!
@@ -30,16 +35,23 @@
 //!   group as borrowed value slices and pushes combined values through
 //!   [`Combined`]; [`Job::reduce`] receives the encoded key and a
 //!   [`Values`] cursor of borrowed values. Jobs decode only what they use.
-//! * **Map side.** Records go into one sort buffer per reduce partition. On
-//!   finalize a buffer is sorted by key bytes — in place, ties in emission
-//!   order, each record carrying its key's first 8 bytes as a sort prefix —
-//!   and run through the combiner (Hadoop's map-side sort). With
-//!   [`EngineConfig::spill_threshold_bytes`] set, a task whose buffers
-//!   exceed the budget *spills*: every partition buffer is finalized and
-//!   appended to the task's spill file as a sorted run of
-//!   length-prefixed, checksummed frames (`lash-encoding`'s frame format),
-//!   and mapping continues with empty buffers. `None` is the all-in-memory
-//!   fast path; `Some(0)` spills after every record.
+//! * **Map side.** Records go into one sort buffer per reduce partition:
+//!   the framed bytes plus a 4-byte offset per record. On finalize a buffer
+//!   gets a 16-byte reference per record, built from its offset with the
+//!   key's first 8 bytes as a sort prefix, is sorted by key bytes — in
+//!   place, ties in emission order — and runs through the combiner
+//!   (Hadoop's map-side sort). With [`EngineConfig::spill_threshold_bytes`]
+//!   set, each map task gets one **spill thread**, as Hadoop's map-output
+//!   collector has one. When the task's buffers exceed the budget, the map
+//!   thread hands the whole set to the spill thread and keeps mapping into
+//!   the set the spill thread emptied last. The spill thread finalizes
+//!   every partition buffer and appends it to the task's spill file as a
+//!   sorted run of length-prefixed, checksummed frames (`lash-encoding`'s
+//!   frame format). At most two sets exist per task, one being filled and
+//!   one being spilled. A failed spill stops the map thread and the job
+//!   returns its typed error; a panic on the spill thread propagates.
+//!   `None` is the all-in-memory fast path; `Some(0)` spills after every
+//!   record.
 //! * **Reduce side.** Each reduce task k-way merges its partition's runs —
 //!   in-memory buffers from unspilled tasks and streamed disk runs (one
 //!   ~64 KiB chunk resident per open run) — and hands the reducer one

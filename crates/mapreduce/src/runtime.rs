@@ -7,8 +7,11 @@
 //! 1. **map** — input splits are processed by a pool of worker threads; each
 //!    task serializes its output into per-partition sort buffers, sorting and
 //!    combining on finalize (Hadoop's map-side sort). With a spill threshold
-//!    configured, a task whose buffers outgrow it writes sorted runs to its
-//!    spill file and keeps going with an empty buffer;
+//!    configured, each task attempt runs one spill thread beside its map
+//!    thread: whenever the buffers outgrow the threshold, the map thread
+//!    hands the full set over and keeps mapping into an emptied one, while
+//!    the spill thread sorts, combines and writes the set as runs of the
+//!    task's spill file;
 //! 2. **shuffle** — the sorted runs (in-memory buffers and on-disk spill
 //!    runs) are assembled into one run list per reduce partition;
 //! 3. **reduce** — each reduce task k-way merges its partition's runs and
@@ -35,7 +38,7 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::config::{EngineConfig, Phase};
@@ -44,12 +47,13 @@ use crate::error::EngineError;
 use crate::merge::{Merger, RunSource};
 use crate::shuffle::RunBuffer;
 use crate::spill::{RunMeta, SharedFile, SpillSpace, SpillWriter, SPILL_CHUNK_BYTES};
-use crate::types::{combine_run, Emitter, Job, MapTaskOutput, Values};
+use crate::types::{combine_run, spill_sets, Emitter, Handoff, Job, MapTaskOutput, Values};
 
 /// Wall-clock and counter metrics of one job run.
 #[derive(Debug, Clone, Default)]
 pub struct JobMetrics {
-    /// Map phase wall time (includes map-side sort, combine, and spills).
+    /// Map phase wall time (includes map-side sort, combine, and spills,
+    /// which overlap with mapping on each task's spill thread).
     pub map_time: Duration,
     /// Shuffle (run assembly) phase wall time.
     pub shuffle_time: Duration,
@@ -124,20 +128,14 @@ fn run_job_inner<J: Job>(
     };
 
     // ---- Map phase -------------------------------------------------------
-    // Each phase derives one child context up front and passes it into the
-    // worker pool (worker threads do not inherit this thread's trace
-    // stack); the phase span itself is recorded under the same context
-    // once the workers join, so task spans parent under the phase span.
-    let obs = lash_obs::global();
-    let map_started = Instant::now();
     let splits: Vec<std::ops::Range<usize>> = split_ranges(inputs.len(), config.split_size);
-    let map_ctx = lash_obs::trace::current().map(|c| c.child());
+    let map_span = PhaseSpan::start("mapreduce.map", splits.len());
     let map_outputs = run_with_retries(
         splits.len(),
         config.map_parallelism,
         config.max_attempts,
         Phase::Map,
-        map_ctx,
+        map_span.ctx,
         &counters,
         |task, attempt| {
             if config.failure_plan.should_fail(Phase::Map, task, attempt) {
@@ -156,15 +154,7 @@ fn run_job_inner<J: Job>(
             .map(Some)
         },
     );
-    // Recorded before `?`: an aborted phase still owns its task spans —
-    // skipping the phase span would orphan them in the trace.
-    let map_time = map_started.elapsed();
-    obs.observe_span_with(
-        map_ctx,
-        "mapreduce.map",
-        map_time,
-        &[("tasks", splits.len().into())],
-    );
+    let map_time = map_span.end();
     let map_outputs = map_outputs?;
 
     // ---- Shuffle phase: assemble each partition's run list --------------
@@ -196,17 +186,16 @@ fn run_job_inner<J: Job>(
         }
     }
     let shuffle_time = shuffle_started.elapsed();
-    obs.observe_span("mapreduce.shuffle", shuffle_time, &[]);
+    lash_obs::global().observe_span("mapreduce.shuffle", shuffle_time, &[]);
 
     // ---- Reduce phase ----------------------------------------------------
-    let reduce_started = Instant::now();
-    let reduce_ctx = lash_obs::trace::current().map(|c| c.child());
+    let reduce_span = PhaseSpan::start("mapreduce.reduce", num_parts);
     let reduce_outputs = run_with_retries(
         num_parts,
         config.reduce_parallelism,
         config.max_attempts,
         Phase::Reduce,
-        reduce_ctx,
+        reduce_span.ctx,
         &counters,
         |task, attempt| {
             if config
@@ -226,13 +215,7 @@ fn run_job_inner<J: Job>(
             .map(Some)
         },
     );
-    let reduce_time = reduce_started.elapsed();
-    obs.observe_span_with(
-        reduce_ctx,
-        "mapreduce.reduce",
-        reduce_time,
-        &[("tasks", num_parts.into())],
-    );
+    let reduce_time = reduce_span.end();
     let reduce_outputs = reduce_outputs?;
 
     let outputs: Vec<J::Output> = reduce_outputs.into_iter().flatten().collect();
@@ -251,8 +234,52 @@ fn run_job_inner<J: Job>(
     })
 }
 
+/// The span of a map or reduce phase. The phase derives its context up
+/// front and hands it to its workers, which do not inherit this thread's
+/// trace stack, so their task spans parent under the phase span. The span
+/// is recorded when the guard drops: after the workers join, or while a
+/// panic unwinds out of them, so an aborted phase still leaves its task
+/// spans a parent in the trace.
+struct PhaseSpan {
+    ctx: Option<lash_obs::trace::TraceCtx>,
+    name: &'static str,
+    tasks: usize,
+    started: Instant,
+}
+
+impl PhaseSpan {
+    fn start(name: &'static str, tasks: usize) -> PhaseSpan {
+        PhaseSpan {
+            ctx: lash_obs::trace::current().map(|c| c.child()),
+            name,
+            tasks,
+            started: Instant::now(),
+        }
+    }
+
+    /// Ends the phase, recording its span, and returns its wall time.
+    fn end(self) -> Duration {
+        self.started.elapsed()
+    }
+}
+
+impl Drop for PhaseSpan {
+    fn drop(&mut self) {
+        lash_obs::global().observe_span_with(
+            self.ctx,
+            self.name,
+            self.started.elapsed(),
+            &[("tasks", self.tasks.into())],
+        );
+    }
+}
+
+/// Runs one map task attempt. With a spill threshold the attempt gets one
+/// spill thread: this thread only maps, encodes and appends, and hands each
+/// full set of sort buffers over to be sorted, combined and written while
+/// it keeps mapping.
 #[allow(clippy::too_many_arguments)]
-fn run_map_task<J: Job>(
+pub(crate) fn run_map_task<J: Job>(
     job: &J,
     records: &[J::Input],
     num_parts: usize,
@@ -262,20 +289,55 @@ fn run_map_task<J: Job>(
     attempt: u32,
     counters: &Counters,
 ) -> Result<MapTaskOutput, EngineError> {
-    let spill_path = spill_space.map(|s| s.task_file(task, attempt));
-    let mut emitter = Emitter::new(
-        job,
-        num_parts,
-        config.use_combiner,
-        config.spill_threshold_bytes,
-        spill_path,
-        counters,
-    );
-    for record in records {
-        job.map(record, &mut emitter);
-    }
+    let map_all = |handoff: Option<Handoff>| {
+        let mut emitter = Emitter::new(job, num_parts, config.use_combiner, handoff, counters);
+        for record in records {
+            job.map(record, &mut emitter);
+        }
+        emitter.finish()
+    };
+    let (output, emitted) = match config.spill_threshold_bytes {
+        None => {
+            let (output, emitted) = map_all(None);
+            (
+                output.expect("a task without a spill thread keeps its output"),
+                emitted,
+            )
+        }
+        Some(threshold) => {
+            let path = spill_space
+                .expect("a spill threshold creates a spill space")
+                .task_file(task, attempt);
+            // The spill thread reports under this task's span.
+            let trace = lash_obs::trace::current();
+            std::thread::scope(|scope| {
+                let (full, full_rx) = mpsc::sync_channel(0);
+                let (emptied_tx, emptied) = mpsc::channel();
+                let spiller = scope.spawn(move || {
+                    let _trace = trace.map(lash_obs::trace::enter);
+                    spill_sets(
+                        job,
+                        config.use_combiner,
+                        path,
+                        full_rx,
+                        emptied_tx,
+                        counters,
+                    )
+                });
+                let (in_memory, emitted) = map_all(Some(Handoff {
+                    threshold,
+                    full,
+                    emptied,
+                }));
+                let spilled = spiller
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))?;
+                let output = spilled.or(in_memory).expect("a map task's output exists");
+                Ok::<_, EngineError>((output, emitted))
+            })?
+        }
+    };
     Counters::add(&counters.map_input_records, records.len() as u64);
-    let (output, emitted) = emitter.finish()?;
     Counters::add(&counters.map_output_records, emitted);
     Ok(output)
 }

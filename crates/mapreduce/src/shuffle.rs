@@ -1,10 +1,11 @@
 //! Record framing, partitioning, and the map-side sort buffer.
 //!
 //! Map tasks serialize records as `[varint klen][key][varint vlen][value]`
-//! into one [`RunBuffer`] per reduce partition. A finalized buffer is a
-//! *sorted run*: its record references are sorted by key bytes (preserving
-//! emission order within equal keys), optionally combined, and
-//! either handed to the reduce phase in memory or spilled to disk (see
+//! into one `SortBuffer` per reduce partition, which keeps a 4-byte
+//! offset per record. Finalizing a buffer builds a [`RunBuffer`], a *sorted
+//! run*: its 16-byte record references are sorted by key bytes (preserving
+//! emission order within equal keys), optionally combined, and either
+//! handed to the reduce phase in memory or spilled to disk (see
 //! [`crate::spill`]). Partition assignment hashes the encoded key, as
 //! Hadoop's default `HashPartitioner` hashes serialized keys.
 
@@ -75,6 +76,26 @@ impl RecordRef {
     fn key_end(&self) -> usize {
         (self.key_start + self.key_len) as usize
     }
+
+    /// The reference of the record framed at `offset` in `data`. Only the
+    /// key's length prefix is decoded, and a one-byte prefix (keys under
+    /// 128 bytes) skips the varint loop.
+    fn at(data: &[u8], offset: u32) -> RecordRef {
+        let at = offset as usize;
+        let (key_len, n) = match data[at] {
+            len if len < 0x80 => (len as usize, 1),
+            _ => {
+                let (len, n) = decode_u64(&data[at..]).expect("records are framed on push");
+                (len as usize, n)
+            }
+        };
+        let key_start = at + n;
+        RecordRef {
+            prefix: key_prefix(&data[key_start..key_start + key_len]),
+            key_start: key_start as u32,
+            key_len: key_len as u32,
+        }
+    }
 }
 
 /// The sort prefix of a key: its first 8 bytes, big-endian, zero-padded.
@@ -88,7 +109,8 @@ pub(crate) fn key_prefix(key: &[u8]) -> u64 {
 }
 
 /// A buffer of framed records plus their references — the unit the map side
-/// accumulates, sorts, combines, and ships (in memory or as a spilled run).
+/// sorts, combines, and ships (in memory or as a spilled run), and the unit
+/// the merge-pass combine and the spill reader work on.
 #[derive(Debug, Default)]
 pub struct RunBuffer {
     /// Concatenated framed records.
@@ -105,10 +127,7 @@ impl RunBuffer {
     /// 4 GiB panics rather than silently corrupting record ranges. Set
     /// `spill_threshold_bytes` to bound buffers long before that.
     pub fn push(&mut self, key: &[u8], value: &[u8]) -> (u64, u64) {
-        assert!(
-            self.data.len() + key.len() + value.len() + 20 <= u32::MAX as usize,
-            "shuffle buffer exceeds 4 GiB; configure spill_threshold_bytes to bound it"
-        );
+        assert_addressable(&self.data, key, value);
         let start = self.data.len() as u32;
         let sizes = write_record(&mut self.data, key, value);
         self.recs.push(RecordRef {
@@ -196,6 +215,69 @@ impl RunBuffer {
     }
 }
 
+/// Panics unless a record of `key` and `value` appended to `data` still
+/// ends within `u32` offsets (20 bytes cover both length prefixes).
+fn assert_addressable(data: &[u8], key: &[u8], value: &[u8]) {
+    assert!(
+        data.len() + key.len() + value.len() + 20 <= u32::MAX as usize,
+        "shuffle buffer exceeds 4 GiB; configure spill_threshold_bytes to bound it"
+    );
+}
+
+/// A map-side sort buffer: framed records plus one 4-byte offset per
+/// record. The 16-byte [`RecordRef`]s a sort needs are built only when the
+/// buffer is finalized ([`SortBuffer::sort_into`]), one partition at a
+/// time, so a buffer that is being filled, or waits for its spill, costs 4
+/// bytes per record on top of its data instead of 16.
+#[derive(Debug, Default)]
+pub(crate) struct SortBuffer {
+    /// Concatenated framed records.
+    data: Vec<u8>,
+    /// Where each record starts in `data`, in push order.
+    offsets: Vec<u32>,
+}
+
+impl SortBuffer {
+    /// Appends one record, returning its framed size in bytes.
+    ///
+    /// # Panics
+    /// Past 4 GiB, like [`RunBuffer::push`].
+    pub(crate) fn push(&mut self, key: &[u8], value: &[u8]) -> usize {
+        assert_addressable(&self.data, key, value);
+        self.offsets.push(self.data.len() as u32);
+        let (_, framed) = write_record(&mut self.data, key, value);
+        framed as usize
+    }
+
+    /// True if no records are buffered.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.offsets.is_empty()
+    }
+
+    /// Moves the records into a sorted run: one reference per offset,
+    /// sorted as [`RunBuffer::sort`] sorts. The run takes the data bytes
+    /// without a copy, and fills `recs` (cleared first) so a caller can
+    /// reuse one reference vector across buffers. The buffer is left empty,
+    /// keeping its offsets' capacity.
+    pub(crate) fn sort_into(&mut self, mut recs: Vec<RecordRef>) -> RunBuffer {
+        let data = std::mem::take(&mut self.data);
+        recs.clear();
+        recs.extend(self.offsets.iter().map(|&at| RecordRef::at(&data, at)));
+        self.offsets.clear();
+        let mut run = RunBuffer { data, recs };
+        run.sort();
+        run
+    }
+
+    /// Takes back the bytes [`SortBuffer::sort_into`] moved out, cleared,
+    /// so the next records reuse their capacity.
+    pub(crate) fn reuse(&mut self, mut data: Vec<u8>) {
+        debug_assert!(self.is_empty(), "reuse on a filled buffer");
+        data.clear();
+        self.data = data;
+    }
+}
+
 /// The end of a `len`-byte field starting at `start`, if it ends within
 /// `limit` bytes.
 fn field_end(start: usize, len: u64, limit: usize) -> Option<usize> {
@@ -247,10 +329,11 @@ mod tests {
         }
     }
 
-    /// Keys over `{\0, 1, 0xff}`, half of them behind a shared 8-byte
-    /// stem: duplicates, empty keys, keys shorter than the 8-byte prefix,
-    /// keys sharing it that differ only past it, and keys that differ only
-    /// by trailing zeros (the prefix's padding) all come up often.
+    /// Keys over `{\0, 1, 0xff}`, some behind a shared 8-byte stem and some
+    /// behind a shared 128-byte one: duplicates, empty keys, keys shorter
+    /// than the 8-byte prefix, keys sharing it that differ only past it,
+    /// keys that differ only by trailing zeros (the prefix's padding), and
+    /// keys whose length prefix takes two bytes all come up often.
     fn arb_key() -> impl Strategy<Value = Vec<u8>> {
         let bytes = |len| {
             prop::collection::vec(0usize..3, len).prop_map(|k| {
@@ -262,6 +345,7 @@ mod tests {
         prop_oneof![
             bytes(0..12),
             bytes(0..4).prop_map(|tail| [b"stemstem".as_slice(), &tail].concat()),
+            bytes(0..4).prop_map(|tail| [[1u8; 128].as_slice(), &tail].concat()),
         ]
     }
 
@@ -269,12 +353,15 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The in-place sort is the stable sort by key bytes: every key
-        /// in the same place, equal keys in push order.
+        /// in the same place, equal keys in push order — whether the
+        /// references were pushed with the records ([`RunBuffer`]) or built
+        /// from 4-byte offsets at sort time ([`SortBuffer`]).
         #[test]
         fn sort_is_the_stable_sort_by_key_bytes(
             random in prop::collection::vec(arb_key(), 0..64),
         ) {
-            let edge_cases: [&[u8]; 13] = [
+            let long = [7u8; 200];
+            let edge_cases: [&[u8]; 17] = [
                 b"banana",
                 b"apple",
                 b"banana",
@@ -288,28 +375,44 @@ mod tests {
                 b"abcdefghi",
                 b"abcdefgh",
                 b"",
+                &long[..127],
+                &long[..128],
+                &long,
+                &long[..128],
             ];
             let keys: Vec<&[u8]> = edge_cases
                 .into_iter()
                 .chain(random.iter().map(Vec::as_slice))
                 .collect();
             let mut run = RunBuffer::default();
+            let mut offsets = SortBuffer::default();
             for (i, key) in keys.iter().enumerate() {
                 run.push(key, &(i as u32).to_be_bytes());
+                offsets.push(key, &(i as u32).to_be_bytes());
             }
             run.sort();
-            let got: Vec<(&[u8], &[u8])> =
-                run.recs.iter().map(|r| (run.key(r), run.value(r))).collect();
+            let from_offsets = offsets.sort_into(Vec::new());
+            prop_assert!(offsets.is_empty());
+            // Same bytes, and the same references as the ones pushed.
+            let refs = |r: &RunBuffer| -> Vec<(u64, u32, u32)> {
+                r.recs.iter().map(|r| (r.prefix, r.key_start, r.key_len)).collect()
+            };
+            prop_assert_eq!(&from_offsets.data, &run.data);
+            prop_assert_eq!(refs(&from_offsets), refs(&run));
             let mut stable: Vec<(usize, &[u8])> = keys.iter().copied().enumerate().collect();
             stable.sort_by(|a, b| a.1.cmp(b.1));
             let want: Vec<(&[u8], [u8; 4])> = stable
                 .into_iter()
                 .map(|(i, key)| (key, (i as u32).to_be_bytes()))
                 .collect();
-            prop_assert_eq!(got.len(), want.len());
-            for (g, w) in got.iter().zip(&want) {
-                prop_assert_eq!(g.0, w.0);
-                prop_assert_eq!(g.1, &w.1[..]);
+            for sorted in [&run, &from_offsets] {
+                let got: Vec<(&[u8], &[u8])> =
+                    sorted.recs.iter().map(|r| (sorted.key(r), sorted.value(r))).collect();
+                prop_assert_eq!(got.len(), want.len());
+                for (g, w) in got.iter().zip(&want) {
+                    prop_assert_eq!(g.0, w.0);
+                    prop_assert_eq!(g.1, &w.1[..]);
+                }
             }
         }
     }

@@ -1,8 +1,8 @@
 //! On-disk sorted runs: the out-of-core half of the shuffle.
 //!
-//! When a map task's sort buffer exceeds `spill_threshold_bytes`, each
-//! non-empty partition buffer is sorted, combined, and appended to the
-//! task's spill file as one *run*. A run is a sequence of length-prefixed,
+//! When a map task's sort buffers exceed `spill_threshold_bytes`, the
+//! task's spill thread sorts and combines each non-empty partition buffer
+//! and appends it to the task's spill file as one *run*. A run is a sequence of length-prefixed,
 //! checksummed frames (reusing [`lash_encoding::frame`]); each frame wraps a
 //! chunk of whole shuffle records, so the reduce side streams a run one
 //! chunk at a time — memory per open run is bounded by

@@ -1,15 +1,18 @@
 //! The [`Job`] trait — typed map-side emission and codec, byte-level
 //! combine and reduce — its two byte-level views ([`Combined`] and
-//! [`Values`]), and the [`Emitter`], the map-side sort buffer that
-//! serializes, sorts, combines, and (when the engine runs out-of-core)
-//! spills map output.
+//! [`Values`]), the [`Emitter`], which serializes map output into
+//! per-partition sort buffers, and the map task's spill thread, which
+//! sorts, combines and spills full sets of those buffers while the map
+//! thread keeps emitting.
 
 use std::path::PathBuf;
+use std::sync::mpsc::{Receiver, Sender, SyncSender};
+use std::time::Instant;
 
 use crate::counters::Counters;
 use crate::error::EngineError;
 use crate::merge::Merger;
-use crate::shuffle::{partition_of, RunBuffer};
+use crate::shuffle::{partition_of, RecordRef, RunBuffer, SortBuffer};
 use crate::spill::{RunMeta, SpillWriter};
 
 /// A MapReduce job.
@@ -92,7 +95,8 @@ impl Combined<'_> {
 
 /// Runs the job's combiner over every key group of a sorted run, appending
 /// the combined records — still sorted — to `out`. `scratch` backs
-/// [`Combined::push_with`].
+/// [`Combined::push_with`]. Shared by the map-side finalize and the
+/// merge-pass combine.
 pub(crate) fn combine_run<J: Job>(
     job: &J,
     run: &RunBuffer,
@@ -198,46 +202,48 @@ pub(crate) enum MapTaskOutput {
     },
 }
 
+/// One sort buffer per reduce partition: the unit a map task fills, and
+/// hands whole to its spill thread.
+pub(crate) type BufferSet = Vec<SortBuffer>;
+
+fn empty_set(num_parts: usize) -> BufferSet {
+    (0..num_parts).map(|_| SortBuffer::default()).collect()
+}
+
+/// The map thread's end of its spill thread.
+pub(crate) struct Handoff {
+    /// Buffered framed bytes past which the set being filled is handed off.
+    pub(crate) threshold: usize,
+    /// A rendezvous channel: a send returns once the spill thread has taken
+    /// the set, so at most one set is being spilled while one is filled.
+    pub(crate) full: SyncSender<BufferSet>,
+    /// Sets the spill thread has written out: empty, with their capacity.
+    pub(crate) emptied: Receiver<BufferSet>,
+}
+
 /// The map-side output collector: serializes each emitted pair through the
 /// job's codec into per-partition sort buffers (Hadoop's map-side sort
-/// buffer), spilling sorted runs to disk whenever the configured threshold
-/// is exceeded.
+/// buffer). A spilling task hands each full set of buffers to its spill
+/// thread and keeps emitting into the set the thread emptied last.
 pub struct Emitter<'a, J: Job> {
     job: &'a J,
     num_parts: usize,
     use_combiner: bool,
-    threshold: Option<usize>,
-    /// Per-partition unsorted record buffers.
-    parts: Vec<RunBuffer>,
-    /// Serialized bytes currently buffered across all partitions.
+    /// The set being filled.
+    parts: BufferSet,
+    /// Framed bytes in `parts`.
     buffered: usize,
-    /// Target spill file (set iff the threshold is set).
-    spill_path: Option<PathBuf>,
-    writer: Option<SpillWriter>,
-    runs: Vec<RunMeta>,
+    /// Set iff the task spills.
+    handoff: Option<Handoff>,
+    /// A set was handed off: the spill thread owns the task's output.
+    spilled: bool,
+    /// A hand-off failed because the spill thread is gone: emit is a no-op
+    /// from then on, and the task reports the spill thread's error.
+    stopped: bool,
     records: u64,
     counters: &'a Counters,
     kbuf: Vec<u8>,
     vbuf: Vec<u8>,
-    /// First spill failure; emit becomes a no-op afterwards and the task
-    /// reports the error when it finishes.
-    error: Option<EngineError>,
-    /// Map-side sort (and combine) latency, looked up once per task and
-    /// recorded once per finalized partition buffer.
-    sort_hist: lash_obs::Histogram,
-    /// Spill latency (sort + combine + run writes), recorded once per
-    /// spill event. A histogram rather than per-spill span events: with a
-    /// forced threshold of 0 every record spills, and the event pipeline
-    /// must not run per record.
-    spill_hist: lash_obs::Histogram,
-    /// The trace context of the enclosing map-task span, captured at
-    /// construction (on the worker thread) and attached to the one
-    /// `spill_summary` event a spilled task emits when it finishes.
-    trace: Option<lash_obs::trace::TraceCtx>,
-    /// Spill events and bytes of *this* task, for the summary event
-    /// (the shared `Counters` aggregate across tasks).
-    spill_events: u64,
-    spill_bytes: u64,
 }
 
 impl<'a, J: Job> Emitter<'a, J> {
@@ -245,34 +251,22 @@ impl<'a, J: Job> Emitter<'a, J> {
         job: &'a J,
         num_parts: usize,
         use_combiner: bool,
-        threshold: Option<usize>,
-        spill_path: Option<PathBuf>,
+        handoff: Option<Handoff>,
         counters: &'a Counters,
     ) -> Self {
-        debug_assert!(
-            threshold.is_none() || spill_path.is_some(),
-            "a spill threshold requires a spill file"
-        );
         Emitter {
             job,
             num_parts,
             use_combiner,
-            threshold,
-            parts: (0..num_parts).map(|_| RunBuffer::default()).collect(),
+            parts: empty_set(num_parts),
             buffered: 0,
-            spill_path,
-            writer: None,
-            runs: Vec::new(),
+            handoff,
+            spilled: false,
+            stopped: false,
             records: 0,
             counters,
             kbuf: Vec::new(),
             vbuf: Vec::new(),
-            error: None,
-            sort_hist: lash_obs::global().histogram("mapreduce.sort_us"),
-            spill_hist: lash_obs::global().histogram("mapreduce.spill_us"),
-            trace: lash_obs::trace::current(),
-            spill_events: 0,
-            spill_bytes: 0,
         }
     }
 
@@ -284,7 +278,7 @@ impl<'a, J: Job> Emitter<'a, J> {
     /// Emits one key/value pair by reference: the pair is serialized on the
     /// spot, so a map loop can reuse one key and one value for every record.
     pub fn emit_ref(&mut self, key: &J::Key, value: &J::Value) {
-        if self.error.is_some() {
+        if self.stopped {
             return;
         }
         self.records += 1;
@@ -293,65 +287,116 @@ impl<'a, J: Job> Emitter<'a, J> {
         self.vbuf.clear();
         self.job.encode_value(value, &mut self.vbuf);
         let part = partition_of(&self.kbuf, self.num_parts);
-        let (_, materialized) = self.parts[part].push(&self.kbuf, &self.vbuf);
-        self.buffered += materialized as usize;
-        if self.threshold.is_some_and(|t| self.buffered > t) {
-            if let Err(e) = self.spill() {
-                self.error = Some(e);
-            }
+        self.buffered += self.parts[part].push(&self.kbuf, &self.vbuf);
+        if self
+            .handoff
+            .as_ref()
+            .is_some_and(|h| self.buffered > h.threshold)
+        {
+            self.hand_off();
         }
     }
 
-    /// Sorts, combines, and writes every non-empty partition buffer as one
-    /// run in the task's spill file, then resets the buffers.
-    fn spill(&mut self) -> Result<(), EngineError> {
-        let spill_started = std::time::Instant::now();
+    /// Hands the set being filled to the spill thread, waiting until the
+    /// thread takes it, and carries on with the set it emptied last (a new
+    /// one on the first hand-off).
+    fn hand_off(&mut self) {
+        let handoff = self.handoff.as_ref().expect("only spilling tasks hand off");
         self.raise_peak();
-        if self.writer.is_none() {
-            let path = self
-                .spill_path
-                .clone()
-                .expect("spill threshold requires a spill file");
-            self.writer = Some(SpillWriter::create(path)?);
-        }
-        for part in 0..self.num_parts {
-            if self.parts[part].is_empty() {
-                continue;
-            }
-            let run = self.finalize_partition(part);
-            let writer = self.writer.as_mut().expect("writer created above");
-            let meta = writer.write_run(part as u32, &run)?;
-            Counters::add(&self.counters.spilled_bytes, meta.len);
-            Counters::add(&self.counters.spilled_runs, 1);
-            self.spill_bytes += meta.len;
-            self.runs.push(meta);
-        }
         self.buffered = 0;
-        self.spill_events += 1;
-        self.spill_hist.record_duration(spill_started.elapsed());
-        Ok(())
+        self.spilled = true;
+        if handoff.full.send(std::mem::take(&mut self.parts)).is_err() {
+            self.stopped = true;
+            return;
+        }
+        // The spill thread sends a set back before it takes the next, so
+        // from the second hand-off on the previous set is already here.
+        self.parts = handoff
+            .emptied
+            .try_recv()
+            .unwrap_or_else(|_| empty_set(self.num_parts));
     }
 
     /// Publishes the task's resident high-water mark. `buffered` only grows
-    /// between spills, so it is at its peak right before the buffers are
-    /// flushed — once per spill and once at the end, instead of two atomic
+    /// between hand-offs, so it is at its peak right before a set leaves —
+    /// once per spill and once at the end, instead of two atomic
     /// read-modify-writes on lines every map thread shares per record.
     fn raise_peak(&self) {
         Counters::raise(&self.counters.peak_resident_bytes, self.buffered as u64);
     }
 
-    /// Takes one partition buffer, sorts it, applies the combiner, and
-    /// accounts the shipped bytes.
-    fn finalize_partition(&mut self, part: usize) -> RunBuffer {
-        let sort_started = std::time::Instant::now();
-        let mut buf = std::mem::take(&mut self.parts[part]);
-        buf.sort();
-        let run = if self.use_combiner && !buf.is_empty() {
-            self.combine_sorted(buf)
+    /// Ends emission, returning the task's output unless its spill thread
+    /// owns it, and the number of emitted records. A task that handed off a
+    /// set hands off the rest too; one that never did finalizes its buffers
+    /// in memory. Dropping the emitter closes the hand-off channel, which
+    /// tells the spill thread to end the spill file.
+    pub(crate) fn finish(mut self) -> (Option<MapTaskOutput>, u64) {
+        if self.spilled {
+            if self.buffered > 0 {
+                self.hand_off();
+            }
+            return (None, self.records);
+        }
+        self.raise_peak();
+        let mut finalizer = Finalizer::new(self.job, self.use_combiner, self.counters);
+        // Each buffer drops once finalized, so a combined task never holds
+        // all its raw and all its combined bytes at once.
+        let parts = std::mem::take(&mut self.parts)
+            .into_iter()
+            .map(|mut buf| finalizer.finalize(&mut buf))
+            .collect();
+        (Some(MapTaskOutput::Mem(parts)), self.records)
+    }
+}
+
+/// The one finalize step, shared by the spill thread and a task's
+/// in-memory output: for each partition buffer, build references → sort →
+/// combine → count the shipped bytes.
+struct Finalizer<'a, J: Job> {
+    job: &'a J,
+    use_combiner: bool,
+    counters: &'a Counters,
+    /// Map-side sort (and combine) latency, recorded once per finalized
+    /// partition buffer.
+    sort_hist: lash_obs::Histogram,
+    /// Reference vector for the next sort.
+    refs: Vec<RecordRef>,
+    /// Combine output for the next combine.
+    combined: RunBuffer,
+    /// Backs [`Combined::push_with`].
+    scratch: Vec<u8>,
+}
+
+impl<'a, J: Job> Finalizer<'a, J> {
+    fn new(job: &'a J, use_combiner: bool, counters: &'a Counters) -> Self {
+        Finalizer {
+            job,
+            use_combiner,
+            counters,
+            sort_hist: lash_obs::global().histogram("mapreduce.sort_us"),
+            refs: Vec::new(),
+            combined: RunBuffer::default(),
+            scratch: Vec::new(),
+        }
+    }
+
+    /// Turns one partition buffer into a sorted, combined run and counts
+    /// its shipped bytes. An uncombined run holds the buffer's own bytes,
+    /// moved, not copied; combining hands them back to the buffer.
+    fn finalize(&mut self, buf: &mut SortBuffer) -> RunBuffer {
+        let started = Instant::now();
+        let sorted = buf.sort_into(std::mem::take(&mut self.refs));
+        let run = if self.use_combiner {
+            let mut out = std::mem::take(&mut self.combined);
+            combine_run(self.job, &sorted, &mut out, &mut self.scratch);
+            Counters::add(&self.counters.combine_input_records, sorted.len() as u64);
+            Counters::add(&self.counters.combine_output_records, out.len() as u64);
+            self.give_back(buf, sorted);
+            out
         } else {
-            buf
+            sorted
         };
-        self.sort_hist.record_duration(sort_started.elapsed());
+        self.sort_hist.record_duration(started.elapsed());
         let mut payload = 0u64;
         for r in &run.recs {
             payload += (r.key_len as usize + run.value(r).len()) as u64;
@@ -364,67 +409,122 @@ impl<'a, J: Job> Emitter<'a, J> {
         run
     }
 
-    /// Runs the combiner over each key group of a sorted buffer, rebuilding
-    /// a (still sorted) buffer from the combined values.
-    fn combine_sorted(&mut self, buf: RunBuffer) -> RunBuffer {
-        let mut out = RunBuffer::default();
-        combine_run(self.job, &buf, &mut out, &mut self.vbuf);
-        Counters::add(&self.counters.combine_input_records, buf.len() as u64);
-        Counters::add(&self.counters.combine_output_records, out.len() as u64);
-        out
+    /// Takes back the allocations of a run that has been written out, so
+    /// the next finalize of `buf` (the run's source) reuses them.
+    fn recycle(&mut self, buf: &mut SortBuffer, mut run: RunBuffer) {
+        if self.use_combiner {
+            run.clear();
+            self.combined = run;
+        } else {
+            self.give_back(buf, run);
+        }
     }
 
-    /// Finishes the map task: flushes a final spill if the task spilled
-    /// before, otherwise finalizes the buffers in memory. Returns the task
-    /// output and the number of raw emitted records.
-    pub(crate) fn finish(mut self) -> Result<(MapTaskOutput, u64), EngineError> {
-        if let Some(e) = self.error.take() {
-            return Err(e);
-        }
-        let records = self.records;
-        if self.writer.is_some() {
-            self.spill()?;
-            let writer = self.writer.take().expect("spilled at least once");
-            let file = writer.finish()?;
-            let runs = std::mem::take(&mut self.runs);
-            // One summary event per spilled task (not per spill — see
-            // `spill_hist`), tied to the task's span via the captured
-            // context.
-            lash_obs::global().emit_event_with(
-                self.trace,
-                "spill_summary",
-                "mapreduce.spill",
-                &[
-                    ("spills", self.spill_events.into()),
-                    ("runs", runs.len().into()),
-                    ("bytes", self.spill_bytes.into()),
-                ],
-            );
-            Ok((MapTaskOutput::Spilled { file, runs }, records))
-        } else {
-            self.raise_peak();
-            let parts: Vec<RunBuffer> = (0..self.num_parts)
-                .map(|p| self.finalize_partition(p))
-                .collect();
-            Ok((MapTaskOutput::Mem(parts), records))
-        }
+    /// Returns a sorted run's bytes to the buffer they came from and keeps
+    /// its references for the next sort.
+    fn give_back(&mut self, buf: &mut SortBuffer, run: RunBuffer) {
+        buf.reuse(run.data);
+        self.refs = run.recs;
     }
+}
+
+/// The body of a map task's spill thread. It takes each full set off
+/// `full`, finalizes every non-empty buffer into one run of the spill file
+/// at `path` (created with the first set), and sends the emptied set back
+/// on `emptied`. When the map thread closes `full` it ends the file and
+/// returns the task's output, or `None` if no set ever came: the task
+/// kept its output in memory.
+///
+/// An error returns at once and drops `full`'s receiving end, so the map
+/// thread's pending or next hand-off fails and it stops emitting: neither
+/// thread waits on the other.
+pub(crate) fn spill_sets<J: Job>(
+    job: &J,
+    use_combiner: bool,
+    path: PathBuf,
+    full: Receiver<BufferSet>,
+    emptied: Sender<BufferSet>,
+    counters: &Counters,
+) -> Result<Option<MapTaskOutput>, EngineError> {
+    let Ok(mut set) = full.recv() else {
+        return Ok(None);
+    };
+    let mut writer = SpillWriter::create(path)?;
+    let mut finalizer = Finalizer::new(job, use_combiner, counters);
+    // Spill latency (sort + combine + run writes), recorded once per set. A
+    // histogram rather than per-spill span events: with a forced threshold
+    // of 0 every record spills, and the event pipeline must not run per
+    // record.
+    let spill_hist = lash_obs::global().histogram("mapreduce.spill_us");
+    let mut runs: Vec<RunMeta> = Vec::new();
+    let (mut spills, mut bytes) = (0u64, 0u64);
+    loop {
+        let started = Instant::now();
+        for (part, buf) in set.iter_mut().enumerate() {
+            if buf.is_empty() {
+                continue;
+            }
+            let run = finalizer.finalize(buf);
+            let meta = writer.write_run(part as u32, &run)?;
+            finalizer.recycle(buf, run);
+            Counters::add(&counters.spilled_bytes, meta.len);
+            Counters::add(&counters.spilled_runs, 1);
+            bytes += meta.len;
+            runs.push(meta);
+        }
+        spills += 1;
+        spill_hist.record_duration(started.elapsed());
+        // Fails only once the map thread has finished; the set just drops.
+        let _ = emptied.send(set);
+        set = match full.recv() {
+            Ok(next) => next,
+            Err(_) => break,
+        };
+    }
+    let file = writer.finish()?;
+    // One summary event per spilled task, not per spill (see `spill_hist`),
+    // under the map task's span: this thread entered its trace context.
+    lash_obs::global().emit_event(
+        "spill_summary",
+        "mapreduce.spill",
+        &[
+            ("spills", spills.into()),
+            ("runs", runs.len().into()),
+            ("bytes", bytes.into()),
+        ],
+    );
+    Ok(Some(MapTaskOutput::Spilled { file, runs }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Identity codec over byte-string keys and u8 values.
-    struct ByteJob;
+    use crate::config::EngineConfig;
+    use crate::counters::CounterSnapshot;
+    use crate::spill::SpillSpace;
+
+    /// Identity codec over byte-string keys and u8 values; each input is
+    /// one pair, emitted by value or, with `by_ref`, by reference.
+    struct ByteJob {
+        by_ref: bool,
+    }
+
+    const BYTE_JOB: ByteJob = ByteJob { by_ref: false };
 
     impl Job for ByteJob {
-        type Input = ();
+        type Input = (Vec<u8>, u8);
         type Key = Vec<u8>;
         type Value = u8;
         type Output = ();
 
-        fn map(&self, _input: &(), _emit: &mut Emitter<'_, Self>) {}
+        fn map(&self, (key, value): &(Vec<u8>, u8), emit: &mut Emitter<'_, Self>) {
+            if self.by_ref {
+                emit.emit_ref(key, value);
+            } else {
+                emit.emit(key.clone(), *value);
+            }
+        }
         fn combine(&self, _key: &[u8], values: &mut [&[u8]], out: &mut Combined<'_>) {
             let sum = values.iter().fold(0u8, |acc, v| acc.wrapping_add(v[0]));
             out.push_with(|buf| buf.push(sum));
@@ -438,15 +538,44 @@ mod tests {
         }
     }
 
+    /// Runs one map task of `job` over `pairs` with `parts` reduce
+    /// partitions, returning its output and the counters it left.
+    fn map_task(
+        job: &ByteJob,
+        pairs: &[(Vec<u8>, u8)],
+        parts: usize,
+        combiner: bool,
+        threshold: Option<usize>,
+    ) -> (MapTaskOutput, CounterSnapshot) {
+        let config = EngineConfig::sequential()
+            .with_reduce_tasks(parts)
+            .with_combiner(combiner)
+            .with_spill_threshold(threshold);
+        let space = threshold.map(|_| SpillSpace::create(None).unwrap());
+        let counters = Counters::default();
+        let output = crate::runtime::run_map_task(
+            job,
+            pairs,
+            parts,
+            &config,
+            space.as_ref(),
+            0,
+            0,
+            &counters,
+        )
+        .unwrap();
+        (output, counters.snapshot())
+    }
+
+    fn pairs(list: &[(&[u8], u8)]) -> Vec<(Vec<u8>, u8)> {
+        list.iter().map(|&(k, v)| (k.to_vec(), v)).collect()
+    }
+
     #[test]
     fn emitter_sorts_and_groups_in_memory() {
-        let counters = Counters::default();
-        let mut emitter = Emitter::new(&ByteJob, 1, false, None, None, &counters);
-        emitter.emit(b"b".to_vec(), 1);
-        emitter.emit(b"a".to_vec(), 2);
-        emitter.emit(b"b".to_vec(), 3);
-        let (output, records) = emitter.finish().unwrap();
-        assert_eq!(records, 3);
+        let input = pairs(&[(b"b", 1), (b"a", 2), (b"b", 3)]);
+        let (output, s) = map_task(&BYTE_JOB, &input, 1, false, None);
+        assert_eq!(s.map_output_records, 3);
         let MapTaskOutput::Mem(parts) = output else {
             panic!("no threshold, no spill");
         };
@@ -461,7 +590,6 @@ mod tests {
             pairs,
             vec![(b"a".to_vec(), 2), (b"b".to_vec(), 1), (b"b".to_vec(), 3)]
         );
-        let s = counters.snapshot();
         assert!(s.map_output_bytes > 0);
         assert_eq!(s.spilled_bytes, 0);
         // Never spilled: every framed byte was resident when the task ended.
@@ -470,70 +598,72 @@ mod tests {
 
     #[test]
     fn emit_ref_serializes_like_emit() {
+        let input = pairs(&[(b"b", 1), (b"a", 2), (b"b", 3)]);
         let runs = |by_ref: bool| {
-            let counters = Counters::default();
-            let mut emitter = Emitter::new(&ByteJob, 2, false, None, None, &counters);
-            for (key, value) in [(b"b".to_vec(), 1u8), (b"a".to_vec(), 2), (b"b".to_vec(), 3)] {
-                if by_ref {
-                    emitter.emit_ref(&key, &value);
-                } else {
-                    emitter.emit(key, value);
-                }
-            }
-            let (output, records) = emitter.finish().unwrap();
+            let (output, s) = map_task(&ByteJob { by_ref }, &input, 2, false, None);
             let MapTaskOutput::Mem(parts) = output else {
                 panic!("no threshold, no spill");
             };
             let data: Vec<Vec<u8>> = parts.into_iter().map(|run| run.data).collect();
-            (data, records, counters.snapshot().peak_resident_bytes)
+            (data, s.map_output_records, s.peak_resident_bytes)
         };
         assert_eq!(runs(true), runs(false));
     }
 
     #[test]
     fn emitter_combines_per_key_group() {
-        let counters = Counters::default();
-        let mut emitter = Emitter::new(&ByteJob, 1, true, None, None, &counters);
-        emitter.emit(b"k".to_vec(), 10);
-        emitter.emit(b"k".to_vec(), 20);
-        emitter.emit(b"other".to_vec(), 1);
-        let (output, _) = emitter.finish().unwrap();
+        let input = pairs(&[(b"k", 10), (b"k", 20), (b"other", 1)]);
+        let (output, s) = map_task(&BYTE_JOB, &input, 1, true, None);
         let MapTaskOutput::Mem(parts) = output else {
             panic!("no threshold, no spill");
         };
         let run = &parts[0];
         assert_eq!(run.len(), 2);
         assert_eq!(run.value(&run.recs[0]), &[30]);
-        let s = counters.snapshot();
         assert_eq!(s.combine_input_records, 3);
         assert_eq!(s.combine_output_records, 2);
     }
 
     #[test]
     fn zero_threshold_spills_every_record() {
-        let counters = Counters::default();
-        let space = crate::spill::SpillSpace::create(None).unwrap();
-        let mut emitter = Emitter::new(
-            &ByteJob,
-            2,
-            true,
-            Some(0),
-            Some(space.task_file(0, 0)),
-            &counters,
-        );
-        for i in 0..5u8 {
-            emitter.emit(vec![i], i);
-        }
-        let (output, records) = emitter.finish().unwrap();
-        assert_eq!(records, 5);
+        let input: Vec<(Vec<u8>, u8)> = (0..5u8).map(|i| (vec![i], i)).collect();
+        let (output, s) = map_task(&BYTE_JOB, &input, 2, true, Some(0));
+        assert_eq!(s.map_output_records, 5);
         let MapTaskOutput::Spilled { runs, .. } = output else {
             panic!("threshold 0 must spill");
         };
         assert_eq!(runs.len(), 5);
-        let s = counters.snapshot();
         assert_eq!(s.spilled_runs, 5);
         assert!(s.spilled_bytes > 0);
         // Each spill held one framed record: two length bytes, key, value.
         assert_eq!(s.peak_resident_bytes, 4);
+    }
+
+    /// The map thread tests the threshold as it appends, so a set leaves
+    /// right after the record that takes it past the threshold, and the
+    /// last, partial set is spilled when the task ends.
+    #[test]
+    fn spills_happen_where_the_threshold_is_crossed() {
+        // Four framed bytes per record: a set leaves at 8 bytes > 5.
+        let input: Vec<(Vec<u8>, u8)> = (0..7u8).map(|i| (vec![i], i)).collect();
+        let (output, s) = map_task(&BYTE_JOB, &input, 1, false, Some(5));
+        let MapTaskOutput::Spilled { runs, .. } = output else {
+            panic!("the threshold is crossed, so the task spills");
+        };
+        let records: Vec<u64> = runs.iter().map(|r| r.records).collect();
+        assert_eq!(records, [2, 2, 2, 1]);
+        assert_eq!(s.peak_resident_bytes, 8);
+        assert_eq!(s.map_output_materialized_bytes, 28);
+    }
+
+    /// A threshold no set crosses keeps the task's output in memory,
+    /// though the task ran a spill thread.
+    #[test]
+    fn a_task_under_the_threshold_never_spills() {
+        let input = pairs(&[(b"b", 1), (b"a", 2)]);
+        let (output, s) = map_task(&BYTE_JOB, &input, 2, true, Some(1 << 20));
+        assert!(matches!(output, MapTaskOutput::Mem(_)));
+        assert_eq!(s.spilled_runs, 0);
+        assert_eq!(s.peak_resident_bytes, 8);
     }
 }
