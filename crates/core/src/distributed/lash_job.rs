@@ -44,7 +44,7 @@ fn publish_mine(pivot: u32, stats: &MinerStats, elapsed: std::time::Duration) {
 /// Which local miner runs in the reduce phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MinerKind {
-    /// Exhaustive enumeration (ground truth; exponential).
+    /// Exhaustive enumeration (exponential).
     Naive,
     /// Hierarchy-aware SPADE (Sec. 5.1).
     Bfs,
@@ -608,7 +608,7 @@ fn run_partition_and_mine_sharded<C: ShardedCorpus>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{fig1, fig2_context, named_patterns};
+    use crate::testutil::{by_item_ids, fig1, fig2_context, named_patterns, oracle_patterns};
     use lash_mapreduce::{FailurePlan, Phase};
 
     /// The paper's full GSM output for the running example (Sec. 2).
@@ -778,15 +778,10 @@ mod tests {
         let params = GsmParams::new(1, 0, 2).unwrap();
         let lash = Lash::new(LashConfig::new(EngineConfig::default().with_split_size(2)));
         let result = lash.mine(&db, &vocab, &params).unwrap();
-        // Ground truth via the naive distributed baseline.
-        let ctx = crate::context::MiningContext::build(&db, &vocab, 1);
-        let (naive, _) = super::super::naive_job::run_naive(
-            &ctx,
-            &params,
-            &EngineConfig::default().with_split_size(2),
-        )
-        .unwrap();
-        assert_eq!(result.pattern_set(), &naive);
+        assert_eq!(
+            by_item_ids(result.context(), result.pattern_set()),
+            oracle_patterns(&vocab, &db, &params)
+        );
     }
 
     #[test]
@@ -795,23 +790,25 @@ mod tests {
         let cluster = EngineConfig::default().with_split_size(2);
         for (sigma, gamma, lambda) in [(2, 1, 3), (2, 0, 3), (3, 1, 4), (2, 2, 2)] {
             let params = GsmParams::new(sigma, gamma, lambda).unwrap();
+            let want = oracle_patterns(&vocab, &db, &params);
             let lash = Lash::new(LashConfig::new(cluster.clone()))
                 .mine(&db, &vocab, &params)
                 .unwrap();
-            let ctx = crate::context::MiningContext::build(&db, &vocab, sigma);
+            let ctx = MiningContext::build(&db, &vocab, sigma);
             let (naive, _) = super::super::naive_job::run_naive(&ctx, &params, &cluster).unwrap();
             let (semi, _) =
                 super::super::semi_naive_job::run_semi_naive(&ctx, &params, &cluster).unwrap();
-            assert_eq!(
-                lash.pattern_set(),
-                &naive,
-                "naive σ={sigma} γ={gamma} λ={lambda}"
-            );
-            assert_eq!(
-                lash.pattern_set(),
-                &semi,
-                "semi σ={sigma} γ={gamma} λ={lambda}"
-            );
+            for (name, ctx, got) in [
+                ("LASH", lash.context(), lash.pattern_set()),
+                ("naive", &ctx, &naive),
+                ("semi-naive", &ctx, &semi),
+            ] {
+                assert_eq!(
+                    by_item_ids(ctx, got),
+                    want,
+                    "{name} σ={sigma} γ={gamma} λ={lambda}"
+                );
+            }
         }
     }
 

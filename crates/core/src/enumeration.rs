@@ -4,7 +4,7 @@
 //! generalizations — the unit of the f-list computation and of partition
 //! routing. `Gλ(T)` is the full set of generalized subsequences of `T`
 //! respecting the gap and length constraints — the (deliberately exponential)
-//! unit of the naive baseline and the ground truth for every other miner.
+//! unit of the naive and semi-naive baselines and of the naive local miner.
 
 use crate::fxhash::FxHashSet;
 use crate::hierarchy::ItemSpace;

@@ -10,7 +10,7 @@ pub enum Error {
     /// An operation referenced an item id that is not part of the vocabulary.
     UnknownItem(u32),
     /// Attempted to assign a second parent to an item (the hierarchy must be a
-    /// forest; DAG support lives behind `MultiHierarchy`).
+    /// forest).
     DuplicateParent {
         /// The child that already has a parent.
         child: u32,

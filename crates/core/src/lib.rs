@@ -66,7 +66,6 @@
 #![warn(missing_docs)]
 
 pub mod context;
-pub mod dag;
 pub mod distributed;
 pub mod enumeration;
 pub mod error;

@@ -5,8 +5,8 @@
 //! sequences `S` with `p(S) = w` and `2 ≤ |S| ≤ λ` (paper Sec. 5). This module
 //! provides:
 //!
-//! * [`NaiveMiner`] — exhaustive enumeration; the ground
-//!   truth used by the test suite;
+//! * [`NaiveMiner`] — exhaustive enumeration of the partition's
+//!   generalized subsequences;
 //! * [`BfsMiner`] — hierarchy-aware SPADE (level-wise
 //!   candidate-generation-and-test over a vertical index, Sec. 5.1);
 //! * [`DfsMiner`] — hierarchy-aware PrefixSpan (pattern-growth
@@ -85,7 +85,7 @@ pub trait LocalMiner: Send + Sync {
 #[cfg(test)]
 pub(crate) mod minertests {
     //! Shared conformance tests: every miner must reproduce the paper's
-    //! Fig. 2 per-partition outputs and agree with naive enumeration.
+    //! Fig. 2 per-partition outputs and be invariant under aggregation.
 
     use super::*;
     use crate::rewrite::{RewriteScratch, Rewriter};

@@ -1,7 +1,8 @@
 //! Exhaustive local miner: enumerate `Gλ(T)` per sequence and count.
 //!
-//! Exponential in λ (paper Sec. 3.2) — used as the ground truth in tests and
-//! as the reduce-side evaluation of the naive/semi-naive baselines.
+//! Exponential in λ (paper Sec. 3.2). The per-partition unit tests compare
+//! the other miners against it; the test suite's ground truth is the GSM
+//! oracle in `testutil`.
 
 use crate::enumeration::enumerate_gl;
 use crate::fxhash::FxHashMap;

@@ -266,7 +266,7 @@ mod tests {
         assert_eq!(got.get(&[a, d],), Some(3));
         assert_eq!(got.get(&[d, d]), Some(2));
         assert_eq!(got.get(&[a, d, d]), Some(2));
-        // And it agrees with ground truth entirely.
+        // And it agrees with the naive miner entirely.
         let (naive, _) = NaiveMiner.mine(&partition, d, space, &params);
         assert_eq!(got, naive);
         let (indexed, _) = PsmMiner::indexed().mine(&partition, d, space, &params);

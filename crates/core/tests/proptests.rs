@@ -1,9 +1,11 @@
 //! Property tests for lash-core's algorithmic kernels: matching against a
-//! brute-force oracle, local-miner equivalence on random partitions,
-//! w-equivalence of the rewriter, DAG mining against exhaustive enumeration,
-//! and the closed/maximal window-index against the quadratic reference.
+//! brute-force oracle, the local miners against the GSM oracle on random
+//! databases, w-equivalence of the rewriter, and the closed/maximal
+//! window-index against the quadratic reference.
 
-use lash_core::dag::{naive_dag, DagMiner, MultiVocabularyBuilder};
+#[path = "../src/testutil/oracle.rs"]
+mod oracle;
+
 use lash_core::enumeration::enumerate_pivot;
 use lash_core::hierarchy::ItemSpace;
 use lash_core::matching::matches;
@@ -11,7 +13,10 @@ use lash_core::miner::{BfsMiner, DfsMiner, LocalMiner, NaiveMiner, PsmMiner};
 use lash_core::rewrite::{RewriteScratch, Rewriter};
 use lash_core::sequence::{Partition, SequenceDatabase};
 use lash_core::stats::{closed_maximal_counts, closed_maximal_counts_naive};
-use lash_core::{GsmParams, Lash, LashConfig, VocabularyBuilder, BLANK};
+use lash_core::{
+    GsmParams, ItemId, Lash, LashConfig, MiningContext, PatternSet, Vocabulary, VocabularyBuilder,
+    BLANK,
+};
 use proptest::prelude::*;
 
 /// A random rank-space hierarchy of at most four levels: parent of rank `r`
@@ -42,6 +47,30 @@ fn arb_space(max_items: usize) -> impl Strategy<Value = ItemSpace> {
 /// A random rank-space sequence that may contain blanks.
 fn arb_seq(n_items: usize) -> impl Strategy<Value = Vec<u32>> {
     prop::collection::vec(prop_oneof![9 => 0..n_items as u32, 1 => Just(BLANK)], 0..10)
+}
+
+/// A random forest of at most four levels over at most `max_items`
+/// vocabulary items: item `i`'s parent is an earlier item or none.
+fn arb_vocabulary(max_items: usize) -> impl Strategy<Value = Vocabulary> {
+    prop::collection::vec(prop::option::weighted(0.5, 0..100usize), 1..max_items).prop_map(
+        |parents| {
+            let mut vb = VocabularyBuilder::new();
+            let items: Vec<_> = (0..parents.len())
+                .map(|i| vb.intern(&format!("v{i}")))
+                .collect();
+            let mut level = vec![1u32; items.len()];
+            for (i, p) in parents.iter().enumerate() {
+                if let Some(p) = p.filter(|_| i > 0).map(|p| p % i) {
+                    if level[p] < 4 {
+                        level[i] = level[p] + 1;
+                        vb.set_parent(items[i], items[p])
+                            .expect("parent precedes child");
+                    }
+                }
+            }
+            vb.finish().expect("forest by construction")
+        },
+    )
 }
 
 /// Brute-force `S ⊑γ T`: try every embedding recursively.
@@ -92,41 +121,73 @@ proptest! {
         );
     }
 
-    /// All local miners agree with exhaustive enumeration on random
-    /// partitions (weighted, blank-containing sequences included; raw, so
-    /// items above the pivot occur too) for γ up to 3 and λ up to 6.
+    /// Every local miner returns, for each frequent pivot, exactly the
+    /// oracle's patterns whose largest item is that pivot. The partition is
+    /// the whole weighted database, raw, so items above the pivot occur too;
+    /// items that no frequent item generalizes are blanks, as the rewrites
+    /// leave them. γ goes up to 3 and λ up to 6.
     #[test]
     fn local_miners_agree_on_random_partitions(
-        space in arb_space(8),
-        seqs in prop::collection::vec((arb_seq(8), 1u64..4), 1..8),
+        vocab in arb_vocabulary(8),
+        seqs in prop::collection::vec((prop::collection::vec(0u32..8, 0..10), 1u64..4), 1..8),
         sigma in 1u64..4,
         gamma in 0usize..4,
         lambda in 2usize..7,
     ) {
-        let n = space.len() as u32;
+        let n = vocab.len() as u32;
+        let seqs: Vec<(Vec<u32>, u64)> = seqs
+            .into_iter()
+            .map(|(s, w)| (s.into_iter().map(|i| i % n).collect(), w))
+            .collect();
+        let mut copies = Vec::new();
+        let mut db = SequenceDatabase::new();
+        for (s, w) in &seqs {
+            let items: Vec<ItemId> = s.iter().map(|&i| ItemId::from_u32(i)).collect();
+            for _ in 0..*w {
+                copies.push(s.clone());
+                db.push(&items);
+            }
+        }
+        let expected = oracle::gsm(
+            |i| vocab.parent(ItemId::from_u32(i)).map(ItemId::as_u32),
+            &copies,
+            sigma,
+            gamma,
+            lambda,
+        );
+        let ctx = MiningContext::build(&db, &vocab, sigma);
+        let (order, space) = (ctx.order(), ctx.space());
+        let rank = |i: u32| order.rank(ItemId::from_u32(i));
         let mut partition = Partition::new();
-        for (s, w) in seqs {
-            let items: Vec<u32> =
-                s.into_iter().map(|t| if t == BLANK { BLANK } else { t % n }).collect();
-            partition.push(&items, w);
+        for (s, w) in &seqs {
+            let ranked: Vec<u32> = s
+                .iter()
+                .map(|&i| space.closest_frequent(rank(i)).map_or(BLANK, |_| rank(i)))
+                .collect();
+            partition.push(&ranked, *w);
         }
         let params = GsmParams::new(sigma, gamma, lambda).unwrap();
         for pivot in 0..space.num_frequent() {
-            let (expected, _) = NaiveMiner.mine(&partition, pivot, &space, &params);
+            let want: PatternSet = expected
+                .iter()
+                .map(|(items, &f)| (items.iter().map(|&i| rank(i)).collect::<Vec<u32>>(), f))
+                .filter(|(ranks, _)| ranks.iter().max() == Some(&pivot))
+                .collect();
             for miner in [
-                &BfsMiner as &dyn LocalMiner,
+                &NaiveMiner as &dyn LocalMiner,
+                &BfsMiner,
                 &DfsMiner,
                 &PsmMiner::plain(),
                 &PsmMiner::indexed(),
             ] {
-                let (got, _) = miner.mine(&partition, pivot, &space, &params);
+                let (got, _) = miner.mine(&partition, pivot, space, &params);
                 prop_assert_eq!(
-                    &expected,
+                    &want,
                     &got,
                     "miner {} pivot {} diff {:?}",
                     miner.name(),
                     pivot,
-                    expected.diff(&got)
+                    want.diff(&got)
                 );
             }
         }
@@ -160,58 +221,19 @@ proptest! {
         }
     }
 
-    /// DAG mining agrees with exhaustive enumeration on random DAGs.
-    #[test]
-    fn dag_miner_agrees_with_enumeration(
-        edges in prop::collection::vec((1usize..8, 0usize..8), 0..12),
-        raw in prop::collection::vec(prop::collection::vec(0u32..8, 1..6), 1..6),
-        sigma in 1u64..3,
-        gamma in 0usize..2,
-        lambda in 2usize..4,
-    ) {
-        let mut vb = MultiVocabularyBuilder::new();
-        let items: Vec<_> = (0..8).map(|i| vb.intern(&format!("n{i}"))).collect();
-        for (child, parent) in edges {
-            // Parent index smaller than child guarantees acyclicity.
-            let p = parent % child;
-            let _ = vb.add_parent(items[child], items[p]);
-        }
-        let vocab = vb.finish();
-        let mut db = SequenceDatabase::new();
-        for seq in &raw {
-            let s: Vec<_> = seq.iter().map(|&i| items[i as usize % 8]).collect();
-            db.push(&s);
-        }
-        let params = GsmParams::new(sigma, gamma, lambda).unwrap();
-        let (_, expected) = naive_dag(&db, &vocab, &params);
-        let (_, got) = DagMiner.mine(&db, &vocab, &params);
-        prop_assert_eq!(&expected, &got, "diff {:?}", expected.diff(&got));
-    }
-
     /// The window-index closed/maximal computation matches the quadratic
     /// reference on complete outputs of random mining runs.
     #[test]
     fn closed_maximal_fast_equals_naive(
-        parents in prop::collection::vec(prop::option::weighted(0.5, 0..100usize), 2..8),
+        vocab in arb_vocabulary(8),
         raw in prop::collection::vec(prop::collection::vec(0u32..8, 0..6), 1..8),
         gamma in 0usize..2,
         lambda in 2usize..4,
     ) {
-        let mut vb = VocabularyBuilder::new();
-        let items: Vec<_> = (0..parents.len())
-            .map(|i| vb.intern(&format!("x{i}")))
-            .collect();
-        for (i, p) in parents.iter().enumerate() {
-            if i > 0 {
-                if let Some(p) = p {
-                    vb.set_parent(items[i], items[p % i]).unwrap();
-                }
-            }
-        }
-        let vocab = vb.finish().unwrap();
+        let n = vocab.len() as u32;
         let mut db = SequenceDatabase::new();
         for seq in &raw {
-            let s: Vec<_> = seq.iter().map(|&i| items[i as usize % items.len()]).collect();
+            let s: Vec<_> = seq.iter().map(|&i| ItemId::from_u32(i % n)).collect();
             db.push(&s);
         }
         let params = GsmParams::new(1, gamma, lambda).unwrap();

@@ -1,14 +1,22 @@
 //! Property-based integration tests: on random hierarchies, databases, and
-//! parameters, every execution strategy of LASH must agree with exhaustive
-//! enumeration, and the partition rewrites must preserve pivot sequences.
+//! parameters, every execution strategy of LASH and both baseline jobs must
+//! return exactly the GSM oracle's answer, and the partition rewrites must
+//! preserve pivot sequences.
+
+#[path = "../crates/core/src/testutil/oracle.rs"]
+mod oracle;
+
+use std::collections::BTreeMap;
 
 use lash::context::MiningContext;
 use lash::distributed::naive_job::run_naive;
+use lash::distributed::semi_naive_job::run_semi_naive;
 use lash::enumeration::enumerate_pivot;
 use lash::mapreduce::EngineConfig;
 use lash::rewrite::{RewriteLevel, RewriteScratch, Rewriter};
 use lash::{
-    GsmParams, Lash, LashConfig, MinerKind, SequenceDatabase, Vocabulary, VocabularyBuilder,
+    GsmParams, ItemId, Lash, LashConfig, MinerKind, PatternSet, SequenceDatabase, Vocabulary,
+    VocabularyBuilder,
 };
 use proptest::prelude::*;
 
@@ -43,18 +51,41 @@ fn build_db(vocab: &Vocabulary, raw: &[Vec<u32>]) -> SequenceDatabase {
     for seq in raw {
         let items: Vec<_> = seq
             .iter()
-            .map(|&i| lash::ItemId::from_u32(i % vocab.len() as u32))
+            .map(|&i| ItemId::from_u32(i % vocab.len() as u32))
             .collect();
         db.push(&items);
     }
     db
 }
 
+/// The oracle's answer for `db` under the hierarchy `parent`, keyed by item
+/// ids.
+fn oracle_patterns(
+    db: &SequenceDatabase,
+    parent: impl Fn(u32) -> Option<u32>,
+    params: &GsmParams,
+) -> BTreeMap<Vec<u32>, u64> {
+    let db: Vec<Vec<u32>> = db
+        .iter()
+        .map(|seq| seq.iter().map(|t| t.as_u32()).collect())
+        .collect();
+    oracle::gsm(parent, &db, params.sigma, params.gamma, params.lambda)
+}
+
+/// A rank-space result mined under `ctx`, keyed by item ids like the
+/// oracle's answer.
+fn by_item_ids(ctx: &MiningContext, set: &PatternSet) -> BTreeMap<Vec<u32>, u64> {
+    set.iter()
+        .map(|(ranks, f)| (ctx.decode(ranks).iter().map(|i| i.as_u32()).collect(), f))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The headline invariant: LASH (all miners, all rewrite levels) equals
-    /// exhaustive enumeration on arbitrary inputs.
+    /// The headline invariant: LASH (all miners, no rewrites, no hierarchy)
+    /// and the naive and semi-naive jobs return exactly the oracle's answer
+    /// on arbitrary inputs.
     #[test]
     fn lash_equals_naive_enumeration(
         vocab in arb_vocabulary(12),
@@ -65,27 +96,34 @@ proptest! {
     ) {
         let db = build_db(&vocab, &raw);
         let params = GsmParams::new(sigma, gamma, lambda).unwrap();
+        let expected = oracle_patterns(
+            &db,
+            |i| vocab.parent(ItemId::from_u32(i)).map(ItemId::as_u32),
+            &params,
+        );
         let cluster = EngineConfig::default().with_split_size(3).with_reduce_tasks(3);
-        let ctx = MiningContext::build(&db, &vocab, sigma);
-        let (expected, _) = run_naive(&ctx, &params, &cluster).unwrap();
+        let config = || LashConfig::new(cluster.clone());
+        let mine = |config: LashConfig| Lash::new(config).mine(&db, &vocab, &params).unwrap();
+        let mut runs = vec![("no rewrites", mine(config().with_rewrite_level(RewriteLevel::None)))];
         for miner in [MinerKind::Bfs, MinerKind::Dfs, MinerKind::PsmIndexed] {
-            let result = Lash::new(LashConfig::new(cluster.clone()).with_miner(miner))
-                .mine(&db, &vocab, &params)
-                .unwrap();
-            prop_assert_eq!(
-                &expected,
-                result.pattern_set(),
-                "miner {} diff {:?}",
-                miner.name(),
-                expected.diff(result.pattern_set())
-            );
+            runs.push((miner.name(), mine(config().with_miner(miner))));
         }
-        let no_rewrites = Lash::new(
-            LashConfig::new(cluster).with_rewrite_level(RewriteLevel::None),
-        )
-        .mine(&db, &vocab, &params)
-        .unwrap();
-        prop_assert_eq!(&expected, no_rewrites.pattern_set());
+        for (name, result) in &runs {
+            let got = by_item_ids(result.context(), result.pattern_set());
+            prop_assert_eq!(&expected, &got, "{}", name);
+        }
+        let ctx = MiningContext::build(&db, &vocab, sigma);
+        let (naive, _) = run_naive(&ctx, &params, &cluster).unwrap();
+        prop_assert_eq!(&expected, &by_item_ids(&ctx, &naive), "naive job");
+        let (semi, _) = run_semi_naive(&ctx, &params, &cluster).unwrap();
+        prop_assert_eq!(&expected, &by_item_ids(&ctx, &semi), "semi-naive job");
+        // Without the hierarchy (MG-FSM's setting) every item is a root.
+        let flat = mine(config().with_hierarchy(false));
+        prop_assert_eq!(
+            &oracle_patterns(&db, |_| None, &params),
+            &by_item_ids(flat.context(), flat.pattern_set()),
+            "no hierarchy"
+        );
     }
 
     /// The rewrite pipeline is w-equivalent: it preserves the pivot-sequence
