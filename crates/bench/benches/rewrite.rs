@@ -1,17 +1,21 @@
-//! Microbenchmarks of partition construction: w-generalization plus the full
-//! rewrite pipeline (the per-sequence map-side cost of LASH).
+//! Microbenchmarks of the per-sequence map-side kernels: LASH's partition
+//! construction (w-generalization plus the full rewrite pipeline) and the
+//! semi-naive baseline's `Gλ` enumeration.
 //!
 //! Every case routes whole sentences — each against every frequent pivot of
 //! its G1 closure, one rewrite attempt per pair — and reports ns per attempt.
 //! `rewrite/*` is a small in-cache corpus; `rewrite_ledger/*` is the map
 //! phase of the perf ledger's `nyt_lash` workload (NYT-CLP, 40 000 sentences,
-//! σ = 100, ~1.3 M attempts).
+//! σ = 100, ~1.3 M attempts). `enumeration/gl_nyt_shaped` is the map
+//! thread of the ledger's `nyt_seminaive` workload without its emission:
+//! NYT-P, 10 000 sentences, σ = 100, γ = 0, λ = 5, every sentence rewritten
+//! to closest frequent ancestors first; it reports ns per candidate.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use lash_core::context::MiningContext;
-use lash_core::enumeration::g1_ranks;
+use lash_core::enumeration::{g1_ranks, GlEnumerator};
 use lash_core::rewrite::{RewriteLevel, RewriteScratch, Rewriter};
-use lash_core::GsmParams;
+use lash_core::{GsmParams, BLANK};
 use lash_datagen::{TextConfig, TextCorpus, TextHierarchy};
 
 fn bench_corpus(
@@ -79,5 +83,50 @@ fn bench_rewrite(c: &mut Criterion) {
     );
 }
 
-criterion_group!(benches, bench_rewrite);
+fn bench_enumeration(c: &mut Criterion) {
+    let params = GsmParams::new(100, 0, 5).unwrap();
+    let config = TextConfig {
+        sentences: 10_000,
+        lemmas: 3_535,
+        ..TextConfig::default()
+    };
+    let (vocab, db) = TextCorpus::generate(&config).dataset(TextHierarchy::P);
+    let ctx = MiningContext::build(&db, &vocab, params.sigma);
+    let space = ctx.space();
+    let sentences: Vec<Vec<u32>> = ctx
+        .ranked_db()
+        .iter()
+        .map(|seq| {
+            seq.iter()
+                .map(|&t| match t {
+                    BLANK => BLANK,
+                    t => space.closest_frequent(t).unwrap_or(BLANK),
+                })
+                .collect()
+        })
+        .collect();
+    let mut enumerator = GlEnumerator::default();
+    let (gamma, lambda) = (params.gamma, params.lambda);
+    let candidates: u64 = sentences
+        .iter()
+        .map(|s| enumerator.enumerate(s, space, gamma, lambda).len() as u64)
+        .sum();
+
+    let mut group = c.benchmark_group("enumeration");
+    group.throughput(Throughput::Elements(candidates));
+    group.bench_function("gl_nyt_shaped", |b| {
+        b.iter(|| {
+            let mut items = 0usize;
+            for s in &sentences {
+                for candidate in enumerator.enumerate(black_box(s), space, gamma, lambda) {
+                    items += candidate.len();
+                }
+            }
+            black_box(items)
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_rewrite, bench_enumeration);
 criterion_main!(benches);

@@ -1,12 +1,14 @@
 //! Throughput of the MapReduce shuffle: the all-in-memory fast path against
 //! the out-of-core external-sort path at several spill thresholds, a
-//! semi-naive-shaped spilling job (the perf ledger's hottest shuffle path),
-//! plus a LASH mine job end-to-end on both paths.
+//! semi-naive-shaped spilling job (the perf ledger's hottest shuffle path)
+//! and the sort of one of its sort buffers alone, plus a LASH mine job
+//! end-to-end on both paths.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use lash_core::{GsmParams, Lash, LashConfig};
 use lash_datagen::{TextConfig, TextCorpus, TextHierarchy};
 use lash_encoding::varint;
+use lash_mapreduce::shuffle::{partition_of, RunBuffer};
 use lash_mapreduce::{run_job, Combined, Emitter, EngineConfig, Job, Values};
 
 fn count(bytes: &[u8]) -> u64 {
@@ -175,6 +177,37 @@ fn bench_shuffle_paths(c: &mut Criterion) {
     group.bench_function("seminaive_shaped", |b| {
         let job = WindowCount { sigma: 10 };
         b.iter(|| black_box(run_job(&job, &sentences, &cfg).unwrap().outputs.len()));
+    });
+
+    // The spill thread's sort alone: one partition's buffer of the job
+    // above (of 16 reduce partitions, as in the ledger) at the moment its
+    // 4 MiB set is handed off, re-sorted from push order each iteration.
+    let mut run = RunBuffer::default();
+    let mut key = Vec::new();
+    'fill: for s in &sentences {
+        for len in 2..=5 {
+            for window in s.windows(len) {
+                key.clear();
+                lash_encoding::encode_sequence(window, &mut key);
+                if partition_of(&key, 16) == 0 {
+                    run.push(&key, &[1]);
+                }
+                if run.data.len() >= (4 << 20) / 16 {
+                    break 'fill;
+                }
+            }
+        }
+    }
+    let pushed = run.recs.clone();
+    let mut scratch = Vec::new();
+    group.throughput(Throughput::Elements(pushed.len() as u64));
+    group.bench_function("sort_seminaive_shaped", |b| {
+        b.iter(|| {
+            run.recs.clear();
+            run.recs.extend_from_slice(&pushed);
+            run.sort(&mut scratch);
+            black_box(run.recs[0].prefix)
+        });
     });
     group.finish();
 }

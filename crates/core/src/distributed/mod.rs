@@ -5,7 +5,7 @@
 //! * [`lash_job`] — the LASH partition-and-mine job (Alg. 1) and the public
 //!   [`Lash`](lash_job::Lash) driver;
 //! * [`naive_job`] / [`semi_naive_job`] — the word-count-style baselines
-//!   (Secs. 3.2, 3.3);
+//!   (Secs. 3.2, 3.3), two entry points into one [`count_job`];
 //! * [`mgfsm`] — MG-FSM, i.e. item-based partitioning without hierarchies
 //!   (Sec. 6.3, footnote 3).
 //!
@@ -14,6 +14,7 @@
 //! the representation the paper measures. Combiners and reducers work on
 //! those encoded bytes and decode only what they keep.
 
+pub mod count_job;
 pub mod flist_job;
 pub mod lash_job;
 pub mod mgfsm;

@@ -8,67 +8,12 @@
 //! the result is identical to naive — with far fewer emitted candidates when
 //! σ prunes a large part of the vocabulary.
 
-use lash_mapreduce::{run_job, Combined, Emitter, EngineConfig, Job, JobMetrics, Values};
+use lash_mapreduce::{EngineConfig, JobMetrics};
 
 use crate::context::MiningContext;
-use crate::enumeration::enumerate_gl;
-use crate::error::{Error, Result};
+use crate::error::Result;
 use crate::params::GsmParams;
 use crate::pattern::PatternSet;
-use crate::BLANK;
-
-/// The semi-naive mining job over a preprocessed (rank-encoded) database.
-pub struct SemiNaiveJob<'a> {
-    ctx: &'a MiningContext,
-    params: GsmParams,
-}
-
-impl Job for SemiNaiveJob<'_> {
-    type Input = u32;
-    type Key = Vec<u32>;
-    type Value = u64;
-    type Output = (Vec<u32>, u64);
-
-    fn map(&self, &idx: &u32, emit: &mut Emitter<'_, Self>) {
-        let space = self.ctx.space();
-        // Generalize infrequent items to their closest frequent ancestor;
-        // items without one become blanks (paper's T4 → b1 a ␣ a example).
-        let rewritten: Vec<u32> = self
-            .ctx
-            .ranked_seq(idx as usize)
-            .iter()
-            .map(|&t| {
-                if t == BLANK {
-                    BLANK
-                } else {
-                    space.closest_frequent(t).unwrap_or(BLANK)
-                }
-            })
-            .collect();
-        for sub in enumerate_gl(&rewritten, space, self.params.gamma, self.params.lambda) {
-            emit.emit(sub, 1);
-        }
-    }
-
-    fn combine(&self, _key: &[u8], values: &mut [&[u8]], out: &mut Combined<'_>) {
-        super::combine_counts(values, out);
-    }
-
-    /// Decodes the pattern only when its group reaches σ.
-    fn reduce(&self, key: &[u8], values: &mut Values<'_, '_>, out: &mut Vec<(Vec<u32>, u64)>) {
-        let frequency = super::sum_counts(values);
-        if frequency >= self.params.sigma {
-            out.push((super::decode_pattern_key(key), frequency));
-        }
-    }
-
-    fn encode_key(&self, key: &Vec<u32>, buf: &mut Vec<u8>) {
-        super::encode_pattern_key(key, buf);
-    }
-    fn encode_value(&self, value: &u64, buf: &mut Vec<u8>) {
-        super::encode_count(*value, buf);
-    }
-}
 
 /// Runs the semi-naive baseline over a prepared context.
 pub fn run_semi_naive(
@@ -76,13 +21,7 @@ pub fn run_semi_naive(
     params: &GsmParams,
     cluster: &EngineConfig,
 ) -> Result<(PatternSet, JobMetrics)> {
-    let job = SemiNaiveJob {
-        ctx,
-        params: *params,
-    };
-    let inputs: Vec<u32> = (0..ctx.ranked_db().len() as u32).collect();
-    let result = run_job(&job, &inputs, cluster).map_err(|e| Error::Engine(e.to_string()))?;
-    Ok((PatternSet::from_pairs(result.outputs), result.metrics))
+    super::count_job::run_count(ctx, params, cluster, true)
 }
 
 #[cfg(test)]
@@ -91,6 +30,7 @@ mod tests {
     use super::*;
     use crate::enumeration::enumerate_gl;
     use crate::testutil::fig2_context;
+    use crate::BLANK;
 
     #[test]
     fn semi_naive_matches_naive_exactly() {

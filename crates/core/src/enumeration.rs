@@ -6,6 +6,8 @@
 //! respecting the gap and length constraints — the (deliberately exponential)
 //! unit of the naive and semi-naive baselines and of the naive local miner.
 
+use std::ops::Range;
+
 use crate::fxhash::FxHashSet;
 use crate::hierarchy::ItemSpace;
 use crate::vocabulary::{ItemId, Vocabulary};
@@ -41,57 +43,18 @@ pub fn g1_ranks(seq: &[u32], space: &ItemSpace, out: &mut Vec<u32>) {
 /// Blank positions are never part of a pattern but occupy gap positions.
 /// The output is a set — each distinct generalized subsequence appears once
 /// regardless of how many embeddings it has, matching document-frequency
-/// semantics.
+/// semantics. A collector over [`GlEnumerator`]; hot loops reuse one
+/// enumerator instead.
 pub fn enumerate_gl(
     seq: &[u32],
     space: &ItemSpace,
     gamma: usize,
     lambda: usize,
 ) -> FxHashSet<Vec<u32>> {
-    let mut out = FxHashSet::default();
-    let mut current = Vec::with_capacity(lambda);
-    for start in 0..seq.len() {
-        let t = seq[start];
-        if t == BLANK {
-            continue;
-        }
-        for &anc in space.chain(t) {
-            current.push(anc);
-            extend(seq, space, gamma, lambda, start, &mut current, &mut out);
-            current.pop();
-        }
-    }
-    out
-}
-
-fn extend(
-    seq: &[u32],
-    space: &ItemSpace,
-    gamma: usize,
-    lambda: usize,
-    last: usize,
-    current: &mut Vec<u32>,
-    out: &mut FxHashSet<Vec<u32>>,
-) {
-    if current.len() >= 2 {
-        out.insert(current.clone());
-    }
-    if current.len() == lambda {
-        return;
-    }
-    let from = last + 1;
-    let to = (last + 1 + gamma).min(seq.len().saturating_sub(1));
-    for q in from..=to {
-        let t = seq[q];
-        if t == BLANK {
-            continue;
-        }
-        for &anc in space.chain(t) {
-            current.push(anc);
-            extend(seq, space, gamma, lambda, q, current, out);
-            current.pop();
-        }
-    }
+    GlEnumerator::default()
+        .enumerate(seq, space, gamma, lambda)
+        .map(<[u32]>::to_vec)
+        .collect()
 }
 
 /// Enumerates the pivot-restricted set `G_{w,λ}(T)`: the elements of `Gλ(T)`
@@ -103,10 +66,178 @@ pub fn enumerate_pivot(
     lambda: usize,
     pivot: u32,
 ) -> FxHashSet<Vec<u32>> {
-    enumerate_gl(seq, space, gamma, lambda)
-        .into_iter()
+    GlEnumerator::default()
+        .enumerate(seq, space, gamma, lambda)
         .filter(|s| s.iter().copied().max() == Some(pivot))
+        .map(<[u32]>::to_vec)
         .collect()
+}
+
+/// The table's size on its first insert; it doubles from there.
+const MIN_SLOTS: usize = 16;
+
+/// A reusable `Gλ(T)` enumerator that allocates nothing per candidate.
+///
+/// The distinct candidates of the latest sequence live back to back in one
+/// item arena, addressed by `(start, len)` ranges. An open-addressing table
+/// of range indices dedups them: each candidate is hashed incrementally
+/// while the recursion extends its prefix and compared against the arena
+/// only on a probe hit. A slot is live only while it carries the current
+/// sequence's stamp, so moving to the next sequence bumps the stamp instead
+/// of clearing the table. The table grows by doubling and never shrinks;
+/// arena, ranges and table keep their capacity across sequences.
+#[derive(Debug, Default)]
+pub struct GlEnumerator {
+    /// The items of the distinct candidates, back to back.
+    items: Vec<u32>,
+    /// `(start, len)` of each distinct candidate in `items`, in the order
+    /// the recursion first generated it.
+    ranges: Vec<(u32, u32)>,
+    /// Open-addressing table of indices into `ranges`; its length is a power
+    /// of two, at most half full.
+    slots: Vec<Slot>,
+    /// The current sequence's stamp; never 0, the stamp of a fresh slot.
+    stamp: u32,
+    /// The candidate being built.
+    prefix: Vec<u32>,
+}
+
+#[derive(Debug, Default, Clone, Copy)]
+struct Slot {
+    stamp: u32,
+    range: u32,
+}
+
+impl GlEnumerator {
+    /// Enumerates `Gλ(seq)` as [`enumerate_gl`] defines it, yielding each
+    /// distinct candidate once, in the order the recursion first generates
+    /// it. The slices borrow the enumerator until the next call.
+    pub fn enumerate(
+        &mut self,
+        seq: &[u32],
+        space: &ItemSpace,
+        gamma: usize,
+        lambda: usize,
+    ) -> impl ExactSizeIterator<Item = &[u32]> + '_ {
+        self.next_sequence();
+        self.extend(seq, space, gamma, lambda, 0..seq.len(), 0);
+        let items = &self.items;
+        self.ranges
+            .iter()
+            .map(move |&(start, len)| &items[start as usize..start as usize + len as usize])
+    }
+
+    /// Extends the prefix (hashed as `hash`) by every generalization of
+    /// every item at `positions`, records each extension that is a
+    /// candidate, and recurses into the positions within `γ` after it.
+    fn extend(
+        &mut self,
+        seq: &[u32],
+        space: &ItemSpace,
+        gamma: usize,
+        lambda: usize,
+        positions: Range<usize>,
+        hash: u64,
+    ) {
+        for q in positions {
+            let t = seq[q];
+            if t == BLANK {
+                continue;
+            }
+            for &anc in space.chain(t) {
+                self.prefix.push(anc);
+                let hash = mix(hash, anc);
+                if self.prefix.len() >= 2 {
+                    self.insert(hash);
+                }
+                if self.prefix.len() < lambda {
+                    let next = q + 1..(q + 2 + gamma).min(seq.len());
+                    self.extend(seq, space, gamma, lambda, next, hash);
+                }
+                self.prefix.pop();
+            }
+        }
+    }
+
+    /// Forgets the previous sequence's candidates. A wrapped stamp could
+    /// match slots written 2³² sequences ago, so it clears the table once.
+    fn next_sequence(&mut self) {
+        self.items.clear();
+        self.ranges.clear();
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.slots.fill(Slot::default());
+            self.stamp = 1;
+        }
+    }
+
+    /// Adds the prefix to the candidates unless it is one already.
+    fn insert(&mut self, hash: u64) {
+        if (self.ranges.len() + 1) * 2 > self.slots.len() {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let mut at = self.home(hash);
+        loop {
+            let slot = self.slots[at];
+            if slot.stamp != self.stamp {
+                // Every candidate has two items or more, so range indices
+                // fit wherever item offsets do.
+                let start = u32::try_from(self.items.len())
+                    .expect("the candidates of one sequence exceed u32 items");
+                self.slots[at] = Slot {
+                    stamp: self.stamp,
+                    range: self.ranges.len() as u32,
+                };
+                self.ranges.push((start, self.prefix.len() as u32));
+                self.items.extend_from_slice(&self.prefix);
+                return;
+            }
+            if self.candidate(slot.range) == self.prefix.as_slice() {
+                return;
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// Doubles the table and re-inserts the current sequence's candidates.
+    fn grow(&mut self) {
+        let len = (self.slots.len() * 2).max(MIN_SLOTS);
+        self.slots.clear();
+        self.slots.resize(len, Slot::default());
+        let mask = len - 1;
+        for range in 0..self.ranges.len() as u32 {
+            let hash = self
+                .candidate(range)
+                .iter()
+                .fold(0, |h, &item| mix(h, item));
+            let mut at = self.home(hash);
+            while self.slots[at].stamp == self.stamp {
+                at = (at + 1) & mask;
+            }
+            self.slots[at] = Slot {
+                stamp: self.stamp,
+                range,
+            };
+        }
+    }
+
+    /// The first slot probed for `hash`: its top bits, which the last
+    /// multiply of [`mix`] mixes best.
+    fn home(&self, hash: u64) -> usize {
+        (hash >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    fn candidate(&self, range: u32) -> &[u32] {
+        let (start, len) = self.ranges[range as usize];
+        &self.items[start as usize..start as usize + len as usize]
+    }
+}
+
+/// One step of the Fx hash over a candidate's items, so a prefix's hash
+/// extends to its one-item extensions in O(1).
+fn mix(hash: u64, item: u32) -> u64 {
+    (hash.rotate_left(5) ^ item as u64).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95)
 }
 
 #[cfg(test)]
@@ -187,6 +318,58 @@ mod tests {
         assert!(got3.len() > got.len());
         assert!(got3.iter().all(|s| s.len() <= 3));
         assert!(got3.is_superset(&got));
+    }
+
+    /// `Gλ(T)` of a flat hierarchy over `T`, one candidate per distinct
+    /// `(start, len)` window at γ = 0: with distinct items every window is
+    /// its own candidate.
+    fn windows(n: u32, lambda: usize) -> usize {
+        let n = n as usize;
+        (2..=lambda.min(n)).map(|len| n + 1 - len).sum()
+    }
+
+    #[test]
+    fn one_enumerator_grows_and_forgets_between_sequences() {
+        let space = ItemSpace::flat(vec![1; 200], 200);
+        let long: Vec<u32> = (0..200).collect();
+        let mut e = GlEnumerator::default();
+        let short = [3u32, 4, 3];
+        assert_eq!(e.enumerate(&short, &space, 0, 3).len(), 3);
+        // 200 + 199 + 198 - 3 candidates: the table doubles past 1024 slots.
+        let got: Vec<Vec<u32>> = e
+            .enumerate(&long, &space, 0, 4)
+            .map(<[u32]>::to_vec)
+            .collect();
+        assert_eq!(got.len(), windows(200, 4));
+        assert!(e.slots.len() >= 2 * got.len());
+        // First-generation order: every window from position 0, then 1, …
+        assert_eq!(got[..3], [vec![0, 1], vec![0, 1, 2], vec![0, 1, 2, 3]]);
+        // The long sequence's slots are stale for the next one.
+        let again: FxHashSet<Vec<u32>> = e
+            .enumerate(&short, &space, 0, 3)
+            .map(<[u32]>::to_vec)
+            .collect();
+        assert_eq!(again, enumerate_gl(&short, &space, 0, 3));
+        assert_eq!(again.len(), 3);
+    }
+
+    #[test]
+    fn a_wrapped_stamp_clears_the_table() {
+        let ctx = fig2_context();
+        let (t1, t4) = (ctx.ranked_seq(0), ctx.ranked_seq(3));
+        let mut e = GlEnumerator::default();
+        // Stamp 1 lands on the slots of T1's candidates; after the wrap, T4
+        // runs under stamp 1 again and must not see them.
+        let _ = e.enumerate(t1, ctx.space(), 1, 3).count();
+        assert_eq!(e.stamp, 1);
+        e.stamp = u32::MAX;
+        let got: FxHashSet<Vec<u32>> = e
+            .enumerate(t4, ctx.space(), 1, 3)
+            .map(<[u32]>::to_vec)
+            .collect();
+        assert_eq!(e.stamp, 1);
+        assert_eq!(got, enumerate_gl(t4, ctx.space(), 1, 3));
+        assert_eq!(got.len(), 19);
     }
 
     #[test]

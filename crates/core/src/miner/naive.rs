@@ -4,7 +4,7 @@
 //! the other miners against it; the test suite's ground truth is the GSM
 //! oracle in `testutil`.
 
-use crate::enumeration::enumerate_gl;
+use crate::enumeration::GlEnumerator;
 use crate::fxhash::FxHashMap;
 use crate::hierarchy::ItemSpace;
 use crate::params::GsmParams;
@@ -31,10 +31,16 @@ impl LocalMiner for NaiveMiner {
     ) -> (PatternSet, MinerStats) {
         let mut counts: FxHashMap<Vec<u32>, u64> = FxHashMap::default();
         let mut stats = MinerStats::default();
+        let mut enumerator = GlEnumerator::default();
         for (seq, weight) in partition.iter() {
             stats.expansions += 1;
-            for sub in enumerate_gl(seq, space, params.gamma, params.lambda) {
-                *counts.entry(sub).or_insert(0) += weight;
+            for sub in enumerator.enumerate(seq, space, params.gamma, params.lambda) {
+                match counts.get_mut(sub) {
+                    Some(count) => *count += weight,
+                    None => {
+                        counts.insert(sub.to_vec(), weight);
+                    }
+                }
             }
         }
         stats.candidates = counts.len() as u64;

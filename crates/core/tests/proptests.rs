@@ -1,12 +1,12 @@
 //! Property tests for lash-core's algorithmic kernels: matching against a
-//! brute-force oracle, the local miners against the GSM oracle on random
-//! databases, w-equivalence of the rewriter, and the closed/maximal
-//! window-index against the quadratic reference.
+//! brute-force oracle, `Gλ` enumeration and the local miners against the GSM
+//! oracle on random databases, w-equivalence of the rewriter, and the
+//! closed/maximal window-index against the quadratic reference.
 
 #[path = "../src/testutil/oracle.rs"]
 mod oracle;
 
-use lash_core::enumeration::enumerate_pivot;
+use lash_core::enumeration::{enumerate_pivot, GlEnumerator};
 use lash_core::hierarchy::ItemSpace;
 use lash_core::matching::matches;
 use lash_core::miner::{BfsMiner, DfsMiner, LocalMiner, NaiveMiner, PsmMiner};
@@ -18,6 +18,7 @@ use lash_core::{
     BLANK,
 };
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// A random rank-space hierarchy of at most four levels: parent of rank `r`
 /// is a smaller rank or none; frequencies are non-increasing by construction.
@@ -119,6 +120,61 @@ proptest! {
             oracle_matches(&pattern, &seq, &space, gamma),
             "pattern {:?} seq {:?} γ={}", pattern, seq, gamma
         );
+    }
+
+    /// One enumerator, reused across sequences, yields for each exactly
+    /// `Gλ(T)`: the oracle's output at σ = 1 over that sequence alone,
+    /// mapped to ranks, each candidate once. Blanks are an item of the
+    /// oracle's that no pattern may contain. A long sequence between short
+    /// ones grows the table and leaves its slots stale for the next.
+    #[test]
+    fn enumerator_yields_the_oracle_gl_of_each_sequence(
+        vocab in arb_vocabulary(8),
+        short in prop::collection::vec(
+            prop::collection::vec(prop::option::weighted(0.85, 0u32..8), 0..10),
+            2..6,
+        ),
+        long in prop::collection::vec(prop::option::weighted(0.85, 0u32..8), 24..32),
+        gamma in 0usize..3,
+        lambda in 2usize..5,
+    ) {
+        const BLANK_ID: u32 = u32::MAX;
+        let n = vocab.len() as u32;
+        let mut seqs = short;
+        seqs.insert(1, long);
+        let seqs: Vec<Vec<u32>> = seqs
+            .into_iter()
+            .map(|s| s.into_iter().map(|t| t.map_or(BLANK_ID, |i| i % n)).collect())
+            .collect();
+        let mut db = SequenceDatabase::new();
+        for s in &seqs {
+            let items: Vec<ItemId> =
+                s.iter().filter(|&&i| i != BLANK_ID).map(|&i| ItemId::from_u32(i)).collect();
+            db.push(&items);
+        }
+        let ctx = MiningContext::build(&db, &vocab, 1);
+        let (order, space) = (ctx.order(), ctx.space());
+        let rank = |i: u32| if i == BLANK_ID { BLANK } else { order.rank(ItemId::from_u32(i)) };
+        let parent = |i: u32| match i {
+            BLANK_ID => None,
+            i => vocab.parent(ItemId::from_u32(i)).map(ItemId::as_u32),
+        };
+        let mut enumerator = GlEnumerator::default();
+        for s in &seqs {
+            let want: BTreeSet<Vec<u32>> = oracle::gsm(parent, std::slice::from_ref(s), 1, gamma, lambda)
+                .into_keys()
+                .filter(|items| !items.contains(&BLANK_ID))
+                .map(|items| items.into_iter().map(rank).collect())
+                .collect();
+            let ranked: Vec<u32> = s.iter().map(|&i| rank(i)).collect();
+            let got: Vec<Vec<u32>> = enumerator
+                .enumerate(&ranked, space, gamma, lambda)
+                .map(<[u32]>::to_vec)
+                .collect();
+            let distinct: BTreeSet<Vec<u32>> = got.iter().cloned().collect();
+            prop_assert_eq!(distinct.len(), got.len(), "duplicates for {:?}", ranked);
+            prop_assert_eq!(&want, &distinct, "seq {:?} γ={} λ={}", ranked, gamma, lambda);
+        }
     }
 
     /// Every local miner returns, for each frequent pivot, exactly the

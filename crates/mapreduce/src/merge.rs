@@ -185,7 +185,7 @@ mod tests {
         for (k, v) in pairs {
             run.push(k, v);
         }
-        run.sort();
+        run.sort(&mut Vec::new());
         run
     }
 

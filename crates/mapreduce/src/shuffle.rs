@@ -41,7 +41,7 @@ pub fn partition_of(key: &[u8], num_partitions: usize) -> usize {
 /// A reference to one record inside a shuffle buffer: 16 bytes, so a sort
 /// moves little and the buffer of references stays small. The value's range
 /// is read back from its length prefix, which follows the key.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct RecordRef {
     /// The key's first 8 bytes, big-endian, zero-padded: the sort orders
     /// most records on this word alone, without touching the data buffer.
@@ -180,13 +180,32 @@ impl RunBuffer {
     }
 
     /// Sorts the record references by key bytes; records with equal keys
-    /// keep their push order. The sort is unstable and in place — the
-    /// position tie-break in [`RecordRef`]'s order makes it reproduce the
-    /// stable sort exactly, with no side buffer. The data bytes are not
-    /// moved.
-    pub fn sort(&mut self) {
+    /// keep their push order. The data bytes are not moved.
+    ///
+    /// Below [`RADIX_CUTOFF`] records this is an in-place comparison sort,
+    /// whose position tie-break makes it reproduce the stable sort. From
+    /// there on it is a stable LSD radix sort on `(prefix, min(key_len,
+    /// 9))`, ping-ponging between the references and `scratch`: that
+    /// orders every key of at most 8 bytes completely, and leaves the keys
+    /// past 8 bytes that share a prefix next to each other in push order,
+    /// so a comparison sort on their tails finishes them. The references
+    /// are in push order whenever a sort starts (`push`, `parse`,
+    /// `sort_into`), so both sorts give the same order.
+    pub fn sort(&mut self, scratch: &mut Vec<RecordRef>) {
         let data = &self.data;
-        self.recs.sort_unstable_by(|a, b| a.cmp_in(b, data));
+        let by_key = |a: &RecordRef, b: &RecordRef| a.cmp_in(b, data);
+        if self.recs.len() < RADIX_CUTOFF {
+            self.recs.sort_unstable_by(by_key);
+            return;
+        }
+        radix_sort(&mut self.recs, scratch);
+        let shared_long_prefix =
+            |a: &RecordRef, b: &RecordRef| a.key_len > 8 && b.key_len > 8 && a.prefix == b.prefix;
+        for tied in self.recs.chunk_by_mut(shared_long_prefix) {
+            if tied.len() > 1 {
+                tied.sort_unstable_by(by_key);
+            }
+        }
     }
 
     /// Parses a raw byte buffer of framed records into a `RunBuffer` (record
@@ -212,6 +231,50 @@ impl RunBuffer {
             });
         }
         Ok(RunBuffer { data, recs })
+    }
+}
+
+/// Below this many records [`RunBuffer::sort`] sorts by comparison: a
+/// radix sort's fixed cost (nine histograms) is not worth it.
+const RADIX_CUTOFF: usize = 256;
+
+/// Stable LSD radix sort of `recs` on `(prefix, min(key_len, 9))`, one byte
+/// per pass, least significant first: the clamped length, then the prefix
+/// from its last byte to its first. One read of `recs` builds all nine
+/// histograms, and a pass whose byte is the same for every record is
+/// skipped. The result ends up in `recs`, swapped with `scratch` as needed.
+fn radix_sort(recs: &mut Vec<RecordRef>, scratch: &mut Vec<RecordRef>) {
+    fn digit(r: &RecordRef, pass: usize) -> usize {
+        match pass {
+            0 => r.key_len.min(9) as usize,
+            _ => (r.prefix >> (8 * (pass - 1))) as u8 as usize,
+        }
+    }
+    let n = recs.len();
+    let mut counts = [[0u32; 256]; 9];
+    for r in recs.iter() {
+        for (pass, count) in counts.iter_mut().enumerate() {
+            count[digit(r, pass)] += 1;
+        }
+    }
+    scratch.clear();
+    scratch.resize(n, RecordRef::default());
+    for (pass, count) in counts.iter().enumerate() {
+        if count[digit(&recs[0], pass)] as usize == n {
+            continue;
+        }
+        let mut next = [0u32; 256];
+        let mut sum = 0;
+        for (slot, &c) in next.iter_mut().zip(count) {
+            *slot = sum;
+            sum += c;
+        }
+        for r in recs.iter() {
+            let bucket = &mut next[digit(r, pass)];
+            scratch[*bucket as usize] = *r;
+            *bucket += 1;
+        }
+        std::mem::swap(recs, scratch);
     }
 }
 
@@ -255,17 +318,21 @@ impl SortBuffer {
     }
 
     /// Moves the records into a sorted run: one reference per offset,
-    /// sorted as [`RunBuffer::sort`] sorts. The run takes the data bytes
-    /// without a copy, and fills `recs` (cleared first) so a caller can
-    /// reuse one reference vector across buffers. The buffer is left empty,
-    /// keeping its offsets' capacity.
-    pub(crate) fn sort_into(&mut self, mut recs: Vec<RecordRef>) -> RunBuffer {
+    /// sorted by [`RunBuffer::sort`] with `scratch`. The run takes the data
+    /// bytes without a copy, and fills `recs` (cleared first) so a caller
+    /// can reuse one reference vector across buffers. The buffer is left
+    /// empty, keeping its offsets' capacity.
+    pub(crate) fn sort_into(
+        &mut self,
+        mut recs: Vec<RecordRef>,
+        scratch: &mut Vec<RecordRef>,
+    ) -> RunBuffer {
         let data = std::mem::take(&mut self.data);
         recs.clear();
         recs.extend(self.offsets.iter().map(|&at| RecordRef::at(&data, at)));
         self.offsets.clear();
         let mut run = RunBuffer { data, recs };
-        run.sort();
+        run.sort(scratch);
         run
     }
 
@@ -330,10 +397,11 @@ mod tests {
     }
 
     /// Keys over `{\0, 1, 0xff}`, some behind a shared 8-byte stem and some
-    /// behind a shared 128-byte one: duplicates, empty keys, keys shorter
-    /// than the 8-byte prefix, keys sharing it that differ only past it,
-    /// keys that differ only by trailing zeros (the prefix's padding), and
-    /// keys whose length prefix takes two bytes all come up often.
+    /// behind a shared 128-byte one, plus a few keys drawn over and over:
+    /// duplicates (long runs of them), empty keys, keys shorter than the
+    /// 8-byte prefix, keys sharing it that differ only past it, keys that
+    /// differ only by trailing zeros (the prefix's padding), and keys whose
+    /// length prefix takes two bytes all come up often.
     fn arb_key() -> impl Strategy<Value = Vec<u8>> {
         let bytes = |len| {
             prop::collection::vec(0usize..3, len).prop_map(|k| {
@@ -342,23 +410,31 @@ mod tests {
                     .collect::<Vec<u8>>()
             })
         };
+        let repeated: [&[u8]; 4] = [b"dup", b"stemstem\x01", b"stemstem", b""];
         prop_oneof![
-            bytes(0..12),
-            bytes(0..4).prop_map(|tail| [b"stemstem".as_slice(), &tail].concat()),
-            bytes(0..4).prop_map(|tail| [[1u8; 128].as_slice(), &tail].concat()),
+            3 => bytes(0..12),
+            3 => bytes(0..4).prop_map(|tail| [b"stemstem".as_slice(), &tail].concat()),
+            1 => bytes(0..4).prop_map(|tail| [[1u8; 128].as_slice(), &tail].concat()),
+            2 => (0usize..4).prop_map(move |i| repeated[i].to_vec()),
         ]
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The in-place sort is the stable sort by key bytes: every key
-        /// in the same place, equal keys in push order — whether the
-        /// references were pushed with the records ([`RunBuffer`]) or built
-        /// from 4-byte offsets at sort time ([`SortBuffer`]).
+        /// The sort is the stable sort by key bytes: every key in the same
+        /// place, equal keys in push order — whether the references were
+        /// pushed with the records ([`RunBuffer`]) or built from 4-byte
+        /// offsets at sort time ([`SortBuffer`]), and on either side of
+        /// [`RADIX_CUTOFF`]. A `dominant` key replaces a random share of
+        /// the draws, so some radix passes see one byte in most but not all
+        /// records. Both sorts share one scratch array, so the second finds
+        /// it holding the first one's references.
         #[test]
         fn sort_is_the_stable_sort_by_key_bytes(
-            random in prop::collection::vec(arb_key(), 0..64),
+            random in prop::collection::vec(arb_key(), 0..2000),
+            dominant in arb_key(),
+            share in 0usize..100,
         ) {
             let long = [7u8; 200];
             let edge_cases: [&[u8]; 17] = [
@@ -382,7 +458,9 @@ mod tests {
             ];
             let keys: Vec<&[u8]> = edge_cases
                 .into_iter()
-                .chain(random.iter().map(Vec::as_slice))
+                .chain(random.iter().enumerate().map(|(i, key)| {
+                    if i % 100 < share { dominant.as_slice() } else { key.as_slice() }
+                }))
                 .collect();
             let mut run = RunBuffer::default();
             let mut offsets = SortBuffer::default();
@@ -390,8 +468,9 @@ mod tests {
                 run.push(key, &(i as u32).to_be_bytes());
                 offsets.push(key, &(i as u32).to_be_bytes());
             }
-            run.sort();
-            let from_offsets = offsets.sort_into(Vec::new());
+            let mut scratch = Vec::new();
+            run.sort(&mut scratch);
+            let from_offsets = offsets.sort_into(Vec::new(), &mut scratch);
             prop_assert!(offsets.is_empty());
             // Same bytes, and the same references as the ones pushed.
             let refs = |r: &RunBuffer| -> Vec<(u64, u32, u32)> {

@@ -362,7 +362,7 @@ mod tests {
         for (k, v) in pairs {
             run.push(k, v);
         }
-        run.sort();
+        run.sort(&mut Vec::new());
         run
     }
 
@@ -411,7 +411,7 @@ mod tests {
         for i in 0..8u8 {
             run.push(&[i], &big_value);
         }
-        run.sort();
+        run.sort(&mut Vec::new());
         let meta = writer.write_run(0, &run).unwrap();
         let file = writer.finish().unwrap();
         // 8 × 40 KiB of values cannot fit one 64 KiB chunk.

@@ -361,6 +361,8 @@ struct Finalizer<'a, J: Job> {
     sort_hist: lash_obs::Histogram,
     /// Reference vector for the next sort.
     refs: Vec<RecordRef>,
+    /// The radix sort's second reference array.
+    sort_scratch: Vec<RecordRef>,
     /// Combine output for the next combine.
     combined: RunBuffer,
     /// Backs [`Combined::push_with`].
@@ -375,6 +377,7 @@ impl<'a, J: Job> Finalizer<'a, J> {
             counters,
             sort_hist: lash_obs::global().histogram("mapreduce.sort_us"),
             refs: Vec::new(),
+            sort_scratch: Vec::new(),
             combined: RunBuffer::default(),
             scratch: Vec::new(),
         }
@@ -385,7 +388,7 @@ impl<'a, J: Job> Finalizer<'a, J> {
     /// moved, not copied; combining hands them back to the buffer.
     fn finalize(&mut self, buf: &mut SortBuffer) -> RunBuffer {
         let started = Instant::now();
-        let sorted = buf.sort_into(std::mem::take(&mut self.refs));
+        let sorted = buf.sort_into(std::mem::take(&mut self.refs), &mut self.sort_scratch);
         let run = if self.use_combiner {
             let mut out = std::mem::take(&mut self.combined);
             combine_run(self.job, &sorted, &mut out, &mut self.scratch);
