@@ -21,8 +21,8 @@
 //! ([`checksum_wide`]) that folds eight bytes per multiply — roughly an
 //! order of magnitude faster to verify, which matters once block *decoding*
 //! is no longer the scan bottleneck. A stream's flavor is fixed by its
-//! container format (`lash-store` format-v3 segments use the wide flavor
-//! for block frames), not self-described, so the layout stays identical.
+//! container format (`lash-store` segments use the wide flavor for block
+//! frames), not self-described, so the layout stays identical.
 
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -83,10 +83,11 @@ pub fn checksum_wide(bytes: &[u8]) -> u32 {
 /// Which checksum a frame stream uses (the layout is identical).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FrameChecksum {
-    /// Byte-at-a-time FNV-1a-32 — the original flavor; all pre-v3 streams.
+    /// Byte-at-a-time FNV-1a-32 — the original flavor: store manifests and
+    /// segment headers, and the serve wire.
     #[default]
     Fnv1a,
-    /// Word-at-a-time [`checksum_wide`] — `lash-store` v3 block frames.
+    /// Word-at-a-time [`checksum_wide`] — `lash-store` block frames.
     Fnv1aWide,
 }
 

@@ -10,8 +10,7 @@
 //! * [`group_varint`] — the wide, SIMD-friendly block codec: four `u32`s per
 //!   control byte with a table-driven branchless decode kernel, plus an
 //!   RLE-compatible blank-run escape; the payload codec of `lash-store`'s
-//!   format-v3 blocks,
-//! * [`zigzag`] — signed-to-unsigned mapping so small magnitudes stay short,
+//!   format-v4 blocks,
 //! * [`rle`] — run-length compression of blank runs inside rewritten sequences,
 //! * [`codec`] — the sequence codec combining the above, used as the wire format
 //!   of the MapReduce shuffle so that `MAP_OUTPUT_BYTES` is measured on the same
@@ -33,7 +32,6 @@ pub mod frame;
 pub mod group_varint;
 pub mod rle;
 pub mod varint;
-pub mod zigzag;
 
 pub use codec::{decode_sequence, decode_sequence_into, encode_sequence, SequenceCodec, BLANK};
 pub use frame::{
@@ -43,7 +41,6 @@ pub use frame::{
 pub use varint::{
     decode_u32, decode_u64, encode_u32, encode_u64, encoded_len_u32, encoded_len_u64,
 };
-pub use zigzag::{decode_i64, encode_i64};
 
 /// Errors returned by decoders in this crate.
 #[derive(Debug, Clone, PartialEq, Eq)]

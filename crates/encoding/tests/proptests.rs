@@ -2,8 +2,8 @@
 //! on arbitrary input, and decoders never panic on arbitrary bytes.
 
 use lash_encoding::{
-    codec, decode_i64, decode_sequence, decode_u32, decode_u64, encode_i64, encode_sequence,
-    encode_u32, encode_u64, encoded_len_u32, encoded_len_u64, group_varint, DecodeError, BLANK,
+    codec, decode_sequence, decode_u32, decode_u64, encode_sequence, encode_u32, encode_u64,
+    encoded_len_u32, encoded_len_u64, group_varint, DecodeError, BLANK,
 };
 use proptest::prelude::*;
 
@@ -70,18 +70,6 @@ proptest! {
         let (decoded, n) = decode_u64(&buf).unwrap();
         prop_assert_eq!(decoded, v);
         prop_assert_eq!(n, buf.len());
-    }
-
-    #[test]
-    fn zigzag_round_trips(v in any::<i64>()) {
-        prop_assert_eq!(decode_i64(encode_i64(v)), v);
-    }
-
-    #[test]
-    fn zigzag_is_monotone_in_magnitude(a in -1_000_000i64..1_000_000, b in -1_000_000i64..1_000_000) {
-        if a.unsigned_abs() < b.unsigned_abs() {
-            prop_assert!(encode_i64(a) < encode_i64(b) + 2);
-        }
     }
 
     #[test]

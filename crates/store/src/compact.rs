@@ -17,15 +17,9 @@
 //! items pass through verbatim, and the executor cross-checks the merged
 //! sequence/item counts against the replaced generations before the swap —
 //! a merge that would drop or duplicate a sequence aborts with
-//! [`StoreError::Corrupt`] and the corpus stays on the old manifest.
-//!
-//! Because merged generations are written as format v4 (the only format
-//! this crate writes), compaction doubles as an **in-place format
-//! migration**: compacting a format-v2 or v3 corpus down to one generation
-//! leaves only v4 segments behind, with identical contents. Migrating to v4
-//! fixes the corpus's rank order: it is resolved once (from the manifest if
-//! already sealed, else from the corpus's f-list) and recorded in the
-//! swapped manifest so later ingest and mining reuse it.
+//! [`StoreError::Corrupt`] and the corpus stays on the old manifest. The
+//! merged generation is encoded under the corpus's write-once rank order,
+//! like every other generation.
 
 use std::fs;
 use std::path::Path;
@@ -33,7 +27,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::format::{self, GenerationMeta, Manifest, RankOrder, FORMAT_VERSION};
+use crate::format::{self, GenerationMeta, Manifest};
 use crate::generations::{read_manifest, write_manifest};
 use crate::reader::ShardScan;
 use crate::writer::SegmentSetWriter;
@@ -362,12 +356,6 @@ fn execute(
         generations_after = n - plan.len + 1,
     );
 
-    // Merging v2/v3 generations produces a v4 generation, so compaction
-    // migrates old corpora as it compacts. The corpus's item order is
-    // resolved *before* any files are staged so a failure leaves nothing
-    // behind.
-    let rank = crate::generations::resolve_rank_order(dir, manifest, vocab)?;
-
     let new_id = manifest.next_gen_id;
     let tmp_dir = dir.join(format::generation_tmp_dir_name(new_id));
     if tmp_dir.exists() {
@@ -375,15 +363,7 @@ fn execute(
     }
     let throttle = MergeThrottle::new(config.merge_bytes_per_sec);
     let merged = merge_window(
-        dir,
-        manifest,
-        vocab,
-        window,
-        new_id,
-        &tmp_dir,
-        config,
-        Arc::clone(&rank),
-        &throttle,
+        dir, manifest, vocab, window, new_id, &tmp_dir, config, &throttle,
     );
     let merged = match merged {
         Ok(m) => m,
@@ -417,12 +397,8 @@ fn execute(
     };
 
     // Swap the manifest: the merged generation takes the window's place, so
-    // list order still equals sequence-id order. The version tracks the
-    // newest segment format present, and a migration to v4 seals the item
-    // order the merged blocks were rank-encoded with.
+    // list order still equals sequence-id order.
     let mut new_manifest = manifest.clone();
-    new_manifest.version = FORMAT_VERSION;
-    new_manifest.rank_order.get_or_insert(rank);
     new_manifest
         .generations
         .splice(plan.start..plan.start + plan.len, [merged]);
@@ -463,7 +439,6 @@ fn merge_window(
     new_id: u32,
     tmp_dir: &Path,
     config: &CompactionConfig,
-    rank: Arc<RankOrder>,
     throttle: &MergeThrottle,
 ) -> Result<GenerationMeta> {
     let num_shards = manifest.partitioning.num_shards();
@@ -472,7 +447,7 @@ fn merge_window(
         num_shards,
         config.block_budget,
         manifest.sketches,
-        rank,
+        Arc::clone(&manifest.rank_order),
     )?;
     let parallelism = config.effective_parallelism(num_shards as usize);
     segments.par_shards(parallelism, |shard, out| {
@@ -490,7 +465,7 @@ fn merge_window(
             shard as u32,
             vocab.len() as u32,
             None,
-            manifest.rank_order.clone(),
+            Arc::clone(&manifest.rank_order),
             crate::reader::ScanSpace::Items,
         );
         while let Some(batch) = scan.next_batch()? {

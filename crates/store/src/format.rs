@@ -6,130 +6,67 @@
 //! frame payloads are varints; optional values are shifted by one so that
 //! `0` encodes "none".
 //!
-//! Since format version 2 a corpus is an ordered set of sealed segment
-//! **generations** (see [`crate::generations`]): the manifest header names
-//! the generation count and the next free generation id, and a dedicated
-//! generations frame carries each generation's per-shard statistics. The
-//! decoder rejects any other version with
-//! [`StoreError::UnsupportedVersion`] *before* touching version-dependent
-//! fields, so a future format bump can never be misparsed as garbage.
+//! A corpus is an ordered set of sealed segment **generations** (see
+//! [`crate::generations`]): the manifest header names the generation count
+//! and the next free generation id, and a dedicated generations frame
+//! carries each generation's per-shard statistics.
 //!
-//! Format version 3 changes only the *block* encoding. A v3 block header
-//! opens with a payload-codec tag ([`PayloadCodec`]), and the
-//! [`PayloadCodec::GroupVarint`] payload is **columnar**: all sequence-id
-//! deltas, then all per-record lengths, then every record's items flattened
-//! into one contiguous group-varint stream — so a reader decodes a whole
-//! block with the wide kernel of [`lash_encoding::group_varint`] instead of
-//! parsing tokens byte by byte. Version 2 segments carry per-record
-//! delta/varint payloads and no codec tag.
+//! Block payloads are **columnar group varint in rank space**: all
+//! sequence-id deltas, then all per-record lengths, then every record's
+//! items flattened into one contiguous group-varint stream — so a reader
+//! decodes a whole block with the wide kernel of
+//! [`lash_encoding::group_varint`] instead of parsing tokens byte by byte.
+//! The corpus fixes one descending-frequency item permutation (a
+//! [`RankOrder`], carried by a dedicated manifest frame) and every stored
+//! item is its rank under that order. Frequent items get the smallest
+//! integers, so the group-varint item column shrinks, and a rank-space
+//! consumer (the mine job's map phase) reads the stored values with **no
+//! re-encoding at all**. Block-header `min_item`/`max_item` and the G1
+//! sketch stay in item-id space, so header-only consumers (f-list assembly,
+//! sketch pruning) never need the order. The rank order is **write-once per
+//! corpus**: every segment of a corpus shares the manifest's single
+//! permutation.
 //!
-//! Format version 4 keeps the v3 columnar layout but stores the flattened
-//! item column in **rank space** ([`PayloadCodec::GroupVarintRank`]): the
-//! corpus fixes one descending-frequency item permutation (a [`RankOrder`],
-//! carried by a dedicated manifest frame) and every stored item is its rank
-//! under that order. Frequent items get the smallest integers, so the
-//! group-varint item column shrinks, and a rank-space consumer (the mine
-//! job's map phase) reads the stored values with **no re-encoding at all**.
-//! Block-header `min_item`/`max_item` and the G1 sketch stay in item-id
-//! space, so header-only consumers (f-list assembly, sketch pruning) are
-//! version-oblivious. The rank order is **write-once per corpus**: every
-//! v4 segment of a corpus shares the manifest's single permutation.
-//!
-//! Version 4 is the only format this crate **writes**. Versions 2 and 3 are
-//! read-only: the reader dispatches on the per-segment version and the
-//! per-block codec tag, an append to such a corpus adds a v4 generation
-//! (and fixes the rank order), and compaction rewrites merged generations
-//! as v4 — so `compact` is the v2/v3 → v4 migration.
+//! This is format version 4 ([`FORMAT_VERSION`]), the only version this
+//! crate reads or writes. The manifest and segment-header decoders reject
+//! any other version with [`StoreError::UnsupportedVersion`] *before*
+//! touching a version-dependent field, so neither a retired layout (1–3)
+//! nor a future one can be misparsed as garbage.
 
 use std::collections::BTreeMap;
 
-use lash_core::vocabulary::{ItemId, Vocabulary};
+use lash_core::vocabulary::Vocabulary;
 use lash_encoding::group_varint;
 use lash_encoding::varint::{self, VarintReader};
-use lash_encoding::zigzag;
+use lash_encoding::FrameChecksum;
 
 use crate::{Result, StoreError};
 
-/// The on-disk format version this crate writes. Version 2 introduced
-/// segment generations; version 3 introduced group-varint block payloads;
-/// version 4 introduced rank-space item columns; version 1 (single flat
-/// segment set) is no longer read.
+/// The on-disk format version of manifests and segments — the only one this
+/// build reads or writes.
 pub const FORMAT_VERSION: u32 = 4;
 
-/// Oldest format version this build still reads. Version-2 and -3 corpora
-/// open transparently (the reader dispatches on the per-segment version and
-/// the per-block codec tag) and migrate to version 4 through compaction.
-pub const MIN_FORMAT_VERSION: u32 = 2;
+/// The tag byte opening every block header, naming the rank-space
+/// columnar group-varint payload. Format v4 has exactly this one payload
+/// layout; the decoder rejects any other tag as corruption.
+const BLOCK_CODEC_TAG: u32 = 2;
 
-/// How a block's payload is encoded — what the reader dispatches on.
-/// Tagged in every v3+ block header; version-2 blocks are implicitly
-/// [`PayloadCodec::Varint`]. Only [`PayloadCodec::GroupVarintRank`] is
-/// still written.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PayloadCodec {
-    /// Format-v2 record stream: per record, a varint id delta, a varint
-    /// length, then delta/zigzag-varint item ids. Compact, but decoded one
-    /// byte at a time.
-    Varint,
-    /// Format-v3 columnar layout: varint id deltas, then a group-varint
-    /// lengths column, then all items as one contiguous group-varint
-    /// stream (see [`lash_encoding::group_varint`] for the group layout).
-    GroupVarint,
-    /// Format-v4: the v3 columnar layout with the flattened item column in
-    /// **rank space** — each value is the item's rank under the corpus's
-    /// [`RankOrder`] instead of its vocabulary id. Frequent items rank
-    /// lowest, so the column's group-varint bytes shrink and rank-space
-    /// consumers skip re-encoding entirely.
-    GroupVarintRank,
-}
+/// The frame-checksum flavor of block header and payload frames: the
+/// word-wise [`lash_encoding::frame::checksum_wide`], an order of magnitude
+/// cheaper to verify than byte-at-a-time FNV, which would otherwise
+/// dominate the scan. Manifest and segment *header* frames use the classic
+/// [`FrameChecksum::Fnv1a`].
+pub(crate) const BLOCK_CHECKSUM: FrameChecksum = FrameChecksum::Fnv1aWide;
 
-impl PayloadCodec {
-    /// The codec's tag byte in v3+ block headers.
-    pub fn tag(self) -> u32 {
-        match self {
-            PayloadCodec::Varint => 0,
-            PayloadCodec::GroupVarint => 1,
-            PayloadCodec::GroupVarintRank => 2,
-        }
-    }
-
-    /// Decodes a v3+ block-header codec tag.
-    pub(crate) fn from_tag(tag: u32) -> Result<Self> {
-        match tag {
-            0 => Ok(PayloadCodec::Varint),
-            1 => Ok(PayloadCodec::GroupVarint),
-            2 => Ok(PayloadCodec::GroupVarintRank),
-            other => Err(StoreError::Corrupt(format!(
-                "unknown block payload codec tag {other}"
-            ))),
-        }
-    }
-}
-
-/// The frame-checksum flavor of a segment's block frames, by segment
-/// format version: v3 block frames use the word-wise
-/// [`lash_encoding::frame::checksum_wide`] (an order of magnitude cheaper
-/// to verify — once the wide decode kernel lands, byte-at-a-time FNV is
-/// what would dominate the scan), v2 frames keep the original FNV-1a-32.
-/// Segment *header* frames always use the classic flavor: they are read
-/// before the version is known.
-pub(crate) fn frame_checksum_for_version(version: u32) -> lash_encoding::FrameChecksum {
-    if version >= 3 {
-        lash_encoding::FrameChecksum::Fnv1aWide
-    } else {
-        lash_encoding::FrameChecksum::Fnv1a
-    }
-}
-
-/// The corpus-wide descending-frequency item permutation of a rank-space
-/// (format v4) corpus: `item_of[rank]` is the vocabulary id of the item at
-/// `rank`, with rank 0 the most frequent item. The inverse (`rank_of`) is
-/// derived on construction so both directions are O(1) table lookups.
+/// The corpus-wide descending-frequency item permutation: `item_of[rank]`
+/// is the vocabulary id of the item at `rank`, with rank 0 the most
+/// frequent item. The inverse (`rank_of`) is derived on construction so
+/// both directions are O(1) table lookups.
 ///
-/// The order is **write-once**: the first writer to produce a v4 segment
-/// fixes it in the manifest, and every later v4 segment of the corpus is
-/// encoded under the same permutation (mixed-order corpora would make block
-/// payloads ambiguous). It uses the same sort as `lash-core`'s `ItemOrder`
+/// The order is **write-once**: the writer that creates the corpus fixes it
+/// in the manifest, and every later segment of the corpus is encoded under
+/// the same permutation (mixed-order corpora would make block payloads
+/// ambiguous). It uses the same sort as `lash-core`'s `ItemOrder`
 /// — descending generalized frequency, then ascending hierarchy depth, then
 /// ascending item id — so a mining context built over the same f-list lands
 /// on the identical permutation and the map phase's re-ranking becomes a
@@ -404,8 +341,6 @@ impl GenerationMeta {
 /// consistent snapshot of the generation list it opened.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Manifest {
-    /// Format version of the files on disk.
-    pub version: u32,
     /// How sequences are routed to shards.
     pub partitioning: Partitioning,
     /// Total sequences in the corpus (across all generations).
@@ -422,11 +357,10 @@ pub struct Manifest {
     /// shard. Derived from `generations` on decode; kept denormalized so
     /// shard-level consumers need no generation awareness.
     pub shards: Vec<ShardStats>,
-    /// The corpus's rank-space item permutation — present exactly when
-    /// `version >= 4` (a v4 manifest carries a dedicated rank-order frame).
-    /// Shared behind an [`std::sync::Arc`] so every scan can hold the
-    /// mapping without copying two vocabulary-sized tables.
-    pub rank_order: Option<std::sync::Arc<RankOrder>>,
+    /// The corpus's rank-space item permutation, carried by a dedicated
+    /// manifest frame. Shared behind an [`std::sync::Arc`] so every scan can
+    /// hold the mapping without copying two vocabulary-sized tables.
+    pub rank_order: std::sync::Arc<RankOrder>,
 }
 
 impl Manifest {
@@ -449,7 +383,7 @@ impl Manifest {
 /// vocabulary and the generation list, which get their own frames).
 pub(crate) fn encode_manifest_header(m: &Manifest, buf: &mut Vec<u8>) {
     buf.extend_from_slice(MANIFEST_MAGIC);
-    varint::encode_u32(m.version, buf);
+    varint::encode_u32(FORMAT_VERSION, buf);
     match m.partitioning {
         Partitioning::Hash { shards } => {
             buf.push(0);
@@ -471,22 +405,30 @@ pub(crate) fn encode_manifest_header(m: &Manifest, buf: &mut Vec<u8>) {
     varint::encode_u32(m.generations.len() as u32, buf);
 }
 
-/// Decodes the manifest header frame payload (generations and shards left
-/// empty; the generation count is returned for cross-checking against the
-/// generations frame).
-pub(crate) fn decode_manifest_header(bytes: &[u8]) -> Result<(Manifest, u32)> {
+/// The manifest header fields; the vocabulary, the generation list and the
+/// rank order follow in frames of their own.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct ManifestHeader {
+    pub(crate) partitioning: Partitioning,
+    pub(crate) num_sequences: u64,
+    pub(crate) total_items: u64,
+    pub(crate) sketches: bool,
+    pub(crate) next_gen_id: u32,
+    /// The generation count, cross-checked against the generations frame.
+    pub(crate) num_generations: u32,
+}
+
+/// Decodes the manifest header frame payload.
+pub(crate) fn decode_manifest_header(bytes: &[u8]) -> Result<ManifestHeader> {
     if bytes.len() < MANIFEST_MAGIC.len() || &bytes[..MANIFEST_MAGIC.len()] != MANIFEST_MAGIC {
         return Err(StoreError::Corrupt("manifest magic mismatch".into()));
     }
     let mut r = VarintReader::new(&bytes[MANIFEST_MAGIC.len()..]);
     let version = r.read_u32()?;
-    // Versions are rejected before any version-dependent field is read:
-    // a newer manifest (written by a future build) must surface as
-    // UnsupportedVersion, never be misparsed into a plausible Manifest.
-    // Versions 2–4 share this manifest header layout (v3 changed only the
-    // block encoding; v4 adds a *separate* rank-order frame), so all parse
-    // identically from here on.
-    if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
+    // Versions are rejected before any version-dependent field is read: a
+    // retired or future manifest must surface as UnsupportedVersion, never
+    // be misparsed into a plausible Manifest.
+    if version != FORMAT_VERSION {
         return Err(StoreError::UnsupportedVersion { found: version });
     }
     let tag = r.read_u32()?;
@@ -518,22 +460,14 @@ pub(crate) fn decode_manifest_header(bytes: &[u8]) -> Result<(Manifest, u32)> {
             )))
         }
     };
-    let next_gen_id = r.read_u32()?;
-    let num_generations = r.read_u32()?;
-    Ok((
-        Manifest {
-            version,
-            partitioning,
-            num_sequences,
-            total_items,
-            sketches,
-            next_gen_id,
-            generations: Vec::new(),
-            shards: Vec::new(),
-            rank_order: None,
-        },
-        num_generations,
-    ))
+    Ok(ManifestHeader {
+        partitioning,
+        num_sequences,
+        total_items,
+        sketches,
+        next_gen_id: r.read_u32()?,
+        num_generations: r.read_u32()?,
+    })
 }
 
 /// Encodes the interned vocabulary + hierarchy frame payload (the shared
@@ -615,16 +549,14 @@ pub(crate) fn encode_segment_header(shard: u32, buf: &mut Vec<u8>) {
     varint::encode_u32(shard, buf);
 }
 
-/// Decodes and validates a segment file's header frame payload; returns the
-/// segment's format version (2 to 4), which governs how its block headers
-/// are parsed.
-pub(crate) fn decode_segment_header(bytes: &[u8], expected_shard: u32) -> Result<u32> {
+/// Decodes and validates a segment file's header frame payload.
+pub(crate) fn decode_segment_header(bytes: &[u8], expected_shard: u32) -> Result<()> {
     if bytes.len() < SEGMENT_MAGIC.len() || &bytes[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
         return Err(StoreError::Corrupt("segment magic mismatch".into()));
     }
     let mut r = VarintReader::new(&bytes[SEGMENT_MAGIC.len()..]);
     let version = r.read_u32()?;
-    if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
+    if version != FORMAT_VERSION {
         return Err(StoreError::UnsupportedVersion { found: version });
     }
     let shard = r.read_u32()?;
@@ -633,16 +565,12 @@ pub(crate) fn decode_segment_header(bytes: &[u8], expected_shard: u32) -> Result
             "segment header names shard {shard}, expected {expected_shard}"
         )));
     }
-    Ok(version)
+    Ok(())
 }
 
 /// Decoded block header: the scan/skip/prune metadata of one block.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockHeader {
-    /// How the block's payload is encoded. Implicitly
-    /// [`PayloadCodec::Varint`] in version-2 segments; tagged explicitly
-    /// from version 3 on.
-    pub codec: PayloadCodec,
     /// Number of sequences in the block.
     pub records: u32,
     /// Smallest (first) sequence id in the block.
@@ -661,11 +589,10 @@ pub struct BlockHeader {
 }
 
 /// Encodes a block header frame payload: the payload-codec tag, then the
-/// fields every version shares (a version-2 header is exactly this minus the
-/// leading tag). The sketch map is consumed in ascending item order
+/// header fields. The sketch map is consumed in ascending item order
 /// (`BTreeMap` iteration) and delta-compressed.
 pub(crate) fn encode_block_header(h: &BlockHeader, sketch: &BTreeMap<u32, u32>, buf: &mut Vec<u8>) {
-    varint::encode_u32(h.codec.tag(), buf);
+    varint::encode_u32(BLOCK_CODEC_TAG, buf);
     varint::encode_u32(h.records, buf);
     varint::encode_u64(h.first_seq, buf);
     varint::encode_u64(h.last_seq, buf);
@@ -681,15 +608,15 @@ pub(crate) fn encode_block_header(h: &BlockHeader, sketch: &BTreeMap<u32, u32>, 
     }
 }
 
-/// Decodes a block header frame payload from a segment of the given format
-/// version.
-pub(crate) fn decode_block_header(bytes: &[u8], version: u32) -> Result<BlockHeader> {
+/// Decodes a block header frame payload.
+pub(crate) fn decode_block_header(bytes: &[u8]) -> Result<BlockHeader> {
     let mut r = VarintReader::new(bytes);
-    let codec = if version >= 3 {
-        PayloadCodec::from_tag(r.read_u32()?)?
-    } else {
-        PayloadCodec::Varint
-    };
+    let tag = r.read_u32()?;
+    if tag != BLOCK_CODEC_TAG {
+        return Err(StoreError::Corrupt(format!(
+            "unknown block payload codec tag {tag}"
+        )));
+    }
     let records = r.read_u32()?;
     let first_seq = r.read_u64()?;
     let last_seq = r.read_u64()?;
@@ -722,7 +649,6 @@ pub(crate) fn decode_block_header(bytes: &[u8], version: u32) -> Result<BlockHea
         return Err(StoreError::Corrupt("trailing block-header bytes".into()));
     }
     Ok(BlockHeader {
-        codec,
         records,
         first_seq,
         last_seq,
@@ -733,45 +659,12 @@ pub(crate) fn decode_block_header(bytes: &[u8], version: u32) -> Result<BlockHea
     })
 }
 
-/// Decodes one record from a block payload at `pos`, **appending** items to
-/// `out` — callers batching a whole block into a shared arena rely on the
-/// append semantics (clear `out` first for single-record decodes). Returns
-/// `(id_delta, new_pos)`.
-pub(crate) fn decode_record(
-    payload: &[u8],
-    pos: usize,
-    vocab_len: u32,
-    out: &mut Vec<ItemId>,
-) -> Result<(u64, usize)> {
-    let mut r = VarintReader::new(&payload[pos..]);
-    let id_delta = r.read_u64()?;
-    let len = r.read_u32()?;
-    out.reserve(len as usize);
-    let mut prev = 0i64;
-    for i in 0..len {
-        let v = if i == 0 {
-            r.read_u32()? as i64
-        } else {
-            prev.checked_add(zigzag::decode_i64(r.read_u64()?))
-                .ok_or_else(|| StoreError::Corrupt("item delta overflows".into()))?
-        };
-        if v < 0 || v >= vocab_len as i64 {
-            return Err(StoreError::Corrupt(format!(
-                "item id {v} outside vocabulary of {vocab_len}"
-            )));
-        }
-        out.push(ItemId::from_u32(v as u32));
-        prev = v;
-    }
-    Ok((id_delta, pos + r.position()))
-}
-
-/// Encodes a columnar group-varint block payload (the v3 and v4 layout):
-/// every record's sequence-id delta (varint `u64`, first delta
-/// relative to the header's `first_seq`), then the per-record item counts
-/// as one group-varint stream, then every record's items — **raw** item
-/// ids, not deltas, since frequency-ordered ids are small already — as one
-/// contiguous group-varint stream the wide decode kernel can rip through.
+/// Encodes a columnar group-varint block payload: every record's
+/// sequence-id delta (varint `u64`, first delta relative to the header's
+/// `first_seq`), then the per-record item counts as one group-varint
+/// stream, then every record's items — **raw** ranks, not deltas, since
+/// frequency ranks are small already — as one contiguous group-varint
+/// stream the wide decode kernel can rip through.
 pub(crate) fn encode_gv_payload(id_deltas: &[u64], lens: &[u32], items: &[u32], buf: &mut Vec<u8>) {
     for &delta in id_deltas {
         varint::encode_u64(delta, buf);
@@ -812,23 +705,6 @@ mod tests {
     use super::*;
     use lash_core::vocabulary::VocabularyBuilder;
 
-    /// The format-v2 record encoder (id delta + delta/varint-compressed
-    /// items), kept for the decoder's tests — nothing writes v2 any more.
-    fn encode_record(id_delta: u64, items: &[ItemId], buf: &mut Vec<u8>) {
-        varint::encode_u64(id_delta, buf);
-        varint::encode_u32(items.len() as u32, buf);
-        let mut prev = 0i64;
-        for (i, item) in items.iter().enumerate() {
-            let v = item.as_u32();
-            if i == 0 {
-                varint::encode_u32(v, buf);
-            } else {
-                varint::encode_u64(zigzag::encode_i64(v as i64 - prev), buf);
-            }
-            prev = v as i64;
-        }
-    }
-
     #[test]
     fn hash_partitioning_spreads_and_is_deterministic() {
         let p = Partitioning::hash(7);
@@ -854,41 +730,46 @@ mod tests {
         assert_eq!(p.shard_of(1_000_000), 2);
     }
 
-    #[test]
-    fn manifest_header_round_trips() {
-        for partitioning in [Partitioning::hash(5), Partitioning::range(2, 1000)] {
-            let m = Manifest {
-                version: FORMAT_VERSION,
-                partitioning,
-                num_sequences: 123_456,
-                total_items: 9_876_543,
-                sketches: true,
-                next_gen_id: 7,
-                generations: Vec::new(),
-                shards: Vec::new(),
-                rank_order: None,
-            };
-            let mut buf = Vec::new();
-            encode_manifest_header(&m, &mut buf);
-            let (back, gens) = decode_manifest_header(&buf).unwrap();
-            assert_eq!(back, m);
-            assert_eq!(gens, 0);
-        }
-    }
-
-    #[test]
-    fn manifest_rejects_bad_magic() {
-        let m = Manifest {
-            version: FORMAT_VERSION,
-            partitioning: Partitioning::hash(1),
+    fn empty_manifest(partitioning: Partitioning) -> Manifest {
+        Manifest {
+            partitioning,
             num_sequences: 0,
             total_items: 0,
             sketches: false,
             next_gen_id: 1,
             generations: Vec::new(),
             shards: Vec::new(),
-            rank_order: None,
-        };
+            rank_order: std::sync::Arc::new(RankOrder::identity(0)),
+        }
+    }
+
+    #[test]
+    fn manifest_header_round_trips() {
+        for partitioning in [Partitioning::hash(5), Partitioning::range(2, 1000)] {
+            let m = Manifest {
+                num_sequences: 123_456,
+                total_items: 9_876_543,
+                sketches: true,
+                next_gen_id: 7,
+                ..empty_manifest(partitioning)
+            };
+            let mut buf = Vec::new();
+            encode_manifest_header(&m, &mut buf);
+            let expected = ManifestHeader {
+                partitioning,
+                num_sequences: 123_456,
+                total_items: 9_876_543,
+                sketches: true,
+                next_gen_id: 7,
+                num_generations: 0,
+            };
+            assert_eq!(decode_manifest_header(&buf).unwrap(), expected);
+        }
+    }
+
+    #[test]
+    fn manifest_rejects_bad_magic() {
+        let m = empty_manifest(Partitioning::hash(1));
         let mut buf = Vec::new();
         encode_manifest_header(&m, &mut buf);
         let mut bad = buf.clone();
@@ -908,7 +789,7 @@ mod tests {
         // A retired or future manifest: valid magic, an unreadable version,
         // then bytes this build has no idea how to parse. The decoder must
         // classify it by version alone — before touching any later field.
-        for future in [1u32, 5, 99] {
+        for future in [1u32, 2, 3, 5, 99] {
             let mut buf = Vec::new();
             buf.extend_from_slice(MANIFEST_MAGIC);
             varint::encode_u32(future, &mut buf);
@@ -922,14 +803,16 @@ mod tests {
 
     #[test]
     fn unknown_segment_versions_are_unsupported() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(SEGMENT_MAGIC);
-        varint::encode_u32(57, &mut buf);
-        varint::encode_u32(0, &mut buf);
-        assert!(matches!(
-            decode_segment_header(&buf, 0),
-            Err(StoreError::UnsupportedVersion { found: 57 })
-        ));
+        for version in [2u32, 3, 57] {
+            let mut buf = Vec::new();
+            buf.extend_from_slice(SEGMENT_MAGIC);
+            varint::encode_u32(version, &mut buf);
+            varint::encode_u32(0, &mut buf);
+            match decode_segment_header(&buf, 0) {
+                Err(StoreError::UnsupportedVersion { found }) => assert_eq!(found, version),
+                other => panic!("version {version}: expected UnsupportedVersion, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -1041,9 +924,8 @@ mod tests {
         assert_eq!(agg[1].min_seq, 3);
     }
 
-    fn header(codec: PayloadCodec, sketch: &BTreeMap<u32, u32>) -> BlockHeader {
+    fn header(sketch: &BTreeMap<u32, u32>) -> BlockHeader {
         BlockHeader {
-            codec,
             records: 5,
             first_seq: 100,
             last_seq: 131,
@@ -1057,41 +939,30 @@ mod tests {
     #[test]
     fn block_header_round_trips_with_sketch_in_every_version() {
         let sketch: BTreeMap<u32, u32> = [(0, 5), (3, 2), (17, 9)].into_iter().collect();
-        for (version, codec) in [
-            (3, PayloadCodec::GroupVarint),
-            (4, PayloadCodec::GroupVarintRank),
-        ] {
-            let h = header(codec, &sketch);
-            let mut buf = Vec::new();
-            encode_block_header(&h, &sketch, &mut buf);
-            assert_eq!(decode_block_header(&buf, version).unwrap(), h);
-        }
-        // A v2 header is the same fields without the leading one-byte tag.
-        let h = header(PayloadCodec::Varint, &sketch);
+        let h = header(&sketch);
         let mut buf = Vec::new();
         encode_block_header(&h, &sketch, &mut buf);
-        assert_eq!(decode_block_header(&buf[1..], 2).unwrap(), h);
+        assert_eq!(decode_block_header(&buf).unwrap(), h);
     }
 
     #[test]
-    fn v3_block_headers_reject_unknown_codec_tags() {
+    fn block_headers_reject_unknown_codec_tags() {
         let mut buf = Vec::new();
-        encode_block_header(
-            &header(PayloadCodec::GroupVarint, &BTreeMap::new()),
-            &BTreeMap::new(),
-            &mut buf,
-        );
-        buf[0] = 7; // codec tag is the first varint of a v3 header
-        assert!(matches!(
-            decode_block_header(&buf, 3),
-            Err(StoreError::Corrupt(_))
-        ));
+        encode_block_header(&header(&BTreeMap::new()), &BTreeMap::new(), &mut buf);
+        // The codec tag is the first varint of a header: tags 0 and 1 were
+        // the retired v2/v3 payloads, 7 was never assigned.
+        for tag in [0u8, 1, 7] {
+            buf[0] = tag;
+            assert!(matches!(
+                decode_block_header(&buf),
+                Err(StoreError::Corrupt(_))
+            ));
+        }
     }
 
     #[test]
     fn block_header_rejects_invariant_violations() {
         let h = BlockHeader {
-            codec: PayloadCodec::Varint,
             records: 1,
             first_seq: 10,
             last_seq: 10,
@@ -1102,10 +973,27 @@ mod tests {
         };
         let mut buf = Vec::new();
         encode_block_header(&h, &BTreeMap::new(), &mut buf);
-        let v2 = &buf[1..];
-        assert!(decode_block_header(v2, 2).is_ok());
-        assert!(decode_block_header(&v2[..2], 2).is_err());
-        assert!(decode_block_header(&[], 2).is_err());
+        assert!(decode_block_header(&buf).is_ok());
+        assert!(decode_block_header(&buf[..3]).is_err());
+        assert!(decode_block_header(&[]).is_err());
+        // Zero records, or a last id below the first, break the invariants.
+        for bad in [
+            BlockHeader {
+                records: 0,
+                ..h.clone()
+            },
+            BlockHeader {
+                last_seq: 9,
+                ..h.clone()
+            },
+        ] {
+            buf.clear();
+            encode_block_header(&bad, &BTreeMap::new(), &mut buf);
+            assert!(matches!(
+                decode_block_header(&buf),
+                Err(StoreError::Corrupt(_))
+            ));
+        }
     }
 
     #[test]
@@ -1141,14 +1029,11 @@ mod tests {
 
     #[test]
     fn codec_tags_are_stable() {
-        for (codec, tag) in [
-            (PayloadCodec::Varint, 0),
-            (PayloadCodec::GroupVarint, 1),
-            (PayloadCodec::GroupVarintRank, 2),
-        ] {
-            assert_eq!(codec.tag(), tag);
-            assert_eq!(PayloadCodec::from_tag(tag).unwrap(), codec);
-        }
+        // Every block header of format v4 opens with tag 2; the frozen v4
+        // bytes depend on it.
+        let mut buf = Vec::new();
+        encode_block_header(&header(&BTreeMap::new()), &BTreeMap::new(), &mut buf);
+        assert_eq!(buf[0], 2);
     }
 
     #[test]
@@ -1177,39 +1062,5 @@ mod tests {
         assert_eq!(id.item_of(), &[0, 1, 2, 3]);
         assert_eq!(id.rank_of(), &[0, 1, 2, 3]);
         assert!(RankOrder::identity(0).is_empty());
-    }
-
-    #[test]
-    fn records_round_trip_including_empty() {
-        let mut vb = VocabularyBuilder::new();
-        let ids: Vec<ItemId> = (0..50).map(|i| vb.intern(&format!("i{i}"))).collect();
-        let mut buf = Vec::new();
-        encode_record(0, &[ids[3], ids[49], ids[0]], &mut buf);
-        encode_record(7, &[], &mut buf);
-        encode_record(1, &[ids[10]], &mut buf);
-        let mut out = Vec::new();
-        let (d1, p1) = decode_record(&buf, 0, 50, &mut out).unwrap();
-        assert_eq!((d1, out.clone()), (0, vec![ids[3], ids[49], ids[0]]));
-        out.clear();
-        let (d2, p2) = decode_record(&buf, p1, 50, &mut out).unwrap();
-        assert_eq!((d2, out.len()), (7, 0));
-        out.clear();
-        let (d3, p3) = decode_record(&buf, p2, 50, &mut out).unwrap();
-        assert_eq!((d3, out.clone()), (1, vec![ids[10]]));
-        assert_eq!(p3, buf.len());
-        // Append semantics: decoding into a non-empty arena keeps its prefix.
-        let (_, _) = decode_record(&buf, 0, 50, &mut out).unwrap();
-        assert_eq!(out, vec![ids[10], ids[3], ids[49], ids[0]]);
-    }
-
-    #[test]
-    fn record_decoding_rejects_out_of_vocabulary_items() {
-        let mut vb = VocabularyBuilder::new();
-        let a = vb.intern("a");
-        let mut buf = Vec::new();
-        encode_record(0, &[a], &mut buf);
-        let mut out = Vec::new();
-        // Same bytes, but a vocabulary too small to contain the item.
-        assert!(decode_record(&buf, 0, 0, &mut out).is_err());
     }
 }

@@ -60,15 +60,13 @@ use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use lash_core::enumeration::g1_items;
-use lash_core::flist::FList;
-use lash_core::sequence::{SequenceDatabase, ShardedCorpus};
+use lash_core::sequence::SequenceDatabase;
 use lash_core::vocabulary::{ItemId, Vocabulary};
 use lash_encoding::frame::{self, FrameChecksum};
 
 use crate::compact::{self, CompactionConfig};
-use crate::format::{self, GenerationMeta, Manifest, RankOrder, FORMAT_VERSION, MANIFEST_FILE};
-use crate::writer::{rank_order_from_flist, SegmentSetWriter};
+use crate::format::{self, GenerationMeta, Manifest, MANIFEST_FILE};
+use crate::writer::SegmentSetWriter;
 use crate::{Result, StoreError};
 
 /// Environment variable enabling automatic compaction on ingest: when set
@@ -122,30 +120,36 @@ pub(crate) fn read_required_frame(
 }
 
 /// Loads and cross-validates a corpus manifest: header, vocabulary,
-/// generation list (and, for v4, the rank order), with the aggregated
-/// per-shard statistics recomputed.
+/// generation list and rank order, with the aggregated per-shard statistics
+/// recomputed.
 pub(crate) fn read_manifest(dir: &Path) -> Result<(Manifest, Vocabulary)> {
     let mut file = BufReader::new(File::open(dir.join(MANIFEST_FILE))?);
     let mut buf = Vec::new();
     let len = read_required_frame(&mut file, &mut buf, "manifest header")?;
-    let (mut manifest, declared_generations) = format::decode_manifest_header(&buf[..len])?;
+    let header = format::decode_manifest_header(&buf[..len])?;
     let len = read_required_frame(&mut file, &mut buf, "manifest vocabulary")?;
     let vocab = format::decode_vocabulary(&buf[..len])?;
     let len = read_required_frame(&mut file, &mut buf, "manifest generations")?;
-    manifest.generations = format::decode_generations(&buf[..len])?;
-    if manifest.version >= 4 {
-        // A v4 corpus carries its write-once item order as a fourth frame;
-        // rank-coded payloads are meaningless without it.
-        let len = read_required_frame(&mut file, &mut buf, "manifest rank order")?;
-        let rank = format::decode_rank_order(&buf[..len], vocab.len())?;
-        manifest.rank_order = Some(Arc::new(rank));
-    }
-    if manifest.generations.len() != declared_generations as usize {
+    let generations = format::decode_generations(&buf[..len])?;
+    let len = read_required_frame(&mut file, &mut buf, "manifest rank order")?;
+    let rank_order = Arc::new(format::decode_rank_order(&buf[..len], vocab.len())?);
+    if generations.len() != header.num_generations as usize {
         return Err(StoreError::Corrupt(format!(
-            "manifest header declares {declared_generations} generations, list holds {}",
-            manifest.generations.len()
+            "manifest header declares {} generations, list holds {}",
+            header.num_generations,
+            generations.len()
         )));
     }
+    let mut manifest = Manifest {
+        partitioning: header.partitioning,
+        num_sequences: header.num_sequences,
+        total_items: header.total_items,
+        sketches: header.sketches,
+        next_gen_id: header.next_gen_id,
+        generations,
+        shards: Vec::new(),
+        rank_order,
+    };
     let num_shards = manifest.partitioning.num_shards() as usize;
     // Note: ids need not be ascending in list order — compaction splices a
     // freshly-minted (highest) id into the merged window's position, since
@@ -203,13 +207,8 @@ pub(crate) fn write_manifest(dir: &Path, manifest: &Manifest, vocab: &Vocabulary
         buf.clear();
         format::encode_generations(&manifest.generations, &mut buf);
         frame::write_frame(&buf, &mut file)?;
-        debug_assert_eq!(manifest.version, FORMAT_VERSION, "only v4 is written");
-        let rank = manifest
-            .rank_order
-            .as_ref()
-            .expect("a v4 manifest carries its rank order");
         buf.clear();
-        format::encode_rank_order(rank, &mut buf);
+        format::encode_rank_order(&manifest.rank_order, &mut buf);
         frame::write_frame(&buf, &mut file)?;
         file.flush()?;
         file.get_ref().sync_all()?;
@@ -260,65 +259,15 @@ pub struct IncrementalWriter {
     vocab: Vocabulary,
     gen_id: u32,
     tmp_dir: PathBuf,
-    /// The rank order the staged segments are encoded with; sealed into the
-    /// manifest at finish when the corpus had none (a v2/v3 corpus).
-    rank: Arc<RankOrder>,
     segments: Option<SegmentSetWriter>,
     next_seq: u64,
     sealed: bool,
 }
 
-/// The item order a new generation must be written in.
-///
-/// A v4 corpus already fixed it (write-once: later generations reuse the
-/// sealed order, whatever the current frequencies — re-ranking would
-/// require rewriting every sealed segment). A pre-v4 corpus being migrated
-/// derives it from the existing corpus frequencies: the header-sketch
-/// f-list when sketches are present (header-only, no payload read), a
-/// streaming full scan otherwise.
-pub(crate) fn resolve_rank_order(
-    dir: &Path,
-    manifest: &Manifest,
-    vocab: &Vocabulary,
-) -> Result<Arc<RankOrder>> {
-    if let Some(rank) = &manifest.rank_order {
-        return Ok(Arc::clone(rank));
-    }
-    let reader = crate::CorpusReader::open(dir)?;
-    let flist = match reader.flist()? {
-        Some(flist) => flist,
-        None => {
-            // No sketches: stream every shard once, counting G1 closures —
-            // FList::compute without materializing the corpus.
-            let mut doc_freq = vec![0u64; vocab.len()];
-            let mut scratch = Vec::new();
-            for shard in 0..reader.num_shards() {
-                ShardedCorpus::scan_shard(&reader, shard, &mut |_, seq| {
-                    g1_items(seq, vocab, &mut scratch);
-                    for item in &scratch {
-                        doc_freq[item.index()] += 1;
-                    }
-                })
-                .map_err(|e| StoreError::Corrupt(format!("rank-order scan: {e}")))?;
-            }
-            FList::from_counts(
-                vocab,
-                doc_freq
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, f)| (ItemId::from_u32(i as u32), f)),
-            )
-            .expect("ids indexed from the vocabulary are in range")
-        }
-    };
-    Ok(Arc::new(rank_order_from_flist(&flist, vocab)))
-}
-
 impl IncrementalWriter {
     /// Opens `dir` for appending a new generation with the default block
-    /// budget. Appending to a format-v2/v3 corpus adds a v4 generation and
-    /// bumps the manifest version, so builds that predate v4 stop reading
-    /// it.
+    /// budget. The generation is encoded under the rank order the corpus
+    /// sealed at creation.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self> {
         Self::open_with_budget(dir, crate::StoreOptions::default().block_budget)
     }
@@ -335,13 +284,12 @@ impl IncrementalWriter {
         if tmp_dir.exists() {
             fs::remove_dir_all(&tmp_dir)?;
         }
-        let rank = resolve_rank_order(&dir, &manifest, &vocab)?;
         let segments = SegmentSetWriter::create(
             &tmp_dir,
             manifest.partitioning.num_shards(),
             block_budget,
             manifest.sketches,
-            Arc::clone(&rank),
+            Arc::clone(&manifest.rank_order),
         )?;
         let next_seq = manifest.num_sequences;
         Ok(IncrementalWriter {
@@ -350,7 +298,6 @@ impl IncrementalWriter {
             vocab,
             gen_id,
             tmp_dir,
-            rank,
             segments: Some(segments),
             next_seq,
             sealed: false,
@@ -441,13 +388,6 @@ impl IncrementalWriter {
 
         // Step 3: swap the manifest.
         let mut manifest = self.manifest.clone();
-        // Appending to a v2/v3 corpus bumps the manifest version (old builds
-        // must reject what they cannot read) and seals the order the staged
-        // segments were just encoded with.
-        manifest.version = FORMAT_VERSION;
-        manifest
-            .rank_order
-            .get_or_insert_with(|| Arc::clone(&self.rank));
         manifest.generations.push(GenerationMeta {
             id: self.gen_id,
             num_sequences,

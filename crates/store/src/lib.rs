@@ -28,27 +28,24 @@
 //! Sequences are routed to shards by a [`Partitioning`] (hash or range over
 //! the corpus-wide sequence id). Each segment is a stream of *blocks*:
 //! compressed batches of sequences wrapped in checksummed frames, each
-//! preceded by a header frame carrying the block's payload codec, min/max
-//! sequence id, item-id range, and an optional **G1 item-frequency
-//! sketch** — per item, the number of sequences in the block whose
-//! hierarchy closure contains it. The sketch makes the generalized f-list
+//! preceded by a header frame carrying the block's min/max sequence id,
+//! item-id range, and an optional **G1 item-frequency sketch** — per item,
+//! the number of sequences in the block whose hierarchy closure contains
+//! it. The sketch makes the generalized f-list
 //! computable *from headers alone*, without decoding any payload;
 //! per-generation sketches are additive, so they merge into one corpus-wide
 //! f-list for free.
 //!
-//! Block payloads are **columnar group varint in rank space** (format v4,
-//! [`PayloadCodec::GroupVarintRank`]): all sequence-id deltas, then all
-//! record lengths, then every record's items as one contiguous stream a
-//! branch-free wide kernel decodes in bulk. The corpus-wide
-//! descending-frequency order is computed once at sealing time, recorded in
-//! the manifest ([`format::RankOrder`]), and items are written as their
-//! rank in it. Frequent items get small codes (tighter group-varint bytes),
-//! and the mining map phase — which needs exactly this rank encoding —
-//! consumes blocks without re-encoding a single item. This is the only
-//! format the crate writes. Formats v2 (per-record varint) and v3 (columnar,
-//! id space) are **read-only**: old corpora open and mine unchanged, grow by
-//! v4 generations, and migrate to v4 through compaction; see [`format`] for
-//! the exact layouts.
+//! Block payloads are **columnar group varint in rank space**: all
+//! sequence-id deltas, then all record lengths, then every record's items
+//! as one contiguous stream a branch-free wide kernel decodes in bulk. The
+//! corpus-wide descending-frequency order is computed once when the corpus
+//! is created, recorded in the manifest ([`format::RankOrder`]), and items
+//! are written as their rank in it. Frequent items get small codes (tighter
+//! group-varint bytes), and the mining map phase — which needs exactly this
+//! rank encoding — consumes blocks without re-encoding a single item. This
+//! is format version 4 ([`FORMAT_VERSION`]), the only format the crate reads
+//! or writes; see [`format`] for the exact layout.
 //!
 //! The push-style mining scans memory-map segment files when the platform
 //! supports it (heap-loading them otherwise): checksums are validated once
@@ -139,8 +136,7 @@ pub mod writer;
 
 pub use compact::{CompactionConfig, CompactionPlan, CompactionStats};
 pub use format::{
-    BlockHeader, GenerationMeta, Manifest, Partitioning, PayloadCodec, RankOrder, ShardStats,
-    FORMAT_VERSION, MIN_FORMAT_VERSION,
+    BlockHeader, GenerationMeta, Manifest, Partitioning, RankOrder, ShardStats, FORMAT_VERSION,
 };
 pub use generations::{IncrementalWriter, COMPACT_EVERY_ENV};
 pub use reader::{BlockFilter, CorpusReader, CorpusScan, SequenceBatch, ShardScan};
@@ -162,9 +158,11 @@ pub enum StoreError {
     Decode(DecodeError),
     /// The on-disk data violates a format invariant.
     Corrupt(String),
-    /// The corpus was written by a format version this build does not
-    /// read — typically a newer build (generations bumped the version to
-    /// 2, and future bumps surface here instead of being misparsed).
+    /// The corpus is in a format version other than 4, the only one this
+    /// build reads: a future format, or a retired one (1–3). A v2 or v3
+    /// corpus must be compacted to v4 by an earlier build (compaction
+    /// rewrites only merged generations, so a single-generation corpus needs
+    /// one appended generation first), or re-ingested.
     UnsupportedVersion {
         /// The version found on disk.
         found: u32,
@@ -186,9 +184,9 @@ impl std::fmt::Display for StoreError {
             StoreError::Corrupt(msg) => write!(f, "corrupt corpus: {msg}"),
             StoreError::UnsupportedVersion { found } => write!(
                 f,
-                "unsupported corpus format version {found} (this build reads versions \
-                 {MIN_FORMAT_VERSION}..={FORMAT_VERSION}); re-create the corpus or upgrade \
-                 lash-store"
+                "unsupported corpus format version {found} (this build reads only version \
+                 {FORMAT_VERSION}); a v2/v3 corpus must be compacted to v{FORMAT_VERSION} by an \
+                 earlier build or re-ingested, a newer one needs a newer lash-store"
             ),
             StoreError::AlreadyExists(p) => {
                 write!(

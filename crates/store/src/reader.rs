@@ -27,17 +27,15 @@ use crate::format::{self, BlockHeader, GenerationMeta, Manifest, RankOrder};
 use crate::generations::{read_manifest, read_required_frame};
 use crate::{Result, StoreError};
 
-/// The item space a scan delivers sequences in. Blocks are stored in
-/// whichever space their codec uses (ids through v3, ranks in v4); the
-/// decoder maps to the requested space, which is a no-op when they already
-/// agree — the point of rank-space segments: a mine job asking for ranks
-/// over a v4 corpus gets the stored bytes untouched.
+/// The item space a scan delivers sequences in. Blocks store ranks; the
+/// decoder maps them to ids only when asked for [`ScanSpace::Items`] — the
+/// point of rank-space segments: a mine job asking for ranks gets the
+/// stored values untouched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ScanSpace {
-    /// Vocabulary item ids — what every pre-v4 consumer expects.
+    /// Vocabulary item ids.
     Items,
-    /// Corpus frequency ranks (the mine job's working encoding); requires
-    /// the corpus rank order.
+    /// Corpus frequency ranks (the mine job's working encoding).
     Ranks,
 }
 
@@ -66,7 +64,7 @@ pub struct CorpusReader {
 impl CorpusReader {
     /// Opens the corpus at `dir` by reading and validating its manifest.
     ///
-    /// Manifests written by a different (usually newer) format version are
+    /// Manifests of any format version but [`crate::FORMAT_VERSION`] are
     /// rejected with [`StoreError::UnsupportedVersion`] rather than
     /// misparsed.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self> {
@@ -126,11 +124,10 @@ impl CorpusReader {
         self.manifest.generations.len()
     }
 
-    /// The corpus rank↔id mapping (`Some` once the corpus holds any
-    /// rank-coded v4 generation): the write-once descending-frequency item
+    /// The corpus rank↔id mapping: the write-once descending-frequency item
     /// order its segments are encoded in.
-    pub fn rank_order(&self) -> Option<&RankOrder> {
-        self.manifest.rank_order.as_deref()
+    pub fn rank_order(&self) -> &RankOrder {
+        &self.manifest.rank_order
     }
 
     /// The sealed generations of this snapshot, in sequence-id order.
@@ -181,7 +178,7 @@ impl CorpusReader {
             shard as u32,
             self.vocab.len() as u32,
             None,
-            self.manifest.rank_order.clone(),
+            Arc::clone(&self.manifest.rank_order),
             ScanSpace::Items,
         ))
     }
@@ -200,7 +197,7 @@ impl CorpusReader {
             shard as u32,
             self.vocab.len() as u32,
             Some(filter),
-            self.manifest.rank_order.clone(),
+            Arc::clone(&self.manifest.rank_order),
             ScanSpace::Items,
         ))
     }
@@ -438,7 +435,7 @@ impl CorpusReader {
         f: &mut dyn FnMut(u64, &[ItemId]),
     ) -> Result<()> {
         let vocab_len = self.vocab.len() as u32;
-        let rank = self.manifest.rank_order.as_deref();
+        let rank = &*self.manifest.rank_order;
         let segments = self.mapped_segments(shard)?;
         let mut blocks_decoded = 0u64;
         let mut blocks_pruned = 0u64;
@@ -547,7 +544,7 @@ impl ShardedCorpus for CorpusReader {
     }
 
     fn rank_order(&self) -> Option<&[u32]> {
-        self.manifest.rank_order.as_deref().map(|r| r.item_of())
+        Some(self.manifest.rank_order.item_of())
     }
 
     fn scan_shard(
@@ -580,15 +577,9 @@ impl ShardedCorpus for CorpusReader {
         f: &mut dyn FnMut(u64, &[ItemId]),
     ) -> lash_core::error::Result<()> {
         let _scan_span = lash_obs::span!("store.scan.shard", shard = shard, ranked = true);
-        if self.manifest.rank_order.is_none() {
-            return Err(CoreError::Engine(
-                "ranked scan requires a rank-ordered (v4) corpus".into(),
-            ));
-        }
         // `relevant` stays an id-space predicate — sketches are id-space —
-        // while delivery is rank-space: for v4 blocks the stored bytes pass
-        // through untouched, which is the map-phase no-op this scan exists
-        // for.
+        // while delivery is rank-space: the stored values pass through
+        // untouched, which is the map-phase no-op this scan exists for.
         self.sketch_pruned_scan(shard, Some(relevant), ScanSpace::Ranks, f)
     }
 }
@@ -649,10 +640,11 @@ struct DecodeScratch {
     flat: Vec<u32>,
 }
 
-/// Decodes every record of one block payload into `batch`, dispatching on
-/// the block's payload codec and mapping items into `space` (see
-/// [`ScanSpace`]; `rank` is the corpus rank order, required whenever the
-/// block's stored space differs from the requested one).
+/// Decodes every record of one block payload into `batch`: the whole
+/// block's ranks come out of one uninterrupted group-varint kernel run, and
+/// are mapped to item ids through `rank` only when `space` asks for
+/// [`ScanSpace::Items`] — a ranked scan (the mine path) takes them as
+/// stored.
 fn decode_block_into(
     header: &BlockHeader,
     payload: &[u8],
@@ -660,14 +652,14 @@ fn decode_block_into(
     batch: &mut SequenceBatch,
     scratch: &mut DecodeScratch,
     space: ScanSpace,
-    rank: Option<&RankOrder>,
+    rank: &RankOrder,
 ) -> Result<()> {
     // Every record costs at least two payload bytes (id delta + length) and
-    // every item at least one, in both codecs — so a header whose claimed
-    // counts cannot fit the payload is corruption, rejected *before* any
-    // count-sized allocation. Without this, a checksum-valid but hostile
-    // header claiming u64::MAX items would panic or OOM the reserve/resize
-    // calls below instead of returning a typed error.
+    // every item at least one — so a header whose claimed counts cannot fit
+    // the payload is corruption, rejected *before* any count-sized
+    // allocation. Without this, a checksum-valid but hostile header
+    // claiming u64::MAX items would panic or OOM the reserve/resize calls
+    // below instead of returning a typed error.
     let min_bytes = (2 * header.records as u64).saturating_add(header.items);
     if min_bytes > payload.len() as u64 {
         return Err(StoreError::Corrupt(format!(
@@ -680,91 +672,6 @@ fn decode_block_into(
     batch.clear();
     batch.ids.reserve(header.records as usize);
     batch.items.reserve(header.items as usize);
-    match header.codec {
-        format::PayloadCodec::Varint => decode_varint_block(header, payload, vocab_len, batch)?,
-        format::PayloadCodec::GroupVarint | format::PayloadCodec::GroupVarintRank => {
-            decode_gv_block(header, payload, vocab_len, batch, scratch)?
-        }
-    }
-    // Both spaces are permutations of `0..vocab_len`, so the codecs' range
-    // checks above hold for either; only a space mismatch costs a mapping
-    // pass. A v4 block scanned for ranks — the mine path — is a no-op here.
-    let block_ranked = header.codec == format::PayloadCodec::GroupVarintRank;
-    let want_ranked = space == ScanSpace::Ranks;
-    if block_ranked != want_ranked {
-        let Some(rank) = rank else {
-            return Err(StoreError::Corrupt(
-                "rank mapping required but the corpus has no rank order".into(),
-            ));
-        };
-        let table = if block_ranked {
-            rank.item_of()
-        } else {
-            rank.rank_of()
-        };
-        if table.len() != vocab_len as usize {
-            return Err(StoreError::Corrupt(format!(
-                "rank order covers {} items, vocabulary has {vocab_len}",
-                table.len()
-            )));
-        }
-        for item in &mut batch.items {
-            *item = ItemId::from_u32(table[item.index()]);
-        }
-    }
-    Ok(())
-}
-
-/// The format-v2 record-stream decode: one varint token at a time.
-fn decode_varint_block(
-    header: &BlockHeader,
-    payload: &[u8],
-    vocab_len: u32,
-    batch: &mut SequenceBatch,
-) -> Result<()> {
-    let mut pos = 0usize;
-    let mut prev_seq = header.first_seq;
-    for rec in 0..header.records {
-        let (delta, next) = format::decode_record(payload, pos, vocab_len, &mut batch.items)?;
-        pos = next;
-        let id = prev_seq
-            .checked_add(delta)
-            .ok_or_else(|| StoreError::Corrupt("sequence id delta overflows".into()))?;
-        if id > header.last_seq {
-            return Err(StoreError::Corrupt(format!(
-                "sequence id {id} beyond block's last id {}",
-                header.last_seq
-            )));
-        }
-        prev_seq = id;
-        batch.ids.push(id);
-        batch.offsets.push(batch.items.len() as u32);
-        if rec + 1 == header.records {
-            if pos != payload.len() {
-                return Err(StoreError::Corrupt(
-                    "trailing bytes in block payload".into(),
-                ));
-            }
-            if id != header.last_seq {
-                return Err(StoreError::Corrupt(
-                    "block's last sequence id does not match its header".into(),
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The format-v3 columnar decode: the whole block's items come out of one
-/// uninterrupted group-varint kernel run instead of per-token parsing —
-/// the scan-bandwidth lever this format exists for.
-fn decode_gv_block(
-    header: &BlockHeader,
-    payload: &[u8],
-    vocab_len: u32,
-    batch: &mut SequenceBatch,
-    scratch: &mut DecodeScratch,
-) -> Result<()> {
     let records = header.records as usize;
     let items = usize::try_from(header.items)
         .map_err(|_| StoreError::Corrupt("block item count overflows".into()))?;
@@ -781,8 +688,7 @@ fn decode_gv_block(
             "trailing bytes in block payload".into(),
         ));
     }
-    // Ids: prefix-sum the delta column, re-checking the header invariants
-    // the v2 path enforces.
+    // Ids: prefix-sum the delta column, re-checking the header invariants.
     let mut prev_seq = header.first_seq;
     for (rec, &delta) in scratch.id_deltas.iter().enumerate() {
         let id = prev_seq
@@ -820,7 +726,9 @@ fn decode_gv_block(
         ));
     }
     // Items: bulk range-check (a vectorizable max-scan, one branch total),
-    // then one memcpy-shaped extend into the shared arena.
+    // then one memcpy-shaped extend into the shared arena. Ranks and ids
+    // are both permutations of `0..vocab_len`, so the check holds for
+    // either.
     let max_item = scratch.flat.iter().fold(0u32, |m, &v| m.max(v));
     if max_item >= vocab_len && !scratch.flat.is_empty() {
         return Err(StoreError::Corrupt(format!(
@@ -830,6 +738,18 @@ fn decode_gv_block(
     batch
         .items
         .extend(scratch.flat.iter().map(|&v| ItemId::from_u32(v)));
+    if space == ScanSpace::Items {
+        let item_of = rank.item_of();
+        if item_of.len() != vocab_len as usize {
+            return Err(StoreError::Corrupt(format!(
+                "rank order covers {} items, vocabulary has {vocab_len}",
+                item_of.len()
+            )));
+        }
+        for item in &mut batch.items {
+            *item = ItemId::from_u32(item_of[item.index()]);
+        }
+    }
     Ok(())
 }
 
@@ -845,11 +765,6 @@ pub type BlockFilter<'f> = &'f (dyn Fn(&BlockHeader) -> bool + Sync);
 pub(crate) struct SegmentScan {
     file: BufReader<File>,
     file_len: u64,
-    /// The segment's format version (2 to 4), which governs block-header
-    /// parsing (v3+ headers open with a payload-codec tag) and the frame
-    /// checksum flavor of block frames (wide for v3+).
-    version: u32,
-    checksum: lash_encoding::FrameChecksum,
     header_buf: Vec<u8>,
     payload_buf: Vec<u8>,
     payload_len: usize,
@@ -866,12 +781,10 @@ impl SegmentScan {
         // The header read seeds the buffer later block-header frames reuse.
         let mut header_buf = Vec::new();
         let len = read_required_frame(&mut file, &mut header_buf, "segment header")?;
-        let version = format::decode_segment_header(&header_buf[..len], shard)?;
+        format::decode_segment_header(&header_buf[..len], shard)?;
         Ok(SegmentScan {
             file,
             file_len,
-            version,
-            checksum: format::frame_checksum_for_version(version),
             header_buf,
             payload_buf: Vec::new(),
             payload_len: 0,
@@ -905,11 +818,11 @@ impl SegmentScan {
     /// over unread and the block counted; `None` at clean end-of-segment.
     fn next_header_only(&mut self) -> Result<Option<BlockHeader>> {
         let Some(header_len) =
-            frame::read_frame_into(&mut self.file, &mut self.header_buf, self.checksum)?
+            frame::read_frame_into(&mut self.file, &mut self.header_buf, format::BLOCK_CHECKSUM)?
         else {
             return Ok(None);
         };
-        let header = format::decode_block_header(&self.header_buf[..header_len], self.version)?;
+        let header = format::decode_block_header(&self.header_buf[..header_len])?;
         self.skip_payload()?;
         self.blocks_seen += 1;
         Ok(Some(header))
@@ -924,12 +837,15 @@ impl SegmentScan {
         pruned: &mut u64,
     ) -> Result<Option<BlockHeader>> {
         loop {
-            let Some(header_len) =
-                frame::read_frame_into(&mut self.file, &mut self.header_buf, self.checksum)?
+            let Some(header_len) = frame::read_frame_into(
+                &mut self.file,
+                &mut self.header_buf,
+                format::BLOCK_CHECKSUM,
+            )?
             else {
                 return Ok(None);
             };
-            let header = format::decode_block_header(&self.header_buf[..header_len], self.version)?;
+            let header = format::decode_block_header(&self.header_buf[..header_len])?;
             if let Some(filter) = filter {
                 if !filter(&header) {
                     self.skip_payload()?;
@@ -937,8 +853,11 @@ impl SegmentScan {
                     continue;
                 }
             }
-            let Some(payload_len) =
-                frame::read_frame_into(&mut self.file, &mut self.payload_buf, self.checksum)?
+            let Some(payload_len) = frame::read_frame_into(
+                &mut self.file,
+                &mut self.payload_buf,
+                format::BLOCK_CHECKSUM,
+            )?
             else {
                 return Err(StoreError::Corrupt("missing block payload frame".into()));
             };
@@ -967,19 +886,19 @@ impl MappedSegment {
         let bytes = frames.bytes();
         let corrupt =
             |e: lash_encoding::DecodeError| StoreError::Corrupt(format!("mapped segment: {e}"));
-        // The segment header frame always uses the classic checksum so it
-        // can be parsed before the version is known.
+        // The segment header frame uses the classic checksum, block frames
+        // the wide one.
         let (header, mut pos) = frame::decode_frame(bytes).map_err(corrupt)?;
-        let version = format::decode_segment_header(header, shard)?;
-        let checksum = format::frame_checksum_for_version(version);
+        format::decode_segment_header(header, shard)?;
         let mut blocks = Vec::new();
         while pos < bytes.len() {
             let (header_bytes, consumed) =
-                frame::decode_frame_with(&bytes[pos..], checksum).map_err(corrupt)?;
-            let block_header = format::decode_block_header(header_bytes, version)?;
+                frame::decode_frame_with(&bytes[pos..], format::BLOCK_CHECKSUM).map_err(corrupt)?;
+            let block_header = format::decode_block_header(header_bytes)?;
             pos += consumed;
-            let (payload, consumed) = frame::decode_frame_with(&bytes[pos..], checksum)
-                .map_err(|_| StoreError::Corrupt("missing block payload frame".into()))?;
+            let (payload, consumed) =
+                frame::decode_frame_with(&bytes[pos..], format::BLOCK_CHECKSUM)
+                    .map_err(|_| StoreError::Corrupt("missing block payload frame".into()))?;
             // The payload sits at the end of its frame, just before the
             // 4-byte checksum trailer.
             let start = pos + consumed - 4 - payload.len();
@@ -1006,9 +925,8 @@ pub struct ShardScan<'f> {
     shard: u32,
     vocab_len: u32,
     filter: Option<BlockFilter<'f>>,
-    /// The corpus rank order (when it has one), for mapping between stored
-    /// and requested item spaces.
-    rank: Option<Arc<RankOrder>>,
+    /// The corpus rank order, for mapping stored ranks to item ids.
+    rank: Arc<RankOrder>,
     /// The item space sequences are delivered in.
     space: ScanSpace,
     /// Segment files not yet opened, in generation order.
@@ -1050,7 +968,7 @@ impl<'f> ShardScan<'f> {
         shard: u32,
         vocab_len: u32,
         filter: Option<BlockFilter<'f>>,
-        rank: Option<Arc<RankOrder>>,
+        rank: Arc<RankOrder>,
         space: ScanSpace,
     ) -> Self {
         let mut batch = SequenceBatch::default();
@@ -1110,7 +1028,7 @@ impl<'f> ShardScan<'f> {
                         &mut self.batch,
                         &mut self.scratch,
                         self.space,
-                        self.rank.as_deref(),
+                        &self.rank,
                     )?;
                     self.blocks_decoded += 1;
                     self.rec = 0;
@@ -1244,7 +1162,6 @@ impl Iterator for BlockHeaders {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::PayloadCodec;
 
     /// A checksum-valid frame stream cannot smuggle a hostile header whose
     /// claimed counts would panic or OOM the count-sized allocations: the
@@ -1253,14 +1170,10 @@ mod tests {
     fn hostile_header_counts_are_rejected_before_allocating() {
         let mut batch = SequenceBatch::default();
         let mut scratch = DecodeScratch::default();
-        for codec in [
-            PayloadCodec::Varint,
-            PayloadCodec::GroupVarint,
-            PayloadCodec::GroupVarintRank,
-        ] {
+        let rank = RankOrder::from_item_of((0..10).rev().collect()).unwrap();
+        for space in [ScanSpace::Items, ScanSpace::Ranks] {
             for (records, items) in [(u32::MAX, u64::MAX), (u32::MAX, 0), (1, u64::MAX)] {
                 let header = BlockHeader {
-                    codec,
                     records,
                     first_seq: 0,
                     last_seq: records as u64,
@@ -1275,8 +1188,8 @@ mod tests {
                     10,
                     &mut batch,
                     &mut scratch,
-                    ScanSpace::Items,
-                    None,
+                    space,
+                    &rank,
                 )
                 .unwrap_err();
                 assert!(

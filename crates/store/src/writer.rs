@@ -18,10 +18,7 @@ use lash_encoding::frame;
 use lash_encoding::group_varint;
 use lash_encoding::varint;
 
-use crate::format::{
-    self, BlockHeader, GenerationMeta, Manifest, PayloadCodec, RankOrder, ShardStats,
-    FORMAT_VERSION,
-};
+use crate::format::{self, BlockHeader, GenerationMeta, Manifest, RankOrder, ShardStats};
 use crate::generations::write_manifest;
 use crate::{Result, StoreError, StoreOptions};
 
@@ -397,7 +394,6 @@ fn flush_shard_block(shard: &mut ShardWriter) -> Result<()> {
     );
     debug_assert_eq!(block.payload.len(), block.encoded_len());
     let header = BlockHeader {
-        codec: PayloadCodec::GroupVarintRank,
         records: block.records,
         first_seq: block.first_seq,
         last_seq: block.prev_seq,
@@ -408,12 +404,8 @@ fn flush_shard_block(shard: &mut ShardWriter) -> Result<()> {
     };
     shard.header_buf.clear();
     format::encode_block_header(&header, &block.sketch, &mut shard.header_buf);
-    // Block frames use the version's checksum flavor (wide since v3); the
-    // segment header frame stays classic so readers can parse it before
-    // knowing the version.
-    let kind = format::frame_checksum_for_version(FORMAT_VERSION);
-    frame::write_frame_with(&shard.header_buf, &mut shard.file, kind)?;
-    frame::write_frame_with(&block.payload, &mut shard.file, kind)?;
+    frame::write_frame_with(&shard.header_buf, &mut shard.file, format::BLOCK_CHECKSUM)?;
+    frame::write_frame_with(&block.payload, &mut shard.file, format::BLOCK_CHECKSUM)?;
     shard.stats.blocks += 1;
     shard.stats.payload_bytes += block.payload.len() as u64;
     block.reset();
@@ -513,7 +505,6 @@ impl CorpusWriter {
             shards,
         };
         let manifest = Manifest {
-            version: FORMAT_VERSION,
             partitioning: self.opts.partitioning,
             num_sequences,
             total_items,
@@ -524,7 +515,7 @@ impl CorpusWriter {
                 self.opts.partitioning.num_shards() as usize,
             ),
             generations: vec![generation],
-            rank_order: Some(rank),
+            rank_order: rank,
         };
         write_manifest(&self.dir, &manifest, &self.vocab)?;
         Ok(manifest)
@@ -537,14 +528,8 @@ impl CorpusWriter {
 /// is the identical permutation and its map phase can skip re-ranking. The
 /// permutation is σ-independent (σ only moves the frequent cutoff, not the
 /// order), so σ=1 here loses nothing.
-pub(crate) fn compute_rank_order(db: &SequenceDatabase, vocab: &Vocabulary) -> RankOrder {
-    let flist = FList::compute(db, vocab);
-    rank_order_from_flist(&flist, vocab)
-}
-
-/// The manifest [`RankOrder`] corresponding to an f-list over `vocab`.
-pub(crate) fn rank_order_from_flist(flist: &FList, vocab: &Vocabulary) -> RankOrder {
-    let order = ItemOrder::build(flist, vocab, 1);
+fn compute_rank_order(db: &SequenceDatabase, vocab: &Vocabulary) -> RankOrder {
+    let order = ItemOrder::build(&FList::compute(db, vocab), vocab, 1);
     let item_of: Vec<u32> = (0..order.len() as u32)
         .map(|r| order.item(r).as_u32())
         .collect();

@@ -5,17 +5,10 @@
 //! compaction; compaction verifiably reduces the per-shard segment-file
 //! count and never drops or duplicates a sequence id.
 
-#[path = "fixtures/v2_writer.rs"]
-mod v2_writer;
-#[path = "fixtures/v3_writer.rs"]
-mod v3_writer;
-
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use lash_core::flist::FList;
-use lash_core::{
-    GsmParams, ItemId, Lash, SequenceDatabase, ShardedCorpus, Vocabulary, VocabularyBuilder,
-};
+use lash_core::{GsmParams, ItemId, Lash, SequenceDatabase, Vocabulary, VocabularyBuilder};
 use lash_datagen::{TextConfig, TextCorpus, TextHierarchy};
 use lash_store::compact::{self, CompactionConfig};
 use lash_store::{
@@ -201,28 +194,49 @@ fn incremental_writer_validates_against_the_stored_vocabulary() {
 #[test]
 fn future_manifest_versions_are_rejected_as_unsupported() {
     use lash_encoding::{frame, varint};
-    let dir = temp_dir("future-version");
-    std::fs::create_dir_all(&dir).unwrap();
-    // A well-framed manifest whose header claims format version 99 and then
-    // carries bytes this build cannot know how to parse.
-    let mut payload = Vec::new();
-    payload.extend_from_slice(lash_store::format::MANIFEST_MAGIC);
-    varint::encode_u32(99, &mut payload);
-    payload.extend_from_slice(b"fields of a future format");
-    let mut file = std::fs::File::create(dir.join(lash_store::format::MANIFEST_FILE)).unwrap();
-    frame::write_frame(&payload, &mut file).unwrap();
-    let err = match CorpusReader::open(&dir) {
-        Err(e) => e,
-        Ok(_) => panic!("expected UnsupportedVersion {{ found: 99 }}, got a reader"),
-    };
-    assert!(
-        matches!(err, StoreError::UnsupportedVersion { found: 99 }),
-        "expected UnsupportedVersion {{ found: 99 }}, got {err:?}"
-    );
-    // The error names both versions, so the operator knows what to do.
-    let msg = err.to_string();
-    assert!(msg.contains("99") && msg.contains(&lash_store::FORMAT_VERSION.to_string()));
-    std::fs::remove_dir_all(&dir).unwrap();
+    // Retired versions (1–3) and a future one (99) alike: a well-framed
+    // manifest that claims the version and then carries bytes this build
+    // cannot know how to parse. Every entry point must name the version,
+    // never report corruption or panic.
+    for version in [1u32, 2, 3, 99] {
+        let dir = temp_dir(&format!("unsupported-version-{version}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut payload = Vec::new();
+        payload.extend_from_slice(lash_store::format::MANIFEST_MAGIC);
+        varint::encode_u32(version, &mut payload);
+        payload.extend_from_slice(b"fields of another format");
+        let mut file = std::fs::File::create(dir.join(lash_store::format::MANIFEST_FILE)).unwrap();
+        frame::write_frame(&payload, &mut file).unwrap();
+        let compaction = CompactionConfig::default().with_max_generations(1);
+        let errors = [
+            ("CorpusReader::open", CorpusReader::open(&dir).err()),
+            (
+                "IncrementalWriter::open",
+                IncrementalWriter::open(&dir).err(),
+            ),
+            (
+                "compact::compact",
+                compact::compact(&dir, &compaction).err(),
+            ),
+        ];
+        for (entry, err) in errors {
+            let Some(err) = err else {
+                panic!("{entry}: version {version} was accepted");
+            };
+            assert!(
+                matches!(err, StoreError::UnsupportedVersion { found } if found == version),
+                "{entry}: expected UnsupportedVersion {{ found: {version} }}, got {err:?}"
+            );
+            // The error names both versions, so the operator knows what to do.
+            let msg = err.to_string();
+            assert!(
+                msg.contains(&version.to_string())
+                    && msg.contains(&lash_store::FORMAT_VERSION.to_string()),
+                "{entry}: {msg}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 #[test]
@@ -437,74 +451,6 @@ proptest! {
                 prop_assert_eq!(from_headers.frequency(item), sequential.frequency(item));
             }
         }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-}
-
-#[test]
-fn mixed_codec_generations_chain_transparently() {
-    // A corpus whose generations were written in different block formats
-    // (a frozen v2 or v3 fixture generation, then a v4 one) must scan,
-    // f-list, and mine as one seamless corpus — readers dispatch per
-    // segment, not per corpus.
-    type FixtureWriter = fn(&std::path::Path, &Vocabulary, &[Vec<ItemId>], u32, usize);
-    let fixtures: [(&str, FixtureWriter); 2] = [
-        ("v2", v2_writer::write_v2_corpus),
-        ("v3", v3_writer::write_v3_corpus),
-    ];
-    let (vocab, items) = small_vocab();
-    let db = sample_db(&items, 240);
-    for (tag, write_old) in fixtures {
-        let dir = temp_dir(&format!("mixed-codec-{tag}"));
-        let old: Vec<Vec<ItemId>> = (0..120).map(|i| db.get(i).to_vec()).collect();
-        write_old(&dir, &vocab, &old, 3, 64);
-        let mut incr = IncrementalWriter::open_with_budget(&dir, 64).unwrap();
-        for i in 120..240 {
-            incr.append(db.get(i)).unwrap();
-        }
-        incr.finish().unwrap();
-
-        let reader = CorpusReader::open(&dir).unwrap();
-        assert_eq!(reader.manifest().version, 4, "{tag}: the append bumps it");
-        let back = reader.to_database().unwrap();
-        assert_eq!(back.len(), 240);
-        for i in 0..240 {
-            assert_eq!(back.get(i), db.get(i), "{tag}: sequence {i}");
-        }
-        let from_headers = reader.flist().unwrap().expect("fixtures write sketches");
-        let sequential = FList::compute(&db, &vocab);
-        for item in vocab.items() {
-            assert_eq!(from_headers.frequency(item), sequential.frequency(item));
-        }
-
-        // The ranked push scan maps the old generation's id-space blocks
-        // into rank space and passes the v4 generation's through: both must
-        // equal the pull scan's ids ranked by hand.
-        let rank_of = reader.rank_order().expect("sealed by the append").rank_of();
-        for shard in 0..reader.num_shards() {
-            let by_hand: Vec<(u64, Vec<u32>)> = reader
-                .scan_shard(shard)
-                .unwrap()
-                .map(|record| {
-                    let (id, seq) = record.unwrap();
-                    (id, seq.iter().map(|item| rank_of[item.index()]).collect())
-                })
-                .collect();
-            let mut ranked: Vec<(u64, Vec<u32>)> = Vec::new();
-            ShardedCorpus::scan_shard_ranked(&reader, shard, &|_| true, &mut |id, seq| {
-                ranked.push((id, seq.iter().map(|rank| rank.as_u32()).collect()));
-            })
-            .unwrap();
-            assert_eq!(ranked, by_hand, "{tag}: shard {shard}");
-        }
-
-        let params = GsmParams::new(2, 0, 2).unwrap();
-        let lash = Lash::default();
-        assert_eq!(
-            named_patterns(&reader.mine(&lash, &params).unwrap(), &vocab),
-            named_patterns(&lash.mine(&db, &vocab, &params).unwrap(), &vocab),
-            "{tag}: mixed-codec corpus mined differently"
-        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

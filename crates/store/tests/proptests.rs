@@ -3,14 +3,7 @@
 //! partitionings, shard counts, and block budgets; header sketches always
 //! reproduce the exact generalized f-list; writing is deterministic; and a
 //! damaged corpus is a typed error, never a panic or a silently wrong
-//! answer. The read-side properties also run over corpora written by the
-//! frozen format-v2 and format-v3 fixture writers — the only way those
-//! layouts are produced any more.
-
-#[path = "fixtures/v2_writer.rs"]
-mod v2_writer;
-#[path = "fixtures/v3_writer.rs"]
-mod v3_writer;
+//! answer.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -83,42 +76,12 @@ fn arb_options() -> impl Strategy<Value = StoreOptions> {
         })
 }
 
-/// Which writer produced the corpus under test.
-#[derive(Debug, Clone, Copy)]
-enum Format {
-    /// The frozen format-v2 fixture writer.
-    V2,
-    /// The frozen format-v3 fixture writer.
-    V3,
-    /// The production writer.
-    V4,
-}
-
-fn arb_format() -> impl Strategy<Value = Format> {
-    prop_oneof![Just(Format::V2), Just(Format::V3), Just(Format::V4)]
-}
-
-/// Writes `db` at `dir` in `format`, hash-partitioned over `shards` with
-/// sketches on — the one shape all three writers share.
-fn write_as(
-    format: Format,
-    dir: &Path,
-    vocab: &Vocabulary,
-    db: &SequenceDatabase,
-    shards: u32,
-    budget: usize,
-) {
-    let seqs = || -> Vec<Vec<ItemId>> { db.iter().map(<[ItemId]>::to_vec).collect() };
-    match format {
-        Format::V2 => v2_writer::write_v2_corpus(dir, vocab, &seqs(), shards, budget),
-        Format::V3 => v3_writer::write_v3_corpus(dir, vocab, &seqs(), shards, budget),
-        Format::V4 => {
-            let opts = StoreOptions::default()
-                .with_partitioning(Partitioning::hash(shards))
-                .with_block_budget(budget);
-            lash_store::convert::write_database(dir, vocab, db, opts).unwrap();
-        }
-    }
+/// Writes `db` at `dir`, hash-partitioned over `shards` with sketches on.
+fn write_hashed(dir: &Path, vocab: &Vocabulary, db: &SequenceDatabase, shards: u32, budget: usize) {
+    let opts = StoreOptions::default()
+        .with_partitioning(Partitioning::hash(shards))
+        .with_block_budget(budget);
+    lash_store::convert::write_database(dir, vocab, db, opts).unwrap();
 }
 
 /// Every file of the corpus at `root`, relative, sorted (generations live in
@@ -219,58 +182,18 @@ proptest! {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Corpora in the read-only formats round-trip bit-exactly too: same
-    /// sequences in the same order, every id exactly once and ascending
-    /// within a shard, same vocabulary and hierarchy.
-    #[test]
-    fn old_format_corpora_round_trip_bit_exactly(
-        vocab in arb_vocabulary(40),
-        raw in arb_raw_db(),
-        format in prop_oneof![Just(Format::V2), Just(Format::V3)],
-        shards in 1u32..6,
-        budget in prop_oneof![1 => Just(1usize), 2 => 8usize..512, 1 => Just(1 << 20)],
-    ) {
-        let db = build_db(&vocab, &raw);
-        let dir = temp_dir("old-roundtrip");
-        write_as(format, &dir, &vocab, &db, shards, budget);
-        let reader = CorpusReader::open(&dir).unwrap();
-        prop_assert!(reader.manifest().version < 4, "fixtures write old formats");
-        prop_assert_eq!(reader.len(), db.len() as u64);
-        for item in vocab.items() {
-            prop_assert_eq!(reader.vocabulary().name(item), vocab.name(item));
-            prop_assert_eq!(reader.vocabulary().parent(item), vocab.parent(item));
-        }
-        let back = reader.to_database().unwrap();
-        prop_assert_eq!(back.len(), db.len());
-        for i in 0..db.len() {
-            prop_assert_eq!(back.get(i), db.get(i), "sequence {}", i);
-        }
-        for shard in 0..reader.num_shards() {
-            let mut prev: Option<u64> = None;
-            for record in reader.scan_shard(shard).unwrap() {
-                let (id, items) = record.unwrap();
-                prop_assert!(prev.is_none_or(|p| id > p), "ids not ascending in shard {}", shard);
-                prev = Some(id);
-                prop_assert_eq!(&items[..], db.get(id as usize));
-            }
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
     /// With sketches on, the f-list assembled from block headers alone is
-    /// exactly the sequentially computed generalized f-list — in every
-    /// format the reader accepts.
+    /// exactly the sequentially computed generalized f-list.
     #[test]
     fn header_flist_is_exact(
         vocab in arb_vocabulary(24),
         raw in arb_raw_db(),
-        format in arb_format(),
         shards in 1u32..5,
         budget in 1usize..256,
     ) {
         let db = build_db(&vocab, &raw);
         let dir = temp_dir("flist");
-        write_as(format, &dir, &vocab, &db, shards, budget);
+        write_hashed(&dir, &vocab, &db, shards, budget);
         let reader = CorpusReader::open(&dir).unwrap();
         let from_headers = reader.flist().unwrap().expect("sketches were written");
         let sequential = FList::compute(&db, &vocab);
@@ -310,13 +233,12 @@ proptest! {
     }
 
     /// One flipped bit or a truncation anywhere in any file of a corpus —
-    /// manifest or segment, any format — surfaces as a typed error from
-    /// some read path, or is harmless: never a panic, never different data.
+    /// manifest or segment — surfaces as a typed error from some read path,
+    /// or is harmless: never a panic, never different data.
     #[test]
     fn damage_is_a_typed_error_never_a_panic_or_wrong_data(
         vocab in arb_vocabulary(24),
         raw in arb_raw_db(),
-        format in arb_format(),
         shards in 1u32..4,
         budget in prop_oneof![1 => Just(1usize), 2 => 8usize..256, 1 => Just(1 << 20)],
         victim in any::<usize>(),
@@ -325,7 +247,7 @@ proptest! {
     ) {
         let db = build_db(&vocab, &raw);
         let dir = temp_dir("damage");
-        write_as(format, &dir, &vocab, &db, shards, budget);
+        write_hashed(&dir, &vocab, &db, shards, budget);
         let files = files_under(&dir);
         let path = dir.join(&files[victim % files.len()]);
         let mut bytes = std::fs::read(&path).unwrap();

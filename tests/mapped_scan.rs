@@ -61,7 +61,7 @@ fn assert_push_equals_pull(reader: &CorpusReader) -> (u64, u64) {
             .iter()
             .any(|&(item, _)| relevant(ItemId::from_u32(item)))
     };
-    let rank_of = reader.rank_order().expect("a v4 corpus").rank_of();
+    let rank_of = reader.rank_order().rank_of();
     let (mut pruned, mut decoded) = (0, 0);
     for shard in 0..reader.num_shards() {
         let all = pull(reader.scan_shard(shard).unwrap());
