@@ -2,7 +2,7 @@
 //! mining against MG-FSM (e).
 
 use lash_core::context::MiningContext;
-use lash_core::distributed::flist_job::compute_flist_distributed;
+use lash_core::distributed::flist_job::compute_flist_sharded;
 use lash_core::distributed::mgfsm::{lash_flat, MgFsm};
 use lash_core::distributed::naive_job::run_naive;
 use lash_core::distributed::semi_naive_job::run_semi_naive;
@@ -50,7 +50,8 @@ pub fn fig4ab(datasets: &mut Datasets, report: &mut Report) {
 
         // Shared preprocessing (the paper reuses the f-list across methods).
         let (flist, flist_metrics) =
-            compute_flist_distributed(&db, &vocab, &cluster()).expect("flist job");
+            compute_flist_sharded(&db.shards(cluster().split_size), &vocab, &cluster())
+                .expect("flist job");
         let ctx = MiningContext::from_flist(&db, &vocab, flist, params.sigma);
 
         let (naive_set, naive_metrics) = run_naive(&ctx, &params, &cluster()).expect("naive job");

@@ -1,7 +1,8 @@
 //! The LASH partition-and-mine job (paper Alg. 1) and the public driver.
 //!
-//! The map function routes each input sequence `T` to the partition of every
-//! frequent item `w ∈ G1(T)`, shipping the rewritten sequence `P_w(T)`
+//! Each map task streams one shard of a [`ShardedCorpus`], ranks its
+//! sequences on the fly, and routes each sequence `T` to the partition of
+//! every frequent item `w ∈ G1(T)`, shipping the rewritten sequence `P_w(T)`
 //! (Sec. 4). The combiner aggregates duplicate rewrites into weighted
 //! sequences on their encoded bytes; each reduce task assembles its
 //! partition and runs the configured local miner, emitting the frequent
@@ -22,7 +23,7 @@ use crate::rewrite::{RewriteLevel, RewriteScratch, Rewriter};
 use crate::sequence::{Partition, SequenceDatabase, ShardedCorpus};
 use crate::vocabulary::Vocabulary;
 
-use super::flist_job::{compute_flist_distributed, compute_flist_sharded};
+use super::flist_job::compute_flist_sharded;
 
 /// Publishes one reduce-side mine call to the process-wide registry: the
 /// partition's wall time as a `mine.partition` span (parented under the
@@ -143,7 +144,9 @@ impl Default for LashConfig {
     }
 }
 
-/// The LASH driver: preprocessing job + partition-and-mine job.
+/// The LASH driver: preprocessing job + partition-and-mine job, both over
+/// the shards of a [`ShardedCorpus`]. [`Lash::mine`] is [`Lash::mine_sharded`]
+/// over an in-memory database's shards.
 ///
 /// See the crate-level example for usage.
 #[derive(Debug, Default)]
@@ -162,44 +165,27 @@ impl Lash {
         &self.config
     }
 
-    /// Runs the full pipeline on `db` with vocabulary `vocab`.
+    /// Runs the full pipeline on `db` with vocabulary `vocab`: this is
+    /// [`Lash::mine_sharded`] over [`SequenceDatabase::shards`] of
+    /// `cluster.split_size` sequences, so each map task of either job scans
+    /// one split of the database.
     pub fn mine(
         &self,
         db: &SequenceDatabase,
         vocab: &Vocabulary,
         params: &GsmParams,
     ) -> Result<LashResult> {
-        let _job_span = lash_obs::span!(
-            "mine.job",
-            sigma = params.sigma,
-            gamma = params.gamma,
-            lambda = params.lambda,
-            miner = self.config.miner.name(),
-        );
-        let stripped;
-        let vocab_eff: &Vocabulary = if self.config.ignore_hierarchy {
-            stripped = vocab.without_hierarchy();
-            &stripped
-        } else {
-            vocab
-        };
-        let (flist, preprocess_metrics) =
-            compute_flist_distributed(db, vocab_eff, &self.config.cluster)?;
-        let ctx = MiningContext::from_flist(db, vocab_eff, flist, params.sigma);
-        let (rank_patterns, mine_metrics, miner_stats, num_partitions) =
-            run_partition_and_mine(&ctx, params, &self.config)?;
-        Ok(assemble_result(
-            ctx,
-            rank_patterns,
-            preprocess_metrics,
-            mine_metrics,
-            miner_stats,
-            num_partitions,
-        ))
+        self.mine_sharded(
+            &db.shards(self.config.cluster.split_size),
+            vocab,
+            params,
+            None,
+        )
     }
 
     /// Runs the full pipeline over any [`ShardedCorpus`] — an in-memory
-    /// database or an on-disk corpus opened by `lash-store`.
+    /// database's [`SequenceDatabase::shards`] or an on-disk corpus opened
+    /// by `lash-store`.
     ///
     /// Both jobs run at shard granularity: each map task streams one shard,
     /// so a multi-shard corpus is scanned by parallel map tasks and is never
@@ -222,7 +208,6 @@ impl Lash {
             gamma = params.gamma,
             lambda = params.lambda,
             miner = self.config.miner.name(),
-            sharded = true,
         );
         let stripped;
         let vocab_eff: &Vocabulary = if self.config.ignore_hierarchy {
@@ -242,43 +227,24 @@ impl Lash {
         };
         let ctx = MiningContext::from_flist_only(vocab_eff, flist, params.sigma);
         let (rank_patterns, mine_metrics, miner_stats, num_partitions) =
-            run_partition_and_mine_sharded(corpus, &ctx, params, &self.config)?;
-        Ok(assemble_result(
-            ctx,
+            LashJob::new(corpus, &ctx, params, &self.config).run(&self.config.cluster)?;
+        let mut patterns: Vec<Pattern> = rank_patterns
+            .iter()
+            .map(|(ranks, frequency)| Pattern {
+                items: ctx.decode(ranks),
+                frequency,
+            })
+            .collect();
+        patterns.sort_by(|a, b| b.frequency.cmp(&a.frequency).then(a.items.cmp(&b.items)));
+        Ok(LashResult {
+            patterns,
             rank_patterns,
+            context: ctx,
             preprocess_metrics,
             mine_metrics,
             miner_stats,
             num_partitions,
-        ))
-    }
-}
-
-/// Decodes rank-space patterns and packages a [`LashResult`].
-fn assemble_result(
-    ctx: MiningContext,
-    rank_patterns: PatternSet,
-    preprocess_metrics: JobMetrics,
-    mine_metrics: JobMetrics,
-    miner_stats: MinerStats,
-    num_partitions: u64,
-) -> LashResult {
-    let mut patterns: Vec<Pattern> = rank_patterns
-        .iter()
-        .map(|(ranks, frequency)| Pattern {
-            items: ctx.decode(ranks),
-            frequency,
         })
-        .collect();
-    patterns.sort_by(|a, b| b.frequency.cmp(&a.frequency).then(a.items.cmp(&b.items)));
-    LashResult {
-        patterns,
-        rank_patterns,
-        context: ctx,
-        preprocess_metrics,
-        mine_metrics,
-        miner_stats,
-        num_partitions,
     }
 }
 
@@ -319,7 +285,9 @@ impl LashResult {
         &self.rank_patterns
     }
 
-    /// The preprocessing context (f-list, order, rank hierarchy).
+    /// The preprocessing context (f-list, order, rank hierarchy). Sequences
+    /// are ranked on the fly in the map phase, so its
+    /// [`MiningContext::ranked_db`] is empty.
     pub fn context(&self) -> &MiningContext {
         &self.context
     }
@@ -356,27 +324,15 @@ impl Mapper<'_> {
     }
 }
 
-/// Where the map tasks of a [`LashJob`] read their sequences.
-enum Source<'a> {
-    /// The context's rank-re-encoded database; one input record per
-    /// sequence.
-    Ranked,
-    /// A [`ShardedCorpus`]; one input record (and one map task) per shard,
-    /// streamed and ranked on the fly.
-    Sharded {
-        corpus: &'a dyn ShardedCorpus,
-        /// True when the corpus stores items pre-ranked in exactly this
-        /// context's order (checked once in
-        /// `run_partition_and_mine_sharded`), making the map phase's
-        /// per-item rank lookup a pass-through of the stored bytes.
-        ranked_scan: bool,
-        scan_error: Mutex<Option<Error>>,
-    },
-}
-
-/// The partition-and-mine MapReduce job (Alg. 1).
+/// The partition-and-mine MapReduce job (Alg. 1); inputs are shard indices
+/// of `corpus`, each streamed and ranked on the fly by one map task.
 struct LashJob<'a> {
-    source: Source<'a>,
+    corpus: &'a dyn ShardedCorpus,
+    /// True when the corpus stores items pre-ranked in exactly this
+    /// context's order, making the map phase's per-item rank lookup a
+    /// pass-through of the stored bytes.
+    ranked_scan: bool,
+    scan_error: Mutex<Option<Error>>,
     ctx: &'a MiningContext,
     params: GsmParams,
     rewrite_level: RewriteLevel,
@@ -387,13 +343,28 @@ struct LashJob<'a> {
 
 impl<'a> LashJob<'a> {
     fn new(
-        source: Source<'a>,
+        corpus: &'a dyn ShardedCorpus,
         ctx: &'a MiningContext,
         params: &GsmParams,
         config: &LashConfig,
     ) -> Self {
+        // A rank-encoded corpus whose sealed order matches this context's
+        // order item-for-item lets map tasks consume stored bytes as ranks
+        // directly. The orders agree whenever both came from the same
+        // corpus-wide f-list (the sort is σ-independent); a mismatch — say a
+        // corpus sealed before later generations shifted frequencies — just
+        // falls back to ranking on the fly, never to wrong output.
+        let ranked_scan = corpus.rank_order().is_some_and(|item_of| {
+            item_of.len() == ctx.order().len()
+                && item_of
+                    .iter()
+                    .enumerate()
+                    .all(|(rank, &item)| ctx.order().item(rank as u32).as_u32() == item)
+        });
         LashJob {
-            source,
+            corpus,
+            ranked_scan,
+            scan_error: Mutex::new(None),
             ctx,
             params: *params,
             rewrite_level: config.rewrite_level,
@@ -403,18 +374,20 @@ impl<'a> LashJob<'a> {
         }
     }
 
-    /// Runs the job and collects the patterns, the job metrics, the summed
-    /// miner statistics and the number of partitions mined.
-    fn run(
-        self,
-        inputs: &[u32],
-        cluster: &EngineConfig,
-    ) -> Result<(PatternSet, JobMetrics, MinerStats, u64)> {
-        let result = run_job(&self, inputs, cluster).map_err(|e| Error::Engine(e.to_string()))?;
-        if let Source::Sharded { scan_error, .. } = self.source {
-            if let Some(e) = scan_error.into_inner().expect("scan error lock") {
-                return Err(e);
-            }
+    /// Runs the job, one map task per shard, and collects the patterns, the
+    /// job metrics, the summed miner statistics and the number of
+    /// partitions mined.
+    fn run(self, cluster: &EngineConfig) -> Result<(PatternSet, JobMetrics, MinerStats, u64)> {
+        let inputs: Vec<u32> = (0..self.corpus.num_shards() as u32).collect();
+        // One shard per map task (see compute_flist_sharded for rationale).
+        let cluster = {
+            let mut c = cluster.clone();
+            c.split_size = 1;
+            c
+        };
+        let result = run_job(&self, &inputs, &cluster).map_err(|e| Error::Engine(e.to_string()))?;
+        if let Some(e) = self.scan_error.into_inner().expect("scan error lock") {
+            return Err(e);
         }
         let (miner_stats, partitions) = self.stats.into_inner().expect("stats lock");
         Ok((
@@ -432,20 +405,12 @@ impl Job for LashJob<'_> {
     type Value = (Vec<u32>, u64);
     type Output = (Vec<u32>, u64);
 
-    fn map(&self, &input: &u32, emit: &mut Emitter<'_, Self>) {
+    fn map(&self, &shard: &u32, emit: &mut Emitter<'_, Self>) {
         let ctx = self.ctx;
         let mut mapper = Mapper {
             rewriter: Rewriter::with_level(ctx.space(), &self.params, self.rewrite_level),
             scratch: RewriteScratch::default(),
             value: (Vec::new(), 1),
-        };
-        let Source::Sharded {
-            corpus,
-            ranked_scan,
-            scan_error,
-        } = &self.source
-        else {
-            return mapper.map(ctx.ranked_seq(input as usize), emit);
         };
         let mut ranked = Vec::new();
         // A sequence with no frequent item in its G1 closure emits nothing,
@@ -453,23 +418,28 @@ impl Job for LashJob<'_> {
         // that (long-tail shards never even decode them).
         let frequent =
             move |item: crate::vocabulary::ItemId| ctx.space().is_frequent(ctx.order().rank(item));
-        let result = if *ranked_scan {
+        let result = if self.ranked_scan {
             // Rank-encoded corpus in this exact order: the stored items
             // *are* the ranks — no per-item re-encoding.
-            corpus.scan_shard_ranked(input as usize, &frequent, &mut |_, seq| {
-                ranked.clear();
-                ranked.extend(seq.iter().map(|r| r.as_u32()));
-                mapper.map(&ranked, emit);
-            })
+            self.corpus
+                .scan_shard_ranked(shard as usize, &frequent, &mut |_, seq| {
+                    ranked.clear();
+                    ranked.extend(seq.iter().map(|r| r.as_u32()));
+                    mapper.map(&ranked, emit);
+                })
         } else {
-            corpus.scan_shard_pruned(input as usize, &frequent, &mut |_, seq| {
-                ranked.clear();
-                ranked.extend(seq.iter().map(|&it| ctx.order().rank(it)));
-                mapper.map(&ranked, emit);
-            })
+            self.corpus
+                .scan_shard_pruned(shard as usize, &frequent, &mut |_, seq| {
+                    ranked.clear();
+                    ranked.extend(seq.iter().map(|&it| ctx.order().rank(it)));
+                    mapper.map(&ranked, emit);
+                })
         };
         if let Err(e) = result {
-            scan_error.lock().expect("scan error lock").get_or_insert(e);
+            self.scan_error
+                .lock()
+                .expect("scan error lock")
+                .get_or_insert(e);
         }
     }
 
@@ -556,53 +526,6 @@ fn assemble_partition(values: &mut Values<'_, '_>) -> Partition {
             .expect("valid sequence");
     }
     partition
-}
-
-/// Runs the partition-and-mine job over a prepared context, one input record
-/// per ranked sequence.
-pub(crate) fn run_partition_and_mine(
-    ctx: &MiningContext,
-    params: &GsmParams,
-    config: &LashConfig,
-) -> Result<(PatternSet, JobMetrics, MinerStats, u64)> {
-    let inputs: Vec<u32> = (0..ctx.ranked_db().len() as u32).collect();
-    LashJob::new(Source::Ranked, ctx, params, config).run(&inputs, &config.cluster)
-}
-
-/// Runs the partition-and-mine job over a sharded corpus, one map task per
-/// shard.
-fn run_partition_and_mine_sharded<C: ShardedCorpus>(
-    corpus: &C,
-    ctx: &MiningContext,
-    params: &GsmParams,
-    config: &LashConfig,
-) -> Result<(PatternSet, JobMetrics, MinerStats, u64)> {
-    // A rank-encoded corpus whose sealed order matches this context's order
-    // item-for-item lets map tasks consume stored bytes as ranks directly.
-    // The orders agree whenever both came from the same corpus-wide f-list
-    // (the sort is σ-independent); a mismatch — say a corpus sealed before
-    // later generations shifted frequencies — just falls back to ranking on
-    // the fly, never to wrong output.
-    let ranked_scan = corpus.rank_order().is_some_and(|item_of| {
-        item_of.len() == ctx.order().len()
-            && item_of
-                .iter()
-                .enumerate()
-                .all(|(rank, &item)| ctx.order().item(rank as u32).as_u32() == item)
-    });
-    let source = Source::Sharded {
-        corpus,
-        ranked_scan,
-        scan_error: Mutex::new(None),
-    };
-    let inputs: Vec<u32> = (0..corpus.num_shards() as u32).collect();
-    // One shard per map task (see compute_flist_sharded for rationale).
-    let cluster = {
-        let mut c = config.cluster.clone();
-        c.split_size = 1;
-        c
-    };
-    LashJob::new(source, ctx, params, config).run(&inputs, &cluster)
 }
 
 #[cfg(test)]
@@ -813,6 +736,18 @@ mod tests {
     }
 
     #[test]
+    fn empty_database_mines_nothing() {
+        let (vocab, _) = fig1();
+        let params = GsmParams::new(1, 1, 3).unwrap();
+        let result = Lash::default()
+            .mine(&SequenceDatabase::new(), &vocab, &params)
+            .unwrap();
+        assert!(result.patterns().is_empty());
+        assert_eq!(result.num_partitions, 0);
+        assert_eq!(result.preprocess_metrics.counters.map_input_records, 0);
+    }
+
+    #[test]
     fn high_sigma_yields_empty_output() {
         let (vocab, db) = fig1();
         let params = GsmParams::new(100, 1, 3).unwrap();
@@ -825,24 +760,15 @@ mod tests {
     fn sharded_pipeline_matches_sequence_granularity() {
         let (vocab, db) = fig1();
         let params = GsmParams::new(2, 1, 3).unwrap();
-        let want = paper_output();
-        let result = Lash::default()
-            .mine_sharded(&db, &vocab, &params, None)
-            .unwrap();
-        assert_eq!(
-            result.pattern_set(),
-            &want,
-            "diff: {:?}",
-            result.pattern_set().diff(&want)
-        );
-        assert_eq!(result.num_partitions, 5);
         // A precomputed f-list short-circuits preprocessing entirely.
         let flist = crate::flist::FList::compute(&db, &vocab);
         let result = Lash::default()
-            .mine_sharded(&db, &vocab, &params, Some(flist))
+            .mine_sharded(&db.shards(4), &vocab, &params, Some(flist))
             .unwrap();
-        assert_eq!(result.pattern_set(), &want);
+        assert_eq!(result.pattern_set(), &paper_output());
+        assert_eq!(result.num_partitions, 5);
         assert_eq!(result.preprocess_metrics.counters.map_input_records, 0);
+        assert_eq!(result.mine_metrics.counters.map_input_records, 2);
     }
 
     #[test]
@@ -852,7 +778,7 @@ mod tests {
         // A hierarchy-closed f-list must not leak into flat mining.
         let closed = crate::flist::FList::compute(&db, &vocab);
         let flat = Lash::new(LashConfig::default().with_hierarchy(false))
-            .mine_sharded(&db, &vocab, &params, Some(closed))
+            .mine_sharded(&db.shards(2), &vocab, &params, Some(closed))
             .unwrap();
         let want = Lash::new(LashConfig::default().with_hierarchy(false))
             .mine(&db, &vocab, &params)

@@ -1,9 +1,12 @@
 //! The distributed pipelines, expressed as jobs on [`lash_mapreduce`].
 //!
 //! * [`flist_job`] — the preprocessing job computing the generalized f-list
-//!   (paper Sec. 3.3);
+//!   (paper Sec. 3.3), one map task per shard with in-mapper combining;
 //! * [`lash_job`] — the LASH partition-and-mine job (Alg. 1) and the public
-//!   [`Lash`](lash_job::Lash) driver;
+//!   [`Lash`](lash_job::Lash) driver. Both LASH jobs take their input as a
+//!   [`ShardedCorpus`](crate::ShardedCorpus): an on-disk corpus, or an
+//!   in-memory database cut into split-sized
+//!   [`shards`](crate::SequenceDatabase::shards);
 //! * [`naive_job`] / [`semi_naive_job`] — the word-count-style baselines
 //!   (Secs. 3.2, 3.3), two entry points into one [`count_job`];
 //! * [`mgfsm`] — MG-FSM, i.e. item-based partitioning without hierarchies

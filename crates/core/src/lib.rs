@@ -15,7 +15,8 @@
 //! ## Crate layout
 //!
 //! * [`vocabulary`] / [`hierarchy`] — string vocabulary and forest hierarchy;
-//! * [`sequence`] — sequence database storage;
+//! * [`sequence`] — sequence database storage and the [`ShardedCorpus`]
+//!   input abstraction;
 //! * [`params`] — the `(σ, γ, λ)` parameter triple;
 //! * [`matching`] — the `S ⊑γ T` relation and embedding search;
 //! * [`enumeration`] — `G1(T)` and `Gλ(T)` generalized-subsequence enumeration;
@@ -26,7 +27,8 @@
 //! * [`miner`] — local miners: naive enumeration, BFS (SPADE-style), DFS
 //!   (PrefixSpan-style), and PSM, the pivot sequence miner (± index);
 //! * [`distributed`] — the MapReduce pipelines: f-list job, LASH
-//!   partition-and-mine job, naive / semi-naive baselines, and MG-FSM;
+//!   partition-and-mine job (one driver, over any [`ShardedCorpus`]),
+//!   naive / semi-naive baselines, and MG-FSM;
 //! * [`stats`] — closed / maximal / non-trivial output statistics (Table 3).
 //!
 //! ## Quick start

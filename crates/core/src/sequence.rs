@@ -116,13 +116,24 @@ impl SequenceDatabase {
         }
         db
     }
+
+    /// This database as a [`ShardedCorpus`] of `shard_size`-sequence shards
+    /// (a size of 0 counts as 1). [`crate::Lash::mine`] mines the view with
+    /// one shard per map split.
+    pub fn shards(&self, shard_size: usize) -> DatabaseShards<'_> {
+        DatabaseShards {
+            db: self,
+            shard_size: shard_size.max(1),
+        }
+    }
 }
 
 /// A corpus whose sequences are grouped into independently scannable shards.
 ///
 /// This is the abstraction that lets the distributed jobs accept *either* an
-/// in-memory [`SequenceDatabase`] (one shard) *or* an on-disk corpus opened
-/// by `lash-store` (one shard per segment file) as their input: map tasks
+/// in-memory [`SequenceDatabase`] (split-sized shards, see
+/// [`SequenceDatabase::shards`]) *or* an on-disk corpus opened by
+/// `lash-store` (one shard per segment file) as their input: map tasks
 /// take a shard index and stream that shard's sequences, so a multi-shard
 /// corpus is scanned by several map tasks in parallel without ever being
 /// materialized in memory as a whole.
@@ -211,13 +222,23 @@ pub trait ShardedCorpus: Sync {
     }
 }
 
-impl ShardedCorpus for SequenceDatabase {
+/// A [`SequenceDatabase`] cut into shards of `shard_size` consecutive
+/// sequences: shard `i` covers sequences `[i·n, min((i+1)·n, len))`, so
+/// there are `ceil(len / n)` shards and an empty database has none. Built
+/// by [`SequenceDatabase::shards`].
+#[derive(Debug, Clone, Copy)]
+pub struct DatabaseShards<'a> {
+    db: &'a SequenceDatabase,
+    shard_size: usize,
+}
+
+impl ShardedCorpus for DatabaseShards<'_> {
     fn num_shards(&self) -> usize {
-        1
+        self.db.len().div_ceil(self.shard_size)
     }
 
     fn num_sequences(&self) -> u64 {
-        self.len() as u64
+        self.db.len() as u64
     }
 
     fn scan_shard(
@@ -225,9 +246,15 @@ impl ShardedCorpus for SequenceDatabase {
         shard: usize,
         f: &mut dyn FnMut(u64, &[ItemId]),
     ) -> crate::error::Result<()> {
-        debug_assert_eq!(shard, 0, "SequenceDatabase is a single shard");
-        for (i, seq) in self.iter().enumerate() {
-            f(i as u64, seq);
+        let shards = self.num_shards();
+        if shard >= shards {
+            return Err(crate::error::Error::Engine(format!(
+                "no shard {shard} in a database of {shards} shards"
+            )));
+        }
+        let start = shard * self.shard_size;
+        for i in start..(start + self.shard_size).min(self.db.len()) {
+            f(i as u64, self.db.get(i));
         }
         Ok(())
     }
@@ -437,6 +464,52 @@ mod tests {
         assert_eq!(t.get(1), &[v[1], v[2]]);
         // Truncating beyond the end is a full copy.
         assert_eq!(db.truncated(10).len(), 3);
+    }
+
+    #[test]
+    fn shards_cover_consecutive_ranges() {
+        let v = ids(5);
+        let mut db = SequenceDatabase::new();
+        for item in &v {
+            db.push(&[*item]);
+        }
+        let shards = db.shards(2);
+        assert_eq!(shards.num_shards(), 3);
+        assert_eq!(shards.num_sequences(), 5);
+        let mut seen = Vec::new();
+        for shard in 0..shards.num_shards() {
+            let mut ids = Vec::new();
+            shards
+                .scan_shard(shard, &mut |id, seq| {
+                    assert_eq!(seq, db.get(id as usize));
+                    ids.push(id);
+                })
+                .unwrap();
+            seen.push(ids);
+        }
+        assert_eq!(seen, [vec![0, 1], vec![2, 3], vec![4]]);
+        assert_eq!(db.shards(5).num_shards(), 1);
+        // A size of 0 counts as 1.
+        assert_eq!(db.shards(0).num_shards(), 5);
+    }
+
+    #[test]
+    fn shard_index_out_of_range_is_an_error() {
+        let v = ids(3);
+        let mut db = SequenceDatabase::new();
+        db.push(&v);
+        db.push(&v[..1]);
+        let shards = db.shards(1);
+        for shard in [2, 3, usize::MAX] {
+            let err = shards.scan_shard(shard, &mut |_, _| panic!("no sequence"));
+            assert!(
+                matches!(err, Err(crate::error::Error::Engine(_))),
+                "{err:?}"
+            );
+        }
+        let empty = SequenceDatabase::new();
+        assert_eq!(empty.shards(4).num_shards(), 0);
+        assert!(empty.shards(4).scan_shard(0, &mut |_, _| {}).is_err());
     }
 
     #[test]

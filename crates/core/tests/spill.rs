@@ -96,7 +96,7 @@ fn spilled_sharded_mine_job_matches_too() {
     let params = GsmParams::new(4, 1, 4).unwrap();
     let reference = Lash::new(config(None)).mine(&db, &vocab, &params).unwrap();
     let spilled = Lash::new(config(Some(128)))
-        .mine_sharded(&db, &vocab, &params, None)
+        .mine_sharded(&db.shards(16), &vocab, &params, None)
         .unwrap();
     assert_eq!(spilled.pattern_set(), reference.pattern_set());
     assert!(spilled.mine_metrics.counters.spilled_bytes > 0);

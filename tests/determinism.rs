@@ -78,7 +78,7 @@ fn all_entry_points_and_shuffle_paths_agree_on_order() {
 
     // The sharded pipeline over the in-memory database.
     let sharded = Lash::default()
-        .mine_sharded(&db, &vocab, &params, None)
+        .mine_sharded(&db.shards(64), &vocab, &params, None)
         .unwrap();
     assert_same_order(reference.patterns(), sharded.patterns(), "mine_sharded");
 

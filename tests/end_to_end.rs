@@ -100,10 +100,19 @@ fn reported_frequencies_match_direct_support_counting() {
     let result = Lash::new(LashConfig::default())
         .mine(&db, &vocab, &params)
         .unwrap();
+    // The result's context ranks sequences on the fly and keeps none, so
+    // rank the input here, through the same order.
     let ctx = result.context();
+    assert!(ctx.ranked_db().is_empty());
+    assert!(!result.pattern_set().is_empty());
+    let ranked: Vec<Vec<u32>> = db
+        .iter()
+        .map(|seq| seq.iter().map(|&item| ctx.order().rank(item)).collect())
+        .collect();
     for (pattern, frequency) in result.pattern_set().iter() {
-        let direct = (0..ctx.ranked_db().len())
-            .filter(|&i| matches(pattern, ctx.ranked_seq(i), ctx.space(), params.gamma))
+        let direct = ranked
+            .iter()
+            .filter(|seq| matches(pattern, seq, ctx.space(), params.gamma))
             .count() as u64;
         assert_eq!(direct, frequency, "pattern {pattern:?}");
     }
