@@ -10,6 +10,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use lash_core::context::MiningContext;
 use lash_core::miner::{BfsMiner, DfsMiner, LocalMiner, PsmMiner};
+use lash_core::pattern::PatternArena;
 use lash_core::rewrite::{RewriteScratch, Rewriter};
 use lash_core::sequence::Partition;
 use lash_core::{GsmParams, SequenceDatabase, Vocabulary};
@@ -54,10 +55,12 @@ fn bench_miners(c: &mut Criterion) {
     let mut group = c.benchmark_group("local_miners");
     group.sample_size(20);
     for (name, miner) in &miners() {
+        let mut sink = PatternArena::new();
         group.bench_function(name, |b| {
             b.iter(|| {
-                let (patterns, stats) = miner.mine(black_box(&partition), pivot, space, &params);
-                black_box((patterns.len(), stats.candidates))
+                sink.clear();
+                let stats = miner.mine(black_box(&partition), pivot, space, &params, &mut sink);
+                black_box((sink.len(), stats.candidates))
             });
         });
     }
@@ -101,14 +104,14 @@ fn bench_ledger_corpus(
     let sequences: usize = partitions.iter().map(|(_, p)| p.len()).sum();
     group.throughput(Throughput::Elements(sequences as u64));
     let default_miner = PsmMiner::indexed();
+    let mut sink = PatternArena::new();
     group.bench_function(&format!("all_{}/psm_indexed", partitions.len()), |b| {
         b.iter(|| {
-            let mut outputs = 0u64;
+            sink.clear();
             for (pivot, partition) in &partitions {
-                let (_, stats) = default_miner.mine(black_box(partition), *pivot, space, &params);
-                outputs += stats.outputs;
+                default_miner.mine(black_box(partition), *pivot, space, &params, &mut sink);
             }
-            black_box(outputs)
+            black_box(sink.len())
         });
     });
 
@@ -121,9 +124,9 @@ fn bench_ledger_corpus(
         for (name, miner) in &miners() {
             group.bench_function(&format!("{label}_{}/{name}", partition.len()), |b| {
                 b.iter(|| {
-                    let (patterns, stats) =
-                        miner.mine(black_box(partition), *pivot, space, &params);
-                    black_box((patterns.len(), stats.candidates))
+                    sink.clear();
+                    let stats = miner.mine(black_box(partition), *pivot, space, &params, &mut sink);
+                    black_box((sink.len(), stats.candidates))
                 });
             });
         }

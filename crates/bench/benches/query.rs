@@ -6,13 +6,13 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use lash_core::pattern::Pattern;
-use lash_core::{GsmParams, ItemId, Lash};
+use lash_core::{GsmParams, ItemId, Lash, LashResult};
 use lash_datagen::{TextConfig, TextCorpus, TextHierarchy};
 use lash_index::{write_patterns, PatternIndexReader};
 
-/// Mines a mid-size NYT-like corpus once; the index is built from its
-/// pattern list.
-fn mined() -> (lash_core::Vocabulary, Vec<Pattern>) {
+/// Mines a mid-size NYT-like corpus once; the index is built from the
+/// result.
+fn mined() -> (lash_core::Vocabulary, LashResult) {
     let (vocab, db) = TextCorpus::generate(&TextConfig {
         sentences: 8_000,
         lemmas: 1_200,
@@ -21,7 +21,7 @@ fn mined() -> (lash_core::Vocabulary, Vec<Pattern>) {
     .dataset(TextHierarchy::LP);
     let params = GsmParams::new(20, 1, 5).unwrap();
     let result = Lash::default().mine(&db, &vocab, &params).unwrap();
-    (vocab, result.patterns().to_vec())
+    (vocab, result)
 }
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -29,16 +29,17 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 }
 
 fn bench_queries(c: &mut Criterion) {
-    let (vocab, patterns) = mined();
+    let (vocab, result) = mined();
+    let patterns: &[Pattern] = result.patterns();
     assert!(!patterns.is_empty());
     let dir = temp_dir("index");
     let _ = std::fs::remove_dir_all(&dir);
-    write_patterns(&dir, &vocab, &patterns).unwrap();
+    write_patterns(&dir, &vocab, result.arena()).unwrap();
     let reader = PatternIndexReader::open(&dir).unwrap();
 
     // Probe set: every pattern (hit) and a one-item-longer variant (miss).
     let mut probes: Vec<Vec<ItemId>> = Vec::with_capacity(patterns.len() * 2);
-    for p in &patterns {
+    for p in patterns {
         probes.push(p.items.clone());
         let mut miss = p.items.clone();
         miss.push(p.items[0]);

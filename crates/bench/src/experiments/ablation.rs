@@ -40,10 +40,10 @@ pub fn ablation(datasets: &mut Datasets, report: &mut Report) {
             LashConfig::new(cluster()).with_rewrite_level(level),
         );
         match &reference {
-            None => reference = Some(result.pattern_set().clone()),
+            None => reference = Some(result.pattern_set()),
             Some(r) => assert_eq!(
                 r,
-                result.pattern_set(),
+                &result.pattern_set(),
                 "rewrite ablation must not change output"
             ),
         }

@@ -59,11 +59,11 @@ pub fn fig4ab(datasets: &mut Datasets, report: &mut Report) {
             run_semi_naive(&ctx, &params, &cluster()).expect("semi-naive job");
         let lash = run_lash(&db, &vocab, &params, LashConfig::new(cluster()));
         assert_eq!(
-            &naive_set,
+            naive_set,
             lash.pattern_set(),
             "baselines must agree with LASH on {label}"
         );
-        assert_eq!(&semi_set, lash.pattern_set());
+        assert_eq!(semi_set, lash.pattern_set());
 
         let naive_t = naive_metrics.total_time;
         let semi_t = flist_metrics.total_time + semi_metrics.total_time;
@@ -132,8 +132,8 @@ pub fn fig4cd(datasets: &mut Datasets, report: &mut Report) {
                 LashConfig::new(cluster()).with_miner(miner),
             );
             match &reference {
-                None => reference = Some(result.pattern_set().clone()),
-                Some(r) => assert_eq!(r, result.pattern_set(), "{label} {}", miner.name()),
+                None => reference = Some(result.pattern_set()),
+                Some(r) => assert_eq!(r, &result.pattern_set(), "{label} {}", miner.name()),
             }
             times.push(secs(result.mine_metrics.reduce_time));
             if miner != MinerKind::Bfs {

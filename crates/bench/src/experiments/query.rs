@@ -67,7 +67,7 @@ pub fn query(
         .cache_dir()
         .join(format!("query-index-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let summary = write_patterns(&dir, &vocab, &patterns).expect("build index");
+    let summary = write_patterns(&dir, &vocab, result.arena()).expect("build index");
     let reader = PatternIndexReader::open(&dir).expect("open index");
 
     // Exact lookups: every mined pattern (hit) and a near-miss variant.

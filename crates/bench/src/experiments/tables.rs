@@ -148,7 +148,7 @@ fn add_stats_row(
     let flat_items = decode_all(&flat);
     let stats = output_stats(
         &gsm_items,
-        gsm.pattern_set(),
+        &gsm.pattern_set(),
         &flat_items,
         gsm.context().space(),
         vocab,

@@ -6,9 +6,11 @@
 //! (Sec. 4). The combiner aggregates duplicate rewrites into weighted
 //! sequences on their encoded bytes; each reduce task assembles its
 //! partition and runs the configured local miner, emitting the frequent
-//! pivot sequences.
+//! pivot sequences of that partition as one flat chunk.
 
-use std::sync::Mutex;
+use std::cell::RefCell;
+use std::cmp::Reverse;
+use std::sync::{Mutex, OnceLock};
 
 use lash_encoding::varint;
 use lash_mapreduce::{run_job, Combined, Emitter, EngineConfig, Job, JobMetrics, Values};
@@ -18,10 +20,10 @@ use crate::error::{Error, Result};
 use crate::flist::FList;
 use crate::miner::{BfsMiner, DfsMiner, LocalMiner, MinerStats, NaiveMiner, PsmMiner};
 use crate::params::GsmParams;
-use crate::pattern::{Pattern, PatternSet};
+use crate::pattern::{lexicographic_prefix, Pattern, PatternArena, PatternSet};
 use crate::rewrite::{RewriteLevel, RewriteScratch, Rewriter};
 use crate::sequence::{Partition, SequenceDatabase, ShardedCorpus};
-use crate::vocabulary::Vocabulary;
+use crate::vocabulary::{ItemId, Vocabulary};
 
 use super::flist_job::compute_flist_sharded;
 
@@ -226,19 +228,18 @@ impl Lash {
             None => compute_flist_sharded(corpus, vocab_eff, &self.config.cluster)?,
         };
         let ctx = MiningContext::from_flist_only(vocab_eff, flist, params.sigma);
-        let (rank_patterns, mine_metrics, miner_stats, num_partitions) =
+        let (chunks, mine_metrics, miner_stats, num_partitions) =
             LashJob::new(corpus, &ctx, params, &self.config).run(&self.config.cluster)?;
-        let mut patterns: Vec<Pattern> = rank_patterns
-            .iter()
-            .map(|(ranks, frequency)| Pattern {
-                items: ctx.decode(ranks),
-                frequency,
-            })
-            .collect();
-        patterns.sort_by(|a, b| b.frequency.cmp(&a.frequency).then(a.items.cmp(&b.items)));
+        // Each partition outputs only its own pivot sequences, so the chunks
+        // are disjoint: concatenating them, decoded to item ids, is the
+        // whole result. Each chunk is freed as soon as it is copied.
+        let mut arena = PatternArena::new();
+        for chunk in chunks {
+            arena.extend_mapped(&chunk, |rank| ctx.order().item(rank));
+        }
         Ok(LashResult {
-            patterns,
-            rank_patterns,
+            arena,
+            patterns: OnceLock::new(),
             context: ctx,
             preprocess_metrics,
             mine_metrics,
@@ -249,10 +250,15 @@ impl Lash {
 }
 
 /// Result of a LASH run.
+///
+/// The mined patterns are held once, in a vocabulary-space
+/// [`PatternArena`] in no particular order; the views that need an order
+/// sort a permutation of it.
 #[derive(Debug)]
 pub struct LashResult {
-    patterns: Vec<Pattern>,
-    rank_patterns: PatternSet,
+    arena: PatternArena<ItemId>,
+    /// [`LashResult::patterns`], built on its first call.
+    patterns: OnceLock<Vec<Pattern>>,
     context: MiningContext,
     /// Metrics of the f-list (preprocessing) job.
     pub preprocess_metrics: JobMetrics,
@@ -268,21 +274,49 @@ impl LashResult {
     /// The mined patterns in vocabulary space, sorted by descending
     /// frequency with ties broken by ascending items.
     ///
-    /// The order is **deterministic**: the pattern set is assembled through
-    /// an ordered [`PatternSet`] and this final sort is total (items are
-    /// unique), so repeated runs over the same corpus and parameters —
-    /// across `mine`/`mine_sharded`, any parallelism, and the in-memory vs
-    /// spilled shuffle paths — return the identical `Vec`. Consumers that
-    /// persist the output (e.g. the `lash-index` trie builder, which
-    /// requires lexicographically sorted input — see
-    /// [`crate::pattern::sort_patterns_lexicographic`]) rely on this.
+    /// The order is **deterministic**: it is one total sort of the arena
+    /// (items are unique), so repeated runs over the same corpus and
+    /// parameters — across `mine`/`mine_sharded`, any parallelism, and the
+    /// in-memory vs spilled shuffle paths — return the identical `Vec`,
+    /// whatever order the reduce tasks finished in.
+    ///
+    /// The `Vec` is built from [`LashResult::arena`] on the first call and
+    /// kept: one owned [`Pattern`] per pattern. Consumers that only stream
+    /// the patterns (such as `lash-index`'s `write_patterns`) read the
+    /// arena instead and never build it.
     pub fn patterns(&self) -> &[Pattern] {
-        &self.patterns
+        self.patterns.get_or_init(|| {
+            self.arena
+                .order_by_key(
+                    |items, frequency| (Reverse(frequency), lexicographic_prefix(items)),
+                    <[ItemId]>::cmp,
+                )
+                .into_iter()
+                .map(|i| {
+                    let (items, frequency) = self.arena.get(i as usize);
+                    Pattern {
+                        items: items.to_vec(),
+                        frequency,
+                    }
+                })
+                .collect()
+        })
     }
 
-    /// The mined patterns in rank space.
-    pub fn pattern_set(&self) -> &PatternSet {
-        &self.rank_patterns
+    /// The mined patterns in vocabulary space, flat and in no particular
+    /// order: the one copy of the result.
+    pub fn arena(&self) -> &PatternArena<ItemId> {
+        &self.arena
+    }
+
+    /// The mined patterns in rank space, built anew on each call (for tests
+    /// and experiments that compare against the baselines' output).
+    pub fn pattern_set(&self) -> PatternSet {
+        let order = self.context.order();
+        self.arena
+            .iter()
+            .map(|(items, frequency)| (items.iter().map(|&i| order.rank(i)).collect(), frequency))
+            .collect()
     }
 
     /// The preprocessing context (f-list, order, rank hierarchy). Sequences
@@ -374,10 +408,13 @@ impl<'a> LashJob<'a> {
         }
     }
 
-    /// Runs the job, one map task per shard, and collects the patterns, the
-    /// job metrics, the summed miner statistics and the number of
-    /// partitions mined.
-    fn run(self, cluster: &EngineConfig) -> Result<(PatternSet, JobMetrics, MinerStats, u64)> {
+    /// Runs the job, one map task per shard, and collects the partitions'
+    /// rank-space pattern chunks, the job metrics, the summed miner
+    /// statistics and the number of partitions mined.
+    fn run(
+        self,
+        cluster: &EngineConfig,
+    ) -> Result<(Vec<PatternArena>, JobMetrics, MinerStats, u64)> {
         let inputs: Vec<u32> = (0..self.corpus.num_shards() as u32).collect();
         // One shard per map task (see compute_flist_sharded for rationale).
         let cluster = {
@@ -390,12 +427,7 @@ impl<'a> LashJob<'a> {
             return Err(e);
         }
         let (miner_stats, partitions) = self.stats.into_inner().expect("stats lock");
-        Ok((
-            PatternSet::from_pairs(result.outputs),
-            result.metrics,
-            miner_stats,
-            partitions,
-        ))
+        Ok((result.outputs, result.metrics, miner_stats, partitions))
     }
 }
 
@@ -403,7 +435,8 @@ impl Job for LashJob<'_> {
     type Input = u32;
     type Key = u32;
     type Value = (Vec<u32>, u64);
-    type Output = (Vec<u32>, u64);
+    /// The frequent pivot sequences of one partition.
+    type Output = PatternArena;
 
     fn map(&self, &shard: &u32, emit: &mut Emitter<'_, Self>) {
         let ctx = self.ctx;
@@ -471,23 +504,31 @@ impl Job for LashJob<'_> {
         }
     }
 
-    fn reduce(&self, pivot: &[u8], values: &mut Values<'_, '_>, out: &mut Vec<(Vec<u32>, u64)>) {
+    fn reduce(&self, pivot: &[u8], values: &mut Values<'_, '_>, out: &mut Vec<PatternArena>) {
         let pivot = super::decode_u32_key(pivot);
         // The local miners need the whole partition, so the value stream is
         // aggregated here — one partition resident per reduce task, which is
         // exactly the bound the paper's reduce phase has.
         let partition = assemble_partition(values);
         let mine_started = std::time::Instant::now();
-        let (patterns, stats) = self
-            .miner
-            .mine(&partition, pivot, self.ctx.space(), &self.params);
+        let stats = SINK.with_borrow_mut(|sink| {
+            sink.clear();
+            let stats = self
+                .miner
+                .mine(&partition, pivot, self.ctx.space(), &self.params, sink);
+            // An exact-sized copy: the chunk's buffers do not keep the
+            // sink's growth slack alive until the job ends.
+            if !sink.is_empty() {
+                out.push(sink.clone());
+            }
+            stats
+        });
         publish_mine(pivot, &stats, mine_started.elapsed());
         {
             let mut guard = self.stats.lock().expect("stats lock");
             guard.0.absorb(stats);
             guard.1 += 1;
         }
-        out.extend(patterns);
     }
 
     fn encode_key(&self, key: &u32, buf: &mut Vec<u8>) {
@@ -496,6 +537,12 @@ impl Job for LashJob<'_> {
     fn encode_value(&self, value: &(Vec<u32>, u64), buf: &mut Vec<u8>) {
         super::encode_weighted_seq(&value.0, value.1, buf);
     }
+}
+
+thread_local! {
+    /// The sink each reduce thread mines into, reused from partition to
+    /// partition.
+    static SINK: RefCell<PatternArena> = RefCell::new(PatternArena::new());
 }
 
 /// Builds a pivot's partition from its `(weight, sequence)` value stream,
@@ -563,7 +610,7 @@ mod tests {
         let want = paper_output();
         assert_eq!(
             result.pattern_set(),
-            &want,
+            want,
             "diff: {:?}",
             result.pattern_set().diff(&want)
         );
@@ -594,7 +641,7 @@ mod tests {
                 LashConfig::new(EngineConfig::default().with_split_size(3)).with_miner(miner),
             );
             let result = lash.mine(&db, &vocab, &params).unwrap();
-            assert_eq!(result.pattern_set(), &want, "miner {}", miner.name());
+            assert_eq!(result.pattern_set(), want, "miner {}", miner.name());
         }
     }
 
@@ -613,7 +660,7 @@ mod tests {
                     .with_rewrite_level(level),
             );
             let result = lash.mine(&db, &vocab, &params).unwrap();
-            assert_eq!(result.pattern_set(), &want, "level {level:?}");
+            assert_eq!(result.pattern_set(), want, "level {level:?}");
         }
     }
 
@@ -668,7 +715,7 @@ mod tests {
                     .with_reduce_tasks(par * 2),
             ));
             let result = lash.mine(&db, &vocab, &params).unwrap();
-            assert_eq!(result.pattern_set(), &want, "parallelism {par}");
+            assert_eq!(result.pattern_set(), want, "parallelism {par}");
         }
     }
 
@@ -686,7 +733,7 @@ mod tests {
                 .with_failures(plan),
         ));
         let result = lash.mine(&db, &vocab, &params).unwrap();
-        assert_eq!(result.pattern_set(), &paper_output());
+        assert_eq!(result.pattern_set(), paper_output());
         // Failures occurred in both jobs' phases... at least in the mine job.
         let c = &result.mine_metrics.counters;
         assert_eq!(
@@ -702,7 +749,7 @@ mod tests {
         let lash = Lash::new(LashConfig::new(EngineConfig::default().with_split_size(2)));
         let result = lash.mine(&db, &vocab, &params).unwrap();
         assert_eq!(
-            by_item_ids(result.context(), result.pattern_set()),
+            by_item_ids(result.context(), &result.pattern_set()),
             oracle_patterns(&vocab, &db, &params)
         );
     }
@@ -722,7 +769,7 @@ mod tests {
             let (semi, _) =
                 super::super::semi_naive_job::run_semi_naive(&ctx, &params, &cluster).unwrap();
             for (name, ctx, got) in [
-                ("LASH", lash.context(), lash.pattern_set()),
+                ("LASH", lash.context(), &lash.pattern_set()),
                 ("naive", &ctx, &naive),
                 ("semi-naive", &ctx, &semi),
             ] {
@@ -765,7 +812,7 @@ mod tests {
         let result = Lash::default()
             .mine_sharded(&db.shards(4), &vocab, &params, Some(flist))
             .unwrap();
-        assert_eq!(result.pattern_set(), &paper_output());
+        assert_eq!(result.pattern_set(), paper_output());
         assert_eq!(result.num_partitions, 5);
         assert_eq!(result.preprocess_metrics.counters.map_input_records, 0);
         assert_eq!(result.mine_metrics.counters.map_input_records, 2);

@@ -93,7 +93,7 @@ pub use crate::error::{Error, Result};
 pub use crate::flist::{FList, ItemOrder};
 pub use crate::hierarchy::ItemSpace;
 pub use crate::params::GsmParams;
-pub use crate::pattern::{Pattern, PatternSet};
+pub use crate::pattern::{Pattern, PatternArena, PatternSet};
 pub use crate::sequence::{SequenceDatabase, ShardedCorpus};
 pub use crate::vocabulary::{ItemId, Vocabulary, VocabularyBuilder};
 
@@ -110,7 +110,7 @@ pub mod prelude {
     pub use crate::error::{Error, Result};
     pub use crate::miner::{LocalMiner, MinerStats};
     pub use crate::params::GsmParams;
-    pub use crate::pattern::{Pattern, PatternSet};
+    pub use crate::pattern::{Pattern, PatternArena, PatternSet};
     pub use crate::sequence::SequenceDatabase;
     pub use crate::vocabulary::{ItemId, Vocabulary, VocabularyBuilder};
 }

@@ -18,7 +18,7 @@ use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::hierarchy::ItemSpace;
 use crate::matching::matches;
 use crate::params::GsmParams;
-use crate::pattern::PatternSet;
+use crate::pattern::PatternArena;
 use crate::sequence::Partition;
 use crate::BLANK;
 
@@ -46,9 +46,9 @@ impl LocalMiner for BfsMiner {
         pivot: u32,
         space: &ItemSpace,
         params: &GsmParams,
-    ) -> (PatternSet, MinerStats) {
+        out: &mut PatternArena,
+    ) -> MinerStats {
         let mut stats = MinerStats::default();
-        let mut out = PatternSet::new();
 
         // Level 2: vertical index over G2(T).
         let mut postings: FxHashMap<Vec<u32>, Vec<u32>> = FxHashMap::default();
@@ -102,7 +102,8 @@ impl LocalMiner for BfsMiner {
 
         for entry in &level {
             if entry.seq.iter().copied().max() == Some(pivot) {
-                out.insert(entry.seq.clone(), entry.frequency);
+                out.push(&entry.seq, entry.frequency);
+                stats.outputs += 1;
             }
         }
 
@@ -150,7 +151,8 @@ impl LocalMiner for BfsMiner {
                     let frequency = weight_of(&verified);
                     if frequency >= params.sigma {
                         if candidate.iter().copied().max() == Some(pivot) {
-                            out.insert(candidate.clone(), frequency);
+                            out.push(&candidate, frequency);
+                            stats.outputs += 1;
                         }
                         next.push(Entry {
                             seq: candidate,
@@ -170,15 +172,14 @@ impl LocalMiner for BfsMiner {
             );
         }
 
-        stats.outputs = out.len() as u64;
-        (out, stats)
+        stats
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::minertests::{
-        check_aggregation_invariance, check_fig2_outputs, fig2_partition,
+        check_aggregation_invariance, check_fig2_outputs, fig2_partition, mine_set,
     };
     use super::super::NaiveMiner;
     use super::*;
@@ -204,8 +205,8 @@ mod tests {
                 for pivot in ["a", "B", "b1", "c", "D"] {
                     let partition = fig2_partition(&ctx, pivot, &params);
                     let p = ctx.rank(pivot);
-                    let (naive, _) = NaiveMiner.mine(&partition, p, space, &params);
-                    let (bfs, _) = BfsMiner.mine(&partition, p, space, &params);
+                    let (naive, _) = mine_set(&NaiveMiner, &partition, p, space, &params);
+                    let (bfs, _) = mine_set(&BfsMiner, &partition, p, space, &params);
                     assert_eq!(
                         naive,
                         bfs,
@@ -231,7 +232,7 @@ mod tests {
         let b_cap = ctx.rank("B");
         let params = GsmParams::new(1, 0, 3).unwrap();
         let partition = Partition::aggregate([([a, c, b1, a], 1)]);
-        let (got, _) = BfsMiner.mine(&partition, c, space, &params);
+        let (got, _) = mine_set(&BfsMiner, &partition, c, space, &params);
         assert!(got.contains(&[a, c, b1]));
         assert!(got.contains(&[a, c, b_cap])); // hierarchy-aware level-2 index
         assert!(got.contains(&[c, b1]));
@@ -244,7 +245,7 @@ mod tests {
     fn empty_partition_is_fine() {
         let ctx = fig2_context();
         let params = GsmParams::new(1, 0, 3).unwrap();
-        let (got, stats) = BfsMiner.mine(&Partition::new(), 0, ctx.space(), &params);
+        let (got, stats) = mine_set(&BfsMiner, &Partition::new(), 0, ctx.space(), &params);
         assert!(got.is_empty());
         assert_eq!(stats.outputs, 0);
     }

@@ -14,7 +14,7 @@
 
 use crate::hierarchy::ItemSpace;
 use crate::params::GsmParams;
-use crate::pattern::PatternSet;
+use crate::pattern::PatternArena;
 use crate::sequence::Partition;
 
 use super::expansion::{with_scratch, Block, Dir, Engine};
@@ -28,7 +28,7 @@ struct Run<'a> {
     engine: Engine<'a>,
     params: &'a GsmParams,
     pivot: u32,
-    out: PatternSet,
+    out: &'a mut PatternArena,
     stats: MinerStats,
 }
 
@@ -40,7 +40,8 @@ impl Run<'_> {
             let child = self.engine.child(i);
             pattern.push(child.item);
             if pattern.len() >= 2 && pattern.iter().copied().max() == Some(self.pivot) {
-                self.out.insert(pattern.clone(), child.frequency);
+                self.out.push(pattern, child.frequency);
+                self.stats.outputs += 1;
             }
             if pattern.len() < self.params.lambda {
                 self.stats.expansions += 1;
@@ -77,13 +78,14 @@ impl LocalMiner for DfsMiner {
         pivot: u32,
         space: &ItemSpace,
         params: &GsmParams,
-    ) -> (PatternSet, MinerStats) {
+        out: &mut PatternArena,
+    ) -> MinerStats {
         with_scratch(|scratch| {
             let mut run = Run {
                 engine: Engine::new(&mut scratch.buffers, partition, space, params.gamma, pivot),
                 params,
                 pivot,
-                out: PatternSet::new(),
+                out,
                 stats: MinerStats::default(),
             };
             // Level 1: frequent single items (counted like every other level,
@@ -92,15 +94,14 @@ impl LocalMiner for DfsMiner {
             let (candidates, items) = run.engine.expand_items(params.sigma);
             run.stats.candidates += candidates;
             run.grow(&mut Vec::with_capacity(params.lambda), items);
-            run.stats.outputs = run.out.len() as u64;
-            (run.out, run.stats)
+            run.stats
         })
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::minertests::{check_aggregation_invariance, check_fig2_outputs};
+    use super::super::minertests::{check_aggregation_invariance, check_fig2_outputs, mine_set};
     use super::super::naive::NaiveMiner;
     use super::*;
     use crate::testutil::fig2_context;
@@ -126,8 +127,8 @@ mod tests {
                 let partition =
                     Partition::aggregate((0..6).map(|i| (ctx.ranked_seq(i).to_vec(), 1)));
                 for pivot in 0..space.num_frequent() {
-                    let (naive, _) = NaiveMiner.mine(&partition, pivot, space, &params);
-                    let (dfs, _) = DfsMiner.mine(&partition, pivot, space, &params);
+                    let (naive, _) = mine_set(&NaiveMiner, &partition, pivot, space, &params);
+                    let (dfs, _) = mine_set(&DfsMiner, &partition, pivot, space, &params);
                     assert_eq!(naive, dfs, "pivot {pivot} γ={gamma} λ={lambda}");
                 }
             }
@@ -142,7 +143,7 @@ mod tests {
         let ctx = fig2_context();
         let params = GsmParams::new(2, 1, 3).unwrap();
         let partition = super::super::minertests::fig2_partition(&ctx, "D", &params);
-        let (_, stats) = DfsMiner.mine(&partition, ctx.rank("D"), ctx.space(), &params);
+        let (_, stats) = mine_set(&DfsMiner, &partition, ctx.rank("D"), ctx.space(), &params);
         assert!(stats.candidates > stats.outputs);
     }
 }

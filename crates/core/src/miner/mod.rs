@@ -27,7 +27,7 @@ pub mod psm;
 
 use crate::hierarchy::ItemSpace;
 use crate::params::GsmParams;
-use crate::pattern::PatternSet;
+use crate::pattern::PatternArena;
 use crate::sequence::Partition;
 
 pub use bfs::BfsMiner;
@@ -44,7 +44,7 @@ pub struct MinerStats {
     /// Projection/expansion steps performed (database scans for
     /// pattern-growth miners, joins for BFS).
     pub expansions: u64,
-    /// Number of output (pivot) sequences.
+    /// Number of output (pivot) sequences: the patterns pushed to the sink.
     pub outputs: u64,
 }
 
@@ -65,21 +65,25 @@ impl MinerStats {
 
 /// A local GSM algorithm run inside a reduce task.
 ///
-/// Implementations must return exactly the frequent pivot sequences of the
-/// partition: every `S` with `p(S) = pivot`, `2 ≤ |S| ≤ λ` and
-/// `f_γ(S, P_w) ≥ σ`, with exact frequencies.
+/// Implementations append to the caller's sink exactly the frequent pivot
+/// sequences of the partition — every `S` with `p(S) = pivot`,
+/// `2 ≤ |S| ≤ λ` and `f_γ(S, P_w) ≥ σ`, with exact frequencies — and append
+/// each pivot sequence exactly once: nothing downstream deduplicates.
 pub trait LocalMiner: Send + Sync {
     /// A short display name ("BFS", "PSM", …).
     fn name(&self) -> &'static str;
 
-    /// Mines `partition` for pivot sequences of `pivot`.
+    /// Mines `partition` for pivot sequences of `pivot`, appending them to
+    /// `out` (whatever `out` held before stays); the returned
+    /// [`MinerStats::outputs`] is the number appended.
     fn mine(
         &self,
         partition: &Partition,
         pivot: u32,
         space: &ItemSpace,
         params: &GsmParams,
-    ) -> (PatternSet, MinerStats);
+        out: &mut PatternArena,
+    ) -> MinerStats;
 }
 
 #[cfg(test)]
@@ -88,8 +92,26 @@ pub(crate) mod minertests {
     //! Fig. 2 per-partition outputs and be invariant under aggregation.
 
     use super::*;
+    use crate::pattern::PatternSet;
     use crate::rewrite::{RewriteScratch, Rewriter};
     use crate::testutil::{fig2_context, named_patterns, Fig2Context};
+
+    /// Runs `miner` into a fresh sink and collects the sink as a
+    /// [`PatternSet`], for comparisons.
+    pub(crate) fn mine_set(
+        miner: &dyn LocalMiner,
+        partition: &Partition,
+        pivot: u32,
+        space: &ItemSpace,
+        params: &GsmParams,
+    ) -> (PatternSet, MinerStats) {
+        let mut out = PatternArena::new();
+        let stats = miner.mine(partition, pivot, space, params, &mut out);
+        assert_eq!(stats.outputs, out.len() as u64, "{}", miner.name());
+        let set: PatternSet = out.iter().map(|(p, f)| (p.to_vec(), f)).collect();
+        assert_eq!(set.len(), out.len(), "{} pushed a duplicate", miner.name());
+        (set, stats)
+    }
 
     /// Builds the Fig. 2 partition for `pivot` via the full rewrite pipeline.
     pub(crate) fn fig2_partition(ctx: &Fig2Context, pivot: &str, params: &GsmParams) -> Partition {
@@ -123,7 +145,7 @@ pub(crate) mod minertests {
         ];
         for (pivot, expected) in cases {
             let partition = fig2_partition(&ctx, pivot, &params);
-            let (got, stats) = miner.mine(&partition, ctx.rank(pivot), ctx.space(), &params);
+            let (got, stats) = mine_set(miner, &partition, ctx.rank(pivot), ctx.space(), &params);
             let want = named_patterns(&ctx, expected);
             assert_eq!(
                 got,
@@ -149,15 +171,15 @@ pub(crate) mod minertests {
             unaggregated.push(seq, 1);
         }
         assert!(aggregated.len() < unaggregated.len());
-        let (a, _) = miner.mine(&aggregated, pivot, ctx.space(), &params);
-        let (b, _) = miner.mine(&unaggregated, pivot, ctx.space(), &params);
+        let (a, _) = mine_set(miner, &aggregated, pivot, ctx.space(), &params);
+        let (b, _) = mine_set(miner, &unaggregated, pivot, ctx.space(), &params);
         assert_eq!(a, b, "{}", miner.name());
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::minertests::fig2_partition;
+    use super::minertests::{fig2_partition, mine_set};
     use super::*;
     use crate::testutil::fig2_context;
 
@@ -239,7 +261,7 @@ mod tests {
                 ["a", "B", "b1", "c", "D"].into_iter().zip(row)
             {
                 let partition = fig2_partition(&ctx, pivot, &params);
-                let (_, stats) = miner.mine(&partition, ctx.rank(pivot), ctx.space(), &params);
+                let (_, stats) = mine_set(miner, &partition, ctx.rank(pivot), ctx.space(), &params);
                 let want = MinerStats {
                     candidates,
                     expansions,

@@ -8,7 +8,7 @@ use crate::enumeration::GlEnumerator;
 use crate::fxhash::FxHashMap;
 use crate::hierarchy::ItemSpace;
 use crate::params::GsmParams;
-use crate::pattern::PatternSet;
+use crate::pattern::PatternArena;
 use crate::sequence::Partition;
 
 use super::{LocalMiner, MinerStats};
@@ -28,7 +28,8 @@ impl LocalMiner for NaiveMiner {
         pivot: u32,
         space: &ItemSpace,
         params: &GsmParams,
-    ) -> (PatternSet, MinerStats) {
+        out: &mut PatternArena,
+    ) -> MinerStats {
         let mut counts: FxHashMap<Vec<u32>, u64> = FxHashMap::default();
         let mut stats = MinerStats::default();
         let mut enumerator = GlEnumerator::default();
@@ -44,20 +45,19 @@ impl LocalMiner for NaiveMiner {
             }
         }
         stats.candidates = counts.len() as u64;
-        let mut out = PatternSet::new();
         for (seq, freq) in counts {
             if freq >= params.sigma && seq.iter().copied().max() == Some(pivot) {
-                out.insert(seq, freq);
+                out.push(&seq, freq);
+                stats.outputs += 1;
             }
         }
-        stats.outputs = out.len() as u64;
-        (out, stats)
+        stats
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::minertests::{check_aggregation_invariance, check_fig2_outputs};
+    use super::super::minertests::{check_aggregation_invariance, check_fig2_outputs, mine_set};
     use super::*;
 
     #[test]
@@ -74,7 +74,7 @@ mod tests {
     fn empty_partition_mines_nothing() {
         let params = GsmParams::new(1, 0, 3).unwrap();
         let space = ItemSpace::flat(vec![1], 1);
-        let (out, stats) = NaiveMiner.mine(&Partition::new(), 0, &space, &params);
+        let (out, stats) = mine_set(&NaiveMiner, &Partition::new(), 0, &space, &params);
         assert!(out.is_empty());
         assert_eq!(stats.outputs, 0);
     }

@@ -20,7 +20,7 @@
 
 use crate::hierarchy::ItemSpace;
 use crate::params::GsmParams;
-use crate::pattern::PatternSet;
+use crate::pattern::PatternArena;
 use crate::sequence::Partition;
 
 use super::expansion::{with_scratch, Dir, Engine, ItemSet, Level};
@@ -86,11 +86,18 @@ struct Run<'a> {
     index: Option<RightIndexes<'a>>,
     params: &'a GsmParams,
     pivot: u32,
-    out: PatternSet,
+    out: &'a mut PatternArena,
     stats: MinerStats,
 }
 
 impl Run<'_> {
+    /// Appends a pivot sequence to the sink. PSM's enumeration reaches each
+    /// pivot sequence once, so nothing is checked for duplicates.
+    fn output(&mut self, pattern: &[u32], frequency: u64) {
+        self.out.push(pattern, frequency);
+        self.stats.outputs += 1;
+    }
+
     /// Right-expansion series (Alg. 2, `dir = right`) of `context`. `depth`
     /// is the suffix length after the last pivot that the next extension
     /// would create. Candidates are restricted to the parent context's index
@@ -128,7 +135,7 @@ impl Run<'_> {
                 index.record(context, depth, child.item);
             }
             pattern.push(child.item);
-            self.out.insert(pattern.clone(), child.frequency);
+            self.output(pattern, child.frequency);
             self.expand_right(pattern, child.level, depth + 1, context);
             pattern.pop();
         }
@@ -157,7 +164,7 @@ impl Run<'_> {
         for i in block.children.clone() {
             let child = self.engine.child(i);
             pattern.insert(0, child.item);
-            self.out.insert(pattern.clone(), child.frequency);
+            self.output(pattern, child.frequency);
             if let Some(index) = &mut self.index {
                 index.start_context(context + 1);
             }
@@ -184,7 +191,8 @@ impl LocalMiner for PsmMiner {
         pivot: u32,
         space: &ItemSpace,
         params: &GsmParams,
-    ) -> (PatternSet, MinerStats) {
+        out: &mut PatternArena,
+    ) -> MinerStats {
         with_scratch(|scratch| {
             let index = self.use_index.then(|| {
                 let sets = &mut scratch.index;
@@ -201,7 +209,7 @@ impl LocalMiner for PsmMiner {
                 index,
                 params,
                 pivot,
-                out: PatternSet::new(),
+                out,
                 stats: MinerStats::default(),
             };
             let root = run.engine.push_item_level(pivot);
@@ -213,8 +221,7 @@ impl LocalMiner for PsmMiner {
                 run.expand_right(&mut pattern, root, 1, 0);
                 run.expand_left(&mut pattern, root, 0);
             }
-            run.stats.outputs = run.out.len() as u64;
-            (run.out, run.stats)
+            run.stats
         })
     }
 }
@@ -222,7 +229,7 @@ impl LocalMiner for PsmMiner {
 #[cfg(test)]
 mod tests {
     use super::super::minertests::{
-        check_aggregation_invariance, check_fig2_outputs, fig2_partition,
+        check_aggregation_invariance, check_fig2_outputs, fig2_partition, mine_set,
     };
     use super::super::{DfsMiner, NaiveMiner};
     use super::*;
@@ -260,16 +267,16 @@ mod tests {
             (&[c, a, d, d][..], 1),
             (&[c, a, d][..], 1),
         ]);
-        let (got, _) = PsmMiner::plain().mine(&partition, d, space, &params);
+        let (got, _) = mine_set(&PsmMiner::plain(), &partition, d, space, &params);
         // caD via LE(c after a) chains; DD via left expansion with the pivot.
         assert_eq!(got.get(&[c, a, d]), Some(2));
         assert_eq!(got.get(&[a, d],), Some(3));
         assert_eq!(got.get(&[d, d]), Some(2));
         assert_eq!(got.get(&[a, d, d]), Some(2));
         // And it agrees with the naive miner entirely.
-        let (naive, _) = NaiveMiner.mine(&partition, d, space, &params);
+        let (naive, _) = mine_set(&NaiveMiner, &partition, d, space, &params);
         assert_eq!(got, naive);
-        let (indexed, _) = PsmMiner::indexed().mine(&partition, d, space, &params);
+        let (indexed, _) = mine_set(&PsmMiner::indexed(), &partition, d, space, &params);
         assert_eq!(indexed, naive);
     }
 
@@ -286,9 +293,9 @@ mod tests {
         for pivot in ["a", "B", "b1", "c", "D"] {
             let partition = fig2_partition(&ctx, pivot, &params);
             let p = ctx.rank(pivot);
-            let (_, s1) = DfsMiner.mine(&partition, p, ctx.space(), &params);
-            let (_, s2) = PsmMiner::plain().mine(&partition, p, ctx.space(), &params);
-            let (_, s3) = PsmMiner::indexed().mine(&partition, p, ctx.space(), &params);
+            let (_, s1) = mine_set(&DfsMiner, &partition, p, ctx.space(), &params);
+            let (_, s2) = mine_set(&PsmMiner::plain(), &partition, p, ctx.space(), &params);
+            let (_, s3) = mine_set(&PsmMiner::indexed(), &partition, p, ctx.space(), &params);
             dfs_total += s1.candidates;
             psm_total += s2.candidates;
             idx_total += s3.candidates;
@@ -305,7 +312,13 @@ mod tests {
         let ctx = fig2_context();
         let params = GsmParams::new(1, 1, 2).unwrap();
         let partition = fig2_partition(&ctx, "B", &params);
-        let (got, _) = PsmMiner::plain().mine(&partition, ctx.rank("B"), ctx.space(), &params);
+        let (got, _) = mine_set(
+            &PsmMiner::plain(),
+            &partition,
+            ctx.rank("B"),
+            ctx.space(),
+            &params,
+        );
         assert!(got.iter().all(|(p, _)| p.len() == 2));
     }
 
@@ -313,7 +326,13 @@ mod tests {
     fn empty_partition_yields_nothing() {
         let ctx = fig2_context();
         let params = GsmParams::new(2, 1, 3).unwrap();
-        let (got, stats) = PsmMiner::indexed().mine(&Partition::new(), 0, ctx.space(), &params);
+        let (got, stats) = mine_set(
+            &PsmMiner::indexed(),
+            &Partition::new(),
+            0,
+            ctx.space(),
+            &params,
+        );
         assert!(got.is_empty());
         assert_eq!(stats, MinerStats::default());
     }
@@ -325,7 +344,7 @@ mod tests {
         for pivot in ["a", "B", "b1", "c", "D"] {
             let partition = fig2_partition(&ctx, pivot, &params);
             let p = ctx.rank(pivot);
-            let (got, _) = PsmMiner::indexed().mine(&partition, p, ctx.space(), &params);
+            let (got, _) = mine_set(&PsmMiner::indexed(), &partition, p, ctx.space(), &params);
             for (pat, _) in got.iter() {
                 assert_eq!(pat.iter().copied().max(), Some(p));
                 assert!(pat.len() >= 2 && pat.len() <= 4);
@@ -339,7 +358,13 @@ mod tests {
         let ctx = fig2_context();
         let params = GsmParams::new(2, 1, 3).unwrap();
         let partition = fig2_partition(&ctx, "D", &params);
-        let (got, _) = PsmMiner::indexed().mine(&partition, ctx.rank("D"), ctx.space(), &params);
+        let (got, _) = mine_set(
+            &PsmMiner::indexed(),
+            &partition,
+            ctx.rank("D"),
+            ctx.space(),
+            &params,
+        );
         assert_eq!(got, named_patterns(&ctx, &[("b1 D", 2), ("B D", 2)]));
     }
 }

@@ -1,9 +1,12 @@
 //! Mined pattern types.
 //!
-//! Miners produce patterns in rank space; [`PatternSet`] stores them with
-//! deterministic (lexicographic) ordering, and [`Pattern`] is the
-//! vocabulary-space view handed to users.
+//! Miners append patterns to a [`PatternArena`] — one flat item array, end
+//! offsets and frequencies, with no allocation per pattern — and the arena
+//! travels as is from the miner to the index writer. [`Pattern`] is the
+//! owned vocabulary-space view handed to users, and [`PatternSet`] the
+//! ordered, comparable form the baselines return and tests compare.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 use crate::vocabulary::{ItemId, Vocabulary};
@@ -30,6 +33,21 @@ pub fn sort_patterns_lexicographic(patterns: &mut [Pattern]) {
     patterns.sort_unstable_by(|a, b| a.items.cmp(&b.items));
 }
 
+/// The first four items of `items` packed into a `u128`, the first in the
+/// highest bits and a missing item as 0: wherever two packed prefixes
+/// differ, they order the patterns as [`sort_patterns_lexicographic`] does.
+/// A sort key that settles most comparisons without touching the items
+/// (see [`PatternArena::order_by_key`]).
+pub fn lexicographic_prefix(items: &[ItemId]) -> u128 {
+    items
+        .iter()
+        .take(4)
+        .zip([96, 64, 32, 0])
+        .fold(0, |key, (item, shift)| {
+            key | u128::from(item.as_u32()) << shift
+        })
+}
+
 impl Pattern {
     /// Renders the pattern as item names.
     pub fn to_names(&self, vocab: &Vocabulary) -> Vec<String> {
@@ -45,10 +63,113 @@ impl Pattern {
     }
 }
 
+/// Patterns with frequencies, stored flat: every pattern's items back to
+/// back in one array, one end offset and one frequency per pattern.
+///
+/// Pushing a pattern copies its items and allocates nothing once the
+/// buffers have grown, and dropping the arena frees three buffers however
+/// many patterns it holds. The arena keeps patterns in push order and does
+/// not deduplicate: whoever fills it pushes each pattern once. `T` is `u32`
+/// for rank-space patterns (what local miners produce) and
+/// [`ItemId`](crate::vocabulary::ItemId) for vocabulary-space ones (what
+/// `LashResult` holds).
+#[derive(Debug, Clone)]
+pub struct PatternArena<T = u32> {
+    items: Vec<T>,
+    ends: Vec<usize>,
+    frequencies: Vec<u64>,
+}
+
+impl<T> Default for PatternArena<T> {
+    fn default() -> Self {
+        PatternArena {
+            items: Vec::new(),
+            ends: Vec::new(),
+            frequencies: Vec::new(),
+        }
+    }
+}
+
+impl<T: Copy> PatternArena<T> {
+    /// Creates an empty arena.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Appends one pattern.
+    pub fn push(&mut self, items: &[T], frequency: u64) {
+        self.items.extend_from_slice(items);
+        self.ends.push(self.items.len());
+        self.frequencies.push(frequency);
+    }
+
+    /// Number of patterns.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True if the arena holds no pattern.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The `i`-th pattern pushed and its frequency.
+    pub fn get(&self, i: usize) -> (&[T], u64) {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        (&self.items[start..self.ends[i]], self.frequencies[i])
+    }
+
+    /// Iterates `(pattern, frequency)` in push order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&[T], u64)> + '_ {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    /// Empties the arena, keeping its buffers.
+    pub fn clear(&mut self) {
+        self.items.clear();
+        self.ends.clear();
+        self.frequencies.clear();
+    }
+
+    /// Appends every pattern of `other`, mapping each item through `map`
+    /// (e.g. ranks to item ids).
+    pub fn extend_mapped<U: Copy>(&mut self, other: &PatternArena<U>, map: impl Fn(U) -> T) {
+        let base = self.items.len();
+        self.items.extend(other.items.iter().map(|&u| map(u)));
+        self.ends.extend(other.ends.iter().map(|&end| base + end));
+        self.frequencies.extend_from_slice(&other.frequencies);
+    }
+
+    /// The pattern indices sorted by `key` of `(items, frequency)`, ties
+    /// broken by `tie` over the items: one sort of a `u32` permutation, the
+    /// arena itself stays in place. Each index is sorted beside its key, so
+    /// only patterns with equal keys are looked up in the arena; the caller
+    /// picks a key that never contradicts the order it wants.
+    pub fn order_by_key<K: Ord>(
+        &self,
+        key: impl Fn(&[T], u64) -> K,
+        mut tie: impl FnMut(&[T], &[T]) -> Ordering,
+    ) -> Vec<u32> {
+        let n = u32::try_from(self.len()).expect("more than u32::MAX patterns");
+        let mut keyed: Vec<(K, u32)> = (0..n)
+            .map(|i| {
+                let (items, frequency) = self.get(i as usize);
+                (key(items, frequency), i)
+            })
+            .collect();
+        keyed.sort_unstable_by(|(ka, a), (kb, b)| {
+            ka.cmp(kb)
+                .then_with(|| tie(self.get(*a as usize).0, self.get(*b as usize).0))
+        });
+        keyed.into_iter().map(|(_, i)| i).collect()
+    }
+}
+
 /// A set of rank-space patterns with frequencies, ordered lexicographically.
 ///
-/// Used as the canonical comparison form in tests (all miners must produce
-/// identical `PatternSet`s) and as the accumulation target of local miners.
+/// The output of the naive and semi-naive baselines, and the canonical
+/// comparison form in tests: all miners must produce identical
+/// `PatternSet`s.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PatternSet {
     map: BTreeMap<Vec<u32>, u64>,
@@ -61,8 +182,8 @@ impl PatternSet {
     }
 
     /// Inserts a pattern with its frequency. Re-inserting the same pattern
-    /// keeps the maximum frequency (miners must not produce duplicates; the
-    /// max keeps comparisons meaningful if they do).
+    /// keeps the maximum frequency, so a set built from a miner's sink hides
+    /// a duplicate push: check the sink itself for duplicates.
     pub fn insert(&mut self, items: Vec<u32>, frequency: u64) {
         let slot = self.map.entry(items).or_insert(0);
         *slot = (*slot).max(frequency);
@@ -93,8 +214,7 @@ impl PatternSet {
         self.map.iter().map(|(k, &v)| (k.as_slice(), v))
     }
 
-    /// Merges another set into this one (used to combine per-partition
-    /// outputs; partitions produce disjoint pattern sets).
+    /// Merges another set into this one.
     pub fn merge(&mut self, other: PatternSet) {
         for (k, v) in other.map {
             self.insert(k, v);

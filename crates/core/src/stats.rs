@@ -363,8 +363,8 @@ mod tests {
             .mine(&db, &vocab, &params)
             .unwrap();
         let space = result.context().space();
-        let closed = filter_closed(result.pattern_set(), space);
-        let maximal = filter_maximal(result.pattern_set(), space);
+        let closed = filter_closed(&result.pattern_set(), space);
+        let maximal = filter_maximal(&result.pattern_set(), space);
         assert_eq!(closed.len(), 7);
         assert_eq!(maximal.len(), 6);
         // Maximal ⊆ closed ⊆ all, frequencies preserved.
@@ -393,8 +393,8 @@ mod tests {
                         .mine(&db, &vocab, &params)
                         .unwrap();
                     let space = result.context().space();
-                    let fast = closed_maximal_counts(result.pattern_set(), space);
-                    let naive = closed_maximal_counts_naive(result.pattern_set(), space);
+                    let fast = closed_maximal_counts(&result.pattern_set(), space);
+                    let naive = closed_maximal_counts_naive(&result.pattern_set(), space);
                     assert_eq!(fast, naive, "σ={sigma} γ={gamma} λ={lambda}");
                 }
             }

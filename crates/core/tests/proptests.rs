@@ -10,6 +10,7 @@ use lash_core::enumeration::{enumerate_pivot, GlEnumerator};
 use lash_core::hierarchy::ItemSpace;
 use lash_core::matching::matches;
 use lash_core::miner::{BfsMiner, DfsMiner, LocalMiner, NaiveMiner, PsmMiner};
+use lash_core::pattern::PatternArena;
 use lash_core::rewrite::{RewriteScratch, Rewriter};
 use lash_core::sequence::{Partition, SequenceDatabase};
 use lash_core::stats::{closed_maximal_counts, closed_maximal_counts_naive};
@@ -182,6 +183,12 @@ proptest! {
     /// the whole weighted database, raw, so items above the pivot occur too;
     /// items that no frequent item generalizes are blanks, as the rewrites
     /// leave them. γ goes up to 3 and λ up to 6.
+    ///
+    /// Each miner appends every pivot of the database to one sink, the way
+    /// reduce output reaches the result: nothing downstream deduplicates,
+    /// so the sink must hold each pattern once, every pattern's largest rank
+    /// must be the pivot it was mined for, and each call's
+    /// `MinerStats::outputs` must be the number of patterns it appended.
     #[test]
     fn local_miners_agree_on_random_partitions(
         vocab in arb_vocabulary(8),
@@ -223,20 +230,41 @@ proptest! {
             partition.push(&ranked, *w);
         }
         let params = GsmParams::new(sigma, gamma, lambda).unwrap();
-        for pivot in 0..space.num_frequent() {
-            let want: PatternSet = expected
-                .iter()
-                .map(|(items, &f)| (items.iter().map(|&i| rank(i)).collect::<Vec<u32>>(), f))
-                .filter(|(ranks, _)| ranks.iter().max() == Some(&pivot))
-                .collect();
-            for miner in [
-                &NaiveMiner as &dyn LocalMiner,
-                &BfsMiner,
-                &DfsMiner,
-                &PsmMiner::plain(),
-                &PsmMiner::indexed(),
-            ] {
-                let (got, _) = miner.mine(&partition, pivot, space, &params);
+        for miner in [
+            &NaiveMiner as &dyn LocalMiner,
+            &BfsMiner,
+            &DfsMiner,
+            &PsmMiner::plain(),
+            &PsmMiner::indexed(),
+        ] {
+            let mut sink = PatternArena::new();
+            for pivot in 0..space.num_frequent() {
+                let want: PatternSet = expected
+                    .iter()
+                    .map(|(items, &f)| (items.iter().map(|&i| rank(i)).collect::<Vec<u32>>(), f))
+                    .filter(|(ranks, _)| ranks.iter().max() == Some(&pivot))
+                    .collect();
+                let before = sink.len();
+                let stats = miner.mine(&partition, pivot, space, &params, &mut sink);
+                prop_assert_eq!(
+                    stats.outputs,
+                    (sink.len() - before) as u64,
+                    "miner {} pivot {}: outputs vs patterns appended",
+                    miner.name(),
+                    pivot
+                );
+                let appended = (before..sink.len()).map(|i| sink.get(i));
+                for (pattern, _) in appended.clone() {
+                    prop_assert_eq!(
+                        pattern.iter().max(),
+                        Some(&pivot),
+                        "miner {} pivot {}: {:?} is not a pivot sequence",
+                        miner.name(),
+                        pivot,
+                        pattern
+                    );
+                }
+                let got: PatternSet = appended.map(|(p, f)| (p.to_vec(), f)).collect();
                 prop_assert_eq!(
                     &want,
                     &got,
@@ -246,6 +274,13 @@ proptest! {
                     want.diff(&got)
                 );
             }
+            let distinct: BTreeSet<&[u32]> = sink.iter().map(|(p, _)| p).collect();
+            prop_assert_eq!(
+                distinct.len(),
+                sink.len(),
+                "miner {} pushed a pattern twice",
+                miner.name()
+            );
         }
     }
 
@@ -296,8 +331,8 @@ proptest! {
         let result = Lash::new(LashConfig::default()).mine(&db, &vocab, &params).unwrap();
         let space = result.context().space();
         prop_assert_eq!(
-            closed_maximal_counts(result.pattern_set(), space),
-            closed_maximal_counts_naive(result.pattern_set(), space)
+            closed_maximal_counts(&result.pattern_set(), space),
+            closed_maximal_counts_naive(&result.pattern_set(), space)
         );
     }
 }

@@ -79,7 +79,7 @@ fn spilled_mine_job_is_byte_identical_to_in_memory() {
         spilled.pattern_set(),
         in_memory.pattern_set(),
         "diff: {:?}",
-        spilled.pattern_set().diff(in_memory.pattern_set())
+        spilled.pattern_set().diff(&in_memory.pattern_set())
     );
     assert_eq!(spilled.patterns(), in_memory.patterns());
 
@@ -115,7 +115,7 @@ fn spilled_baselines_agree_with_lash() {
         .with_reduce_tasks(4)
         .with_spill_threshold(Some(64));
     let (naive, metrics) = run_naive(&ctx, &params, &cluster).unwrap();
-    assert_eq!(lash.pattern_set(), &naive);
+    assert_eq!(lash.pattern_set(), naive);
     assert!(metrics.counters.spilled_bytes > 0);
 }
 
@@ -177,7 +177,7 @@ fn byte_combine_across_merge_passes_matches_in_memory() {
         spilled.pattern_set(),
         in_memory.pattern_set(),
         "diff: {:?}",
-        spilled.pattern_set().diff(in_memory.pattern_set())
+        spilled.pattern_set().diff(&in_memory.pattern_set())
     );
     assert_eq!(spilled.patterns(), in_memory.patterns());
     let c = &spilled.mine_metrics.counters;

@@ -4,7 +4,7 @@
 //! LASH mining run, plus a concurrent query service. Mining produces the
 //! frequent generalized sequences; this crate is what makes them *servable*:
 //! instead of re-mining to answer "what is the support of this sequence?",
-//! the mined `PatternSet` is laid out once as a block-structured prefix trie
+//! the mined patterns are laid out once as a block-structured prefix trie
 //! and then queried at memory speed, from any number of threads, behind an
 //! atomically swappable snapshot.
 //!
@@ -23,9 +23,11 @@
 //!                    # checksummed frames
 //! ```
 //!
-//! The trie is written **bottom-up** from the lexicographically sorted
-//! pattern stream (the order `lash-core` guarantees — see
-//! [`lash_core::pattern::sort_patterns_lexicographic`]), so every node is
+//! The trie is written **bottom-up** from the pattern stream in ascending
+//! lexicographic item-id order (see
+//! [`lash_core::pattern::sort_patterns_lexicographic`]; [`write_patterns`]
+//! streams a mining result's flat pattern arena in that order through one
+//! sort of a permutation, without copying a pattern), so every node is
 //! serialized after its children and stores absolute arena offsets to them.
 //! A node holds its own frequency (if the path to it is a mined pattern),
 //! the **maximum frequency over its whole subtree** (the top-k pruning
@@ -79,7 +81,7 @@
 //! let result = Lash::default().mine(&db, &vocab, &params).unwrap();
 //!
 //! // Lay the mined patterns out as an on-disk index and serve them.
-//! lash_index::write_patterns(&dir, &vocab, result.patterns()).unwrap();
+//! lash_index::write_patterns(&dir, &vocab, result.arena()).unwrap();
 //! let service = QueryService::new(PatternIndexReader::open(&dir).unwrap());
 //! let snapshot = service.snapshot();
 //! assert_eq!(snapshot.support(&[dog, walks]).unwrap(), Some(2));

@@ -21,7 +21,7 @@ use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use lash_core::pattern::{sort_patterns_lexicographic, Pattern};
+use lash_core::pattern::{lexicographic_prefix, PatternArena};
 use lash_core::vocabulary::{ItemId, Vocabulary};
 use lash_encoding::frame;
 
@@ -36,17 +36,19 @@ struct OpenNode {
     freq: Option<u64>,
     /// Running maximum pattern frequency in the subtree (including self).
     max_desc: u64,
-    /// Sealed children: `(item id, arena offset)`, ascending in both.
-    children: Vec<(u32, u64)>,
+    /// Where this node's sealed children start in the writer's shared
+    /// child stack; they run to the start of the next open node's, or to
+    /// the end.
+    first_child: usize,
 }
 
 impl OpenNode {
-    fn new(item: u32, freq: Option<u64>) -> Self {
+    fn new(item: u32, freq: Option<u64>, first_child: usize) -> Self {
         OpenNode {
             item,
             freq,
             max_desc: freq.unwrap_or(0),
-            children: Vec::new(),
+            first_child,
         }
     }
 }
@@ -67,17 +69,21 @@ pub struct IndexSummary {
 
 /// Streaming builder of an on-disk pattern index.
 ///
-/// Patterns must arrive **strictly ascending in lexicographic item
-/// order** — the deterministic order mining output sorts into (see
-/// [`sort_patterns_lexicographic`]); out-of-order or duplicate input is
-/// rejected with [`IndexError::UnsortedInput`]. Use [`write_patterns`] to
-/// index an unsorted slice in one call.
+/// Patterns must arrive **strictly ascending in lexicographic item-id
+/// order** (see [`lash_core::pattern::sort_patterns_lexicographic`]) —
+/// not the frequency-rank order the miners work in; out-of-order or
+/// duplicate input is rejected with [`IndexError::UnsortedInput`]. Use
+/// [`write_patterns`] to index a mining result in one call.
 pub struct PatternIndexWriter {
     dir: PathBuf,
     vocab: Vocabulary,
     file: BufWriter<File>,
     /// `stack[0]` is the root; `stack[d]` is the open node at depth `d`.
     stack: Vec<OpenNode>,
+    /// The sealed children `(item id, arena offset)` of every open node,
+    /// ascending in both per node, in open-path order: only the deepest
+    /// open node ever gains a child, so its children are always the tail.
+    children: Vec<(u32, u64)>,
     /// Items of the most recently added pattern.
     last: Vec<u32>,
     /// The block being assembled; sealed into a frame at the budget.
@@ -127,7 +133,8 @@ impl PatternIndexWriter {
             dir,
             vocab: vocab.clone(),
             file,
-            stack: vec![OpenNode::new(0, None)],
+            stack: vec![OpenNode::new(0, None, 0)],
+            children: Vec::new(),
             last: Vec::new(),
             block: Vec::new(),
             block_budget: block_budget.max(1),
@@ -188,8 +195,11 @@ impl PatternIndexWriter {
         // Open the new suffix.
         for (d, &item) in items.iter().enumerate().skip(common) {
             let terminal = d + 1 == items.len();
-            self.stack
-                .push(OpenNode::new(item.as_u32(), terminal.then_some(frequency)));
+            self.stack.push(OpenNode::new(
+                item.as_u32(),
+                terminal.then_some(frequency),
+                self.children.len(),
+            ));
         }
         // Propagate the frequency bound up the whole open path now; sealed
         // descendants have already folded theirs into their parents.
@@ -206,11 +216,21 @@ impl PatternIndexWriter {
     /// Serializes the deepest open node and registers it with its parent.
     fn seal_top(&mut self) -> Result<()> {
         let node = self.stack.pop().expect("seal_top never pops the root");
-        let offset = self.emit_node(node.freq, node.max_desc, &node.children)?;
+        let offset = self.emit_open_node(&node)?;
+        self.children.push((node.item, offset));
         let parent = self.stack.last_mut().expect("root below every sealed node");
-        parent.children.push((node.item, offset));
         parent.max_desc = parent.max_desc.max(node.max_desc);
         Ok(())
+    }
+
+    /// Serializes `node`, just popped off the open path, with the tail of
+    /// the child stack that holds its children, and drops that tail.
+    fn emit_open_node(&mut self, node: &OpenNode) -> Result<u64> {
+        let children = std::mem::take(&mut self.children);
+        let offset = self.emit_node(node.freq, node.max_desc, &children[node.first_child..]);
+        self.children = children;
+        self.children.truncate(node.first_child);
+        offset
     }
 
     /// Appends one serialized node to the arena, sealing a block frame
@@ -266,7 +286,7 @@ impl PatternIndexWriter {
             self.seal_top()?;
         }
         let root = self.stack.pop().expect("the root is always open");
-        let root_offset = self.emit_node(root.freq, root.max_desc, &root.children)?;
+        let root_offset = self.emit_open_node(&root)?;
         self.flush_block()?;
         self.file.flush()?;
         self.file.get_ref().sync_all()?;
@@ -310,26 +330,25 @@ fn write_manifest(dir: &Path, manifest: &IndexManifest, vocab: &Vocabulary) -> R
     Ok(())
 }
 
-/// Indexes a slice of mined patterns in one call: sorts a copy into the
-/// canonical lexicographic order and streams it through a
-/// [`PatternIndexWriter`].
+/// Indexes a mining result in one call: sorts a `u32` permutation of
+/// `patterns` into lexicographic item-id order and streams the arena
+/// through a [`PatternIndexWriter`] in that order. The patterns are read in
+/// place, never copied.
 ///
-/// This is the convenience path from `LashResult::patterns()` (which is
-/// sorted by descending frequency, not lexicographically) to a finished
-/// index.
+/// `patterns` is usually `LashResult::arena()`. The sort is part of the
+/// build: the `index.build` span covers it.
 pub fn write_patterns(
     dir: impl AsRef<Path>,
     vocab: &Vocabulary,
-    patterns: &[Pattern],
+    patterns: &PatternArena<ItemId>,
 ) -> Result<IndexSummary> {
     let started = Instant::now();
-    let mut sorted: Vec<Pattern> = patterns.to_vec();
-    sort_patterns_lexicographic(&mut sorted);
+    let order = patterns.order_by_key(|items, _| lexicographic_prefix(items), <[ItemId]>::cmp);
     let mut writer = PatternIndexWriter::create(dir, vocab)?;
-    // The copy and the sort are part of this build.
     writer.started = started;
-    for p in &sorted {
-        writer.add(&p.items, p.frequency)?;
+    for i in order {
+        let (items, frequency) = patterns.get(i as usize);
+        writer.add(items, frequency)?;
     }
     writer.finish()
 }

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use lash_core::pattern::Pattern;
+use lash_core::pattern::{Pattern, PatternArena};
 use lash_core::prelude::*;
 use lash_datagen::paper_example;
 use lash_index::{
@@ -29,6 +29,16 @@ fn mined() -> (Vocabulary, Vec<Pattern>) {
     let params = GsmParams::new(2, 1, 3).unwrap();
     let result = Lash::default().mine(&db, &vocab, &params).unwrap();
     (vocab, result.patterns().to_vec())
+}
+
+/// `patterns` as an arena in their own (frequency-descending) order, for
+/// `write_patterns` to sort.
+fn arena(patterns: &[Pattern]) -> PatternArena<ItemId> {
+    let mut arena = PatternArena::new();
+    for p in patterns {
+        arena.push(&p.items, p.frequency);
+    }
+    arena
 }
 
 fn id(vocab: &Vocabulary, name: &str) -> ItemId {
@@ -80,7 +90,7 @@ fn brute_generalized(
 fn every_mined_pattern_is_found_with_exact_support() {
     let (vocab, patterns) = mined();
     let dir = temp_dir("exact");
-    let summary = write_patterns(&dir, &vocab, &patterns).unwrap();
+    let summary = write_patterns(&dir, &vocab, &arena(&patterns)).unwrap();
     assert_eq!(summary.num_patterns, patterns.len() as u64);
     let reader = PatternIndexReader::open(&dir).unwrap();
     assert_eq!(reader.num_patterns(), patterns.len() as u64);
@@ -107,7 +117,7 @@ fn every_mined_pattern_is_found_with_exact_support() {
 fn prefix_enumeration_matches_brute_force() {
     let (vocab, patterns) = mined();
     let dir = temp_dir("enum");
-    write_patterns(&dir, &vocab, &patterns).unwrap();
+    write_patterns(&dir, &vocab, &arena(&patterns)).unwrap();
     let reader = PatternIndexReader::open(&dir).unwrap();
     let a = id(&vocab, "a");
     let b_cap = id(&vocab, "B");
@@ -141,7 +151,7 @@ fn prefix_enumeration_matches_brute_force() {
 fn top_k_matches_brute_force_for_all_k() {
     let (vocab, patterns) = mined();
     let dir = temp_dir("topk");
-    write_patterns(&dir, &vocab, &patterns).unwrap();
+    write_patterns(&dir, &vocab, &arena(&patterns)).unwrap();
     let reader = PatternIndexReader::open(&dir).unwrap();
     let a = id(&vocab, "a");
     let b_cap = id(&vocab, "B");
@@ -161,7 +171,7 @@ fn top_k_matches_brute_force_for_all_k() {
 fn hierarchy_queries_expand_to_ancestors() {
     let (vocab, patterns) = mined();
     let dir = temp_dir("hier");
-    write_patterns(&dir, &vocab, &patterns).unwrap();
+    write_patterns(&dir, &vocab, &arena(&patterns)).unwrap();
     let reader = PatternIndexReader::open(&dir).unwrap();
     let a = id(&vocab, "a");
     let b_cap = id(&vocab, "B");
@@ -281,6 +291,74 @@ fn writer_rejects_bad_input_with_typed_errors() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A corpus whose item ids run against its frequency ranks: leaf `i<k>`
+/// occurs about `2k + 1` times as often as `i0`, and `hot`, the category
+/// over the two most frequent leaves and the most frequent item of all, is
+/// interned last. Rank 0 is the largest item id, so the miners' rank order
+/// and the index's item-id order disagree.
+fn rank_reversed_corpus() -> (Vocabulary, SequenceDatabase) {
+    let mut vb = VocabularyBuilder::new();
+    let leaves: Vec<ItemId> = (0..6).map(|k| vb.intern(&format!("i{k}"))).collect();
+    let hot = vb.intern("hot");
+    vb.set_parent(leaves[4], hot).unwrap();
+    vb.set_parent(leaves[5], hot).unwrap();
+    let vocab = vb.finish().unwrap();
+    let mut db = SequenceDatabase::new();
+    for s in 0..80u32 {
+        let seq: Vec<ItemId> = (0..3 + s % 4)
+            .map(|j| leaves[((s * 31 + j * 17) % 36).isqrt() as usize])
+            .collect();
+        db.push(&seq);
+    }
+    (vocab, db)
+}
+
+/// FNV-1a over `bytes`, continuing from `digest`.
+fn fnv1a(digest: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(digest, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Indexing straight from a result's arena, where rank order is not
+/// item-id order, writes exactly the files that sorting a copy of
+/// `patterns()` and adding it did: both files are pinned by a digest taken
+/// from that copy-and-sort build, and compared byte for byte with one built
+/// here the same way.
+#[test]
+fn index_from_the_arena_is_byte_identical_when_ranks_run_against_ids() {
+    let (vocab, db) = rank_reversed_corpus();
+    let params = GsmParams::new(3, 1, 4).unwrap();
+    let result = Lash::default().mine(&db, &vocab, &params).unwrap();
+    assert_eq!(result.context().order().item(0), id(&vocab, "hot"));
+    assert_eq!(result.arena().len(), 399);
+
+    let dir = temp_dir("rank-reversed");
+    write_patterns(&dir, &vocab, result.arena()).unwrap();
+    let reference = temp_dir("rank-reversed-copy");
+    let mut sorted = result.patterns().to_vec();
+    lash_core::pattern::sort_patterns_lexicographic(&mut sorted);
+    let mut writer = PatternIndexWriter::create(&reference, &vocab).unwrap();
+    for p in &sorted {
+        writer.add(&p.items, p.frequency).unwrap();
+    }
+    writer.finish().unwrap();
+
+    let mut digest = 0xcbf2_9ce4_8422_2325;
+    for file in ["INDEX.lash", "trie.lash"] {
+        let bytes = std::fs::read(dir.join(file)).unwrap();
+        assert_eq!(
+            bytes,
+            std::fs::read(reference.join(file)).unwrap(),
+            "{file}"
+        );
+        digest = fnv1a(digest, &bytes);
+    }
+    assert_eq!(digest, 0x918d_5ce7_f43b_3d67);
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&reference).unwrap();
+}
+
 /// The `index.build` span runs from `create` to the end of `finish`: the
 /// adds are the build, not only the final seal.
 #[test]
@@ -308,7 +386,7 @@ fn build_span_covers_the_whole_build() {
 fn empty_index_serves_empty_answers() {
     let (vocab, _) = mined();
     let dir = temp_dir("empty");
-    let summary = write_patterns(&dir, &vocab, &[]).unwrap();
+    let summary = write_patterns(&dir, &vocab, &PatternArena::new()).unwrap();
     assert_eq!(summary.num_patterns, 0);
     let reader = PatternIndexReader::open(&dir).unwrap();
     assert!(reader.is_empty());
@@ -348,7 +426,7 @@ fn tiny_blocks_split_the_trie_without_changing_answers() {
 fn corruption_surfaces_as_typed_errors_never_panics() {
     let (vocab, patterns) = mined();
     let dir = temp_dir("corrupt");
-    write_patterns(&dir, &vocab, &patterns).unwrap();
+    write_patterns(&dir, &vocab, &arena(&patterns)).unwrap();
     let trie = dir.join("trie.lash");
     let manifest = dir.join("INDEX.lash");
     let trie_bytes = std::fs::read(&trie).unwrap();
@@ -485,7 +563,7 @@ fn query_service_serves_concurrently_and_swaps_atomically() {
     let result = Lash::default().mine(&db, &vocab, &params).unwrap();
     let patterns = result.patterns().to_vec();
     let dir = temp_dir("service");
-    write_patterns(&dir, &vocab, &patterns).unwrap();
+    write_patterns(&dir, &vocab, result.arena()).unwrap();
     let service = Arc::new(QueryService::new(PatternIndexReader::open(&dir).unwrap()));
 
     // Four threads hammer one service; every answer must equal brute
@@ -529,7 +607,7 @@ fn query_service_serves_concurrently_and_swaps_atomically() {
     let strict = GsmParams::new(3, 1, 3).unwrap();
     let restricted = Lash::default().mine(&db, &vocab, &strict).unwrap();
     let dir2 = temp_dir("service-v2");
-    write_patterns(&dir2, &vocab, restricted.patterns()).unwrap();
+    write_patterns(&dir2, &vocab, restricted.arena()).unwrap();
     service.swap(PatternIndexReader::open(&dir2).unwrap());
 
     let a = vocab.lookup("a").unwrap();

@@ -1,15 +1,16 @@
 //! Property tests for the pattern index: for random mined corpora, every
-//! pattern in the mined `PatternSet` is findable with its exact frequency,
-//! every prefix enumeration (and top-k, and hierarchy-aware lookup)
-//! equals the brute-force filter over the pattern list, builds are
-//! deterministic, and truncated or bit-flipped index files surface typed
+//! mined pattern is findable with its exact frequency, every prefix
+//! enumeration (and top-k, and hierarchy-aware lookup) equals the
+//! brute-force filter over the pattern list, builds are deterministic and
+//! byte-identical to indexing a lexicographically sorted copy of the
+//! pattern list, and truncated or bit-flipped index files surface typed
 //! corruption errors — never panics.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use lash_core::pattern::Pattern;
+use lash_core::pattern::{sort_patterns_lexicographic, Pattern};
 use lash_core::prelude::*;
-use lash_index::{write_patterns, IndexError, PatternIndexReader};
+use lash_index::{write_patterns, IndexError, PatternIndexReader, PatternIndexWriter};
 use proptest::prelude::*;
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -48,8 +49,8 @@ fn arb_raw_db() -> impl Strategy<Value = Vec<Vec<u32>>> {
     prop::collection::vec(prop::collection::vec(0u32..10, 1..7), 4..32)
 }
 
-/// Mines a random corpus and returns the vocabulary-space pattern list.
-fn mine(vocab: &Vocabulary, raw: &[Vec<u32>], sigma: u64) -> Vec<Pattern> {
+/// Mines a random corpus.
+fn mine(vocab: &Vocabulary, raw: &[Vec<u32>], sigma: u64) -> LashResult {
     let n = vocab.len() as u32;
     let mut db = SequenceDatabase::new();
     for seq in raw {
@@ -57,11 +58,7 @@ fn mine(vocab: &Vocabulary, raw: &[Vec<u32>], sigma: u64) -> Vec<Pattern> {
         db.push(&items);
     }
     let params = GsmParams::new(sigma, 1, 3).unwrap();
-    Lash::default()
-        .mine(&db, vocab, &params)
-        .unwrap()
-        .patterns()
-        .to_vec()
+    Lash::default().mine(&db, vocab, &params).unwrap()
 }
 
 fn brute_enumerate(patterns: &[Pattern], prefix: &[ItemId]) -> Vec<(Vec<ItemId>, u64)> {
@@ -87,13 +84,14 @@ proptest! {
         raw in arb_raw_db(),
         sigma in 1u64..4,
     ) {
-        let patterns = mine(&vocab, &raw, sigma);
+        let result = mine(&vocab, &raw, sigma);
+        let patterns = result.patterns();
         let dir = temp_dir("brute");
-        let summary = write_patterns(&dir, &vocab, &patterns).unwrap();
+        let summary = write_patterns(&dir, &vocab, result.arena()).unwrap();
         prop_assert_eq!(summary.num_patterns, patterns.len() as u64);
         let reader = PatternIndexReader::open(&dir).unwrap();
 
-        for p in &patterns {
+        for p in patterns {
             prop_assert_eq!(reader.support(&p.items).unwrap(), Some(p.frequency));
         }
         // Probes derived from mined patterns but outside the set: one item
@@ -112,7 +110,7 @@ proptest! {
         // Prefix enumeration over every distinct first item plus the
         // empty and a two-item prefix.
         let mut prefixes: Vec<Vec<ItemId>> = vec![Vec::new()];
-        for p in &patterns {
+        for p in patterns {
             prefixes.push(p.items[..1].to_vec());
             prefixes.push(p.items[..p.items.len().min(2)].to_vec());
         }
@@ -120,7 +118,7 @@ proptest! {
         for prefix in &prefixes {
             prop_assert_eq!(
                 reader.enumerate(prefix, None).unwrap(),
-                brute_enumerate(&patterns, prefix),
+                brute_enumerate(patterns, prefix),
                 "prefix {:?}", prefix
             );
         }
@@ -128,7 +126,7 @@ proptest! {
         // Top-k: brute force re-sorted by (frequency desc, items asc).
         for prefix in prefixes.iter().take(6) {
             for k in [1usize, 3, patterns.len() + 1] {
-                let mut brute = brute_enumerate(&patterns, prefix);
+                let mut brute = brute_enumerate(patterns, prefix);
                 brute.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
                 brute.truncate(k);
                 prop_assert_eq!(reader.top_k(prefix, k).unwrap(), brute, "k {}", k);
@@ -164,11 +162,42 @@ proptest! {
         vocab in arb_vocabulary(12),
         raw in arb_raw_db(),
     ) {
-        let patterns = mine(&vocab, &raw, 2);
+        let result = mine(&vocab, &raw, 2);
         let dir_a = temp_dir("det-a");
         let dir_b = temp_dir("det-b");
-        write_patterns(&dir_a, &vocab, &patterns).unwrap();
-        write_patterns(&dir_b, &vocab, &patterns).unwrap();
+        write_patterns(&dir_a, &vocab, result.arena()).unwrap();
+        write_patterns(&dir_b, &vocab, result.arena()).unwrap();
+        for file in ["INDEX.lash", "trie.lash"] {
+            let a = std::fs::read(dir_a.join(file)).unwrap();
+            let b = std::fs::read(dir_b.join(file)).unwrap();
+            prop_assert_eq!(a, b, "file {} differs", file);
+        }
+        std::fs::remove_dir_all(&dir_a).unwrap();
+        std::fs::remove_dir_all(&dir_b).unwrap();
+    }
+
+    /// Indexing straight from the result's arena writes the same bytes as
+    /// copying `patterns()`, sorting the copy lexicographically and adding
+    /// it pattern by pattern. The miners work in frequency-rank order, which
+    /// the random corpora make differ from item-id order, and the writer
+    /// rejects anything but item-id order.
+    #[test]
+    fn index_from_the_arena_equals_a_sorted_copy(
+        vocab in arb_vocabulary(12),
+        raw in arb_raw_db(),
+        sigma in 1u64..4,
+    ) {
+        let result = mine(&vocab, &raw, sigma);
+        let dir_a = temp_dir("arena");
+        let dir_b = temp_dir("sorted-copy");
+        write_patterns(&dir_a, &vocab, result.arena()).unwrap();
+        let mut sorted = result.patterns().to_vec();
+        sort_patterns_lexicographic(&mut sorted);
+        let mut writer = PatternIndexWriter::create(&dir_b, &vocab).unwrap();
+        for p in &sorted {
+            writer.add(&p.items, p.frequency).unwrap();
+        }
+        writer.finish().unwrap();
         for file in ["INDEX.lash", "trie.lash"] {
             let a = std::fs::read(dir_a.join(file)).unwrap();
             let b = std::fs::read(dir_b.join(file)).unwrap();
@@ -190,9 +219,10 @@ proptest! {
         flip_bit in 0u8..8,
         which in prop_oneof![Just("INDEX.lash"), Just("trie.lash")],
     ) {
-        let patterns = mine(&vocab, &raw, 2);
+        let result = mine(&vocab, &raw, 2);
+        let patterns = result.patterns();
         let dir = temp_dir("corrupt");
-        write_patterns(&dir, &vocab, &patterns).unwrap();
+        write_patterns(&dir, &vocab, result.arena()).unwrap();
         let path = dir.join(which);
         let bytes = std::fs::read(&path).unwrap();
 

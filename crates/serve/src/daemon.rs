@@ -188,8 +188,9 @@ fn open_index(dir: &Path) -> Result<PatternIndexReader> {
     Ok(PatternIndexReader::open(dir)?)
 }
 
-/// Mines the corpus and writes `index_root/index-<round>`, replacing any
-/// stale directory of the same name from a crashed earlier run.
+/// Mines the corpus and writes `index_root/index-<round>` straight from the
+/// result's pattern arena, replacing any stale directory of the same name
+/// from a crashed earlier run.
 fn mine_and_index(
     corpus_dir: &Path,
     index_root: &Path,
@@ -202,7 +203,7 @@ fn mine_and_index(
     let reader = CorpusReader::open(corpus_dir)?;
     health.set_store(reader.num_generations() as u64, reader.len());
     let result = reader.mine(lash, params)?;
-    let patterns = result.patterns();
+    let patterns = result.arena();
     health.set_phase(Phase::Index);
     let dir = index_root.join(format!("index-{round}"));
     if dir.exists() {

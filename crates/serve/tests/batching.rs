@@ -23,7 +23,7 @@ fn serve_example(tag: &str) -> (Arc<QueryService>, Server, Vec<Query>, PathBuf) 
     let (vocab, db) = paper_example();
     let params = GsmParams::new(2, 1, 3).unwrap();
     let result = Lash::default().mine(&db, &vocab, &params).unwrap();
-    write_patterns(&dir, &vocab, result.patterns()).unwrap();
+    write_patterns(&dir, &vocab, result.arena()).unwrap();
     let service = Arc::new(QueryService::new(PatternIndexReader::open(&dir).unwrap()));
     let config = ServeConfig::default().with_worker_threads(1);
     let server = Server::start(Arc::clone(&service), &config).unwrap();

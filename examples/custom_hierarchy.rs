@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let flat_items: Vec<_> = flat.patterns().iter().map(|p| p.items.clone()).collect();
     let stats = output_stats(
         &gsm_items,
-        result.pattern_set(),
+        &result.pattern_set(),
         &flat_items,
         result.context().space(),
         &vocab,

@@ -28,11 +28,11 @@ fn main() -> Result<(), lash::Error> {
         db.len()
     );
 
-    // Build the index: the deterministic sorted mining output, laid out
-    // once as a block-structured prefix trie.
+    // Build the index: the mined patterns, streamed from the result in
+    // item-id order and laid out once as a block-structured prefix trie.
     let dir = std::env::temp_dir().join(format!("lash-query-service-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let summary = lash::index::write_patterns(&dir, &vocab, &patterns)?;
+    let summary = lash::index::write_patterns(&dir, &vocab, result.arena())?;
     println!(
         "indexed: {} patterns, {} trie nodes, {:.1} KiB arena",
         summary.num_patterns,
@@ -126,7 +126,7 @@ fn main() -> Result<(), lash::Error> {
     let restricted = Lash::default().mine(&db, &vocab, &strict)?;
     let dir2 = std::env::temp_dir().join(format!("lash-query-service-v2-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir2);
-    lash::index::write_patterns(&dir2, &vocab, restricted.patterns())?;
+    lash::index::write_patterns(&dir2, &vocab, restricted.arena())?;
     service.swap(PatternIndexReader::open(&dir2)?);
     println!(
         "\nswapped in re-mined index: {} → {} patterns (σ {} → {})",

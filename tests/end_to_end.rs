@@ -49,7 +49,7 @@ fn lash_agrees_with_naive_on_text_corpus() {
         .unwrap();
     let ctx = MiningContext::build(&db, &vocab, params.sigma);
     let (naive, _) = run_naive(&ctx, &params, &EngineConfig::default()).unwrap();
-    assert_eq!(lash.pattern_set(), &naive);
+    assert_eq!(lash.pattern_set(), naive);
     assert!(!naive.is_empty(), "test corpus should produce patterns");
 }
 
@@ -74,7 +74,7 @@ fn all_miners_agree_on_product_corpus() {
             result.pattern_set(),
             "miner {} diverged: {:?}",
             miner.name(),
-            reference.pattern_set().diff(result.pattern_set())
+            reference.pattern_set().diff(&result.pattern_set())
         );
     }
     assert!(!reference.pattern_set().is_empty());

@@ -109,7 +109,7 @@ proptest! {
             runs.push((miner.name(), mine(config().with_miner(miner))));
         }
         for (name, result) in &runs {
-            let got = by_item_ids(result.context(), result.pattern_set());
+            let got = by_item_ids(result.context(), &result.pattern_set());
             prop_assert_eq!(&expected, &got, "{}", name);
         }
         let ctx = MiningContext::build(&db, &vocab, sigma);
@@ -121,7 +121,7 @@ proptest! {
         let flat = mine(config().with_hierarchy(false));
         prop_assert_eq!(
             &oracle_patterns(&db, |_| None, &params),
-            &by_item_ids(flat.context(), flat.pattern_set()),
+            &by_item_ids(flat.context(), &flat.pattern_set()),
             "no hierarchy"
         );
     }

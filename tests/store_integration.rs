@@ -8,6 +8,7 @@ use lash::context::MiningContext;
 use lash::datagen::{TextConfig, TextCorpus, TextHierarchy};
 use lash::flist::FList;
 use lash::miner::{LocalMiner, PsmMiner};
+use lash::pattern::PatternArena;
 use lash::rewrite::{RewriteScratch, Rewriter};
 use lash::sequence::Partition;
 use lash::store::{CorpusReader, Partitioning, StoreOptions};
@@ -65,12 +66,12 @@ fn cold_reopened_corpus_mines_identically_to_memory() {
     let store_result = reader.mine(&Lash::default(), &params).unwrap();
     assert_eq!(
         named(
-            store_result.pattern_set(),
+            &store_result.pattern_set(),
             store_result.context(),
             reader.vocabulary()
         ),
         named(
-            in_memory.pattern_set(),
+            &in_memory.pattern_set(),
             in_memory.context(),
             reader.vocabulary()
         ),
@@ -111,7 +112,7 @@ fn psm_local_miner_from_store_matches_memory() {
     let ctx = MiningContext::from_flist_only(reader.vocabulary(), flist, sigma);
     let rewriter = Rewriter::new(ctx.space(), &params);
     let miner = PsmMiner::indexed();
-    let mut mined = PatternSet::new();
+    let mut mined = PatternArena::new();
     let mut ranked = Vec::new();
     let mut scratch = RewriteScratch::default();
     for pivot in 0..ctx.space().num_frequent() {
@@ -125,13 +126,13 @@ fn psm_local_miner_from_store_matches_memory() {
             }
         }
         let partition = Partition::aggregate(raw.iter());
-        let (patterns, _) = miner.mine(&partition, pivot, ctx.space(), &params);
-        mined.merge(patterns);
+        miner.mine(&partition, pivot, ctx.space(), &params, &mut mined);
     }
+    let mined: PatternSet = mined.iter().map(|(p, f)| (p.to_vec(), f)).collect();
 
     assert_eq!(
         named(&mined, &ctx, reader.vocabulary()),
-        named(in_memory.pattern_set(), in_memory.context(), &vocab),
+        named(&in_memory.pattern_set(), in_memory.context(), &vocab),
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -142,7 +143,7 @@ fn all_partitionings_and_miners_agree_from_store() {
     let params = GsmParams::new(12, 1, 3).unwrap();
     let want = {
         let r = Lash::default().mine(&db, &vocab, &params).unwrap();
-        named(r.pattern_set(), r.context(), &vocab)
+        named(&r.pattern_set(), r.context(), &vocab)
     };
     for (tag, partitioning) in [
         ("hash1", Partitioning::hash(1)),
@@ -161,7 +162,7 @@ fn all_partitionings_and_miners_agree_from_store() {
                 .mine(&Lash::new(LashConfig::default().with_miner(miner)), &params)
                 .unwrap();
             assert_eq!(
-                named(result.pattern_set(), result.context(), reader.vocabulary()),
+                named(&result.pattern_set(), result.context(), reader.vocabulary()),
                 want,
                 "partitioning {tag}, miner {}",
                 miner.name()
@@ -186,8 +187,8 @@ fn sketchless_corpus_falls_back_to_scan_preprocessing() {
     assert!(reader.flist().unwrap().is_none());
     let result = reader.mine(&Lash::default(), &params).unwrap();
     assert_eq!(
-        named(result.pattern_set(), result.context(), reader.vocabulary()),
-        named(in_memory.pattern_set(), in_memory.context(), &vocab),
+        named(&result.pattern_set(), result.context(), reader.vocabulary()),
+        named(&in_memory.pattern_set(), in_memory.context(), &vocab),
     );
     // Without sketches the sharded f-list job did run — one record per shard.
     assert_eq!(
@@ -211,7 +212,7 @@ fn incrementally_grown_corpus_mines_like_a_rewritten_one() {
     let oneshot = CorpusReader::open(&oneshot_dir).unwrap();
     let want = {
         let r = oneshot.mine(&Lash::default(), &params).unwrap();
-        named(r.pattern_set(), r.context(), oneshot.vocabulary())
+        named(&r.pattern_set(), r.context(), oneshot.vocabulary())
     };
 
     let grown_dir = temp_dir("gen-grown");
@@ -233,7 +234,7 @@ fn incrementally_grown_corpus_mines_like_a_rewritten_one() {
     assert_eq!(grown.len(), db.len() as u64);
     let got = {
         let r = grown.mine(&Lash::default(), &params).unwrap();
-        named(r.pattern_set(), r.context(), grown.vocabulary())
+        named(&r.pattern_set(), r.context(), grown.vocabulary())
     };
     assert_eq!(got, want, "generation-grown corpus mined differently");
 
@@ -246,7 +247,7 @@ fn incrementally_grown_corpus_mines_like_a_rewritten_one() {
     assert_eq!(compacted.num_generations(), 1);
     let got = {
         let r = compacted.mine(&Lash::default(), &params).unwrap();
-        named(r.pattern_set(), r.context(), compacted.vocabulary())
+        named(&r.pattern_set(), r.context(), compacted.vocabulary())
     };
     assert_eq!(got, want, "compacted corpus mined differently");
 
