@@ -176,15 +176,14 @@ pub fn write_frame_with(
     writer.write_all(&kind.compute(payload).to_le_bytes())
 }
 
-/// Reads only a frame's varint length prefix, for callers that want to seek
-/// past the frame instead of reading it.
+/// Reads only a frame's varint length prefix, byte by byte so nothing past
+/// the frame is consumed.
 ///
 /// Returns `Ok(Some(n))` where `n` is the number of bytes remaining in the
-/// frame after the prefix (payload plus checksum trailer) — the caller skips
-/// the frame by advancing exactly `n` bytes. A stream already at
-/// end-of-stream returns `Ok(None)`; a stream ending inside the prefix or an
-/// over-long length is an error.
-pub fn read_frame_len(reader: &mut impl Read) -> io::Result<Option<u64>> {
+/// frame after the prefix (payload plus checksum trailer). A stream already
+/// at end-of-stream returns `Ok(None)`; a stream ending inside the prefix or
+/// an over-long length is an error.
+fn read_frame_len(reader: &mut impl Read) -> io::Result<Option<u64>> {
     let mut prefix = [0u8; varint::MAX_LEN_U32];
     let mut filled = 0usize;
     loop {
@@ -264,7 +263,6 @@ pub fn read_frame_into(
     buf: &mut Vec<u8>,
     kind: FrameChecksum,
 ) -> io::Result<Option<usize>> {
-    // Read the varint length byte-by-byte so we never consume past the frame.
     let Some(remaining) = read_frame_len(reader)? else {
         return Ok(None);
     };

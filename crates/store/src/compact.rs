@@ -5,7 +5,8 @@
 //! Compaction is **size-tiered**: the planner picks the cheapest window of
 //! adjacent generations (adjacency preserves the ascending-sequence-id
 //! invariant every shard scan relies on) and the executor stream-merges
-//! their blocks — shard by shard, one block resident at a time — into one
+//! their blocks — shard by shard, one decoded block at a time, through the
+//! same validated mapped-segment cursor every reader scan uses — into one
 //! new sealed generation, re-blocking at a fresh payload budget and
 //! recomputing G1 sketches. The result is committed with the same
 //! manifest-swap protocol as ingest (see [`crate::generations`]); the
@@ -29,7 +30,7 @@ use std::time::{Duration, Instant};
 
 use crate::format::{self, GenerationMeta, Manifest};
 use crate::generations::{read_manifest, write_manifest};
-use crate::reader::ShardScan;
+use crate::reader::{map_shard, ScanSpace, ShardScan};
 use crate::writer::SegmentSetWriter;
 use crate::{pins, Result, StoreError};
 
@@ -451,22 +452,14 @@ fn merge_window(
     )?;
     let parallelism = config.effective_parallelism(num_shards as usize);
     segments.par_shards(parallelism, |shard, out| {
-        let paths = window
-            .iter()
-            .map(|g| {
-                dir.join(format::generation_dir_name(g.id))
-                    .join(format::shard_file_name(shard as u32))
-            })
-            .collect();
         // The merge reads and re-appends id-space items: `append` re-ranks
         // them itself, so the scan stays in item space.
-        let mut scan = ShardScan::open_chain(
-            paths,
-            shard as u32,
+        let mut scan = ShardScan::new(
+            map_shard(dir, window, shard)?,
+            Arc::clone(&manifest.rank_order),
             vocab.len() as u32,
             None,
-            Arc::clone(&manifest.rank_order),
-            crate::reader::ScanSpace::Items,
+            ScanSpace::Items,
         );
         while let Some(batch) = scan.next_batch()? {
             // Budget on the batch's decoded item footprint — a

@@ -104,15 +104,10 @@ pub(crate) fn sync_dir(dir: &Path) -> Result<()> {
     Ok(())
 }
 
-/// Reads one frame that must exist (EOF is corruption) into a caller-owned
-/// reusable buffer; returns the payload length (see
-/// [`frame::read_frame_into`]). Shared with `reader.rs` so every segment
-/// and manifest read goes through the same grow-only-buffer path.
-pub(crate) fn read_required_frame(
-    reader: &mut impl Read,
-    buf: &mut Vec<u8>,
-    what: &str,
-) -> Result<usize> {
+/// Reads one manifest frame that must exist (EOF is corruption) into a
+/// caller-owned reusable buffer; returns the payload length (see
+/// [`frame::read_frame_into`]).
+fn read_required_frame(reader: &mut impl Read, buf: &mut Vec<u8>, what: &str) -> Result<usize> {
     match frame::read_frame_into(reader, buf, FrameChecksum::Fnv1a)? {
         Some(len) => Ok(len),
         None => Err(StoreError::Corrupt(format!("missing {what} frame"))),

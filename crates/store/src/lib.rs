@@ -47,11 +47,12 @@
 //! is format version 4 ([`FORMAT_VERSION`]), the only format the crate reads
 //! or writes; see [`format`] for the exact layout.
 //!
-//! The push-style mining scans memory-map segment files when the platform
-//! supports it (heap-loading them otherwise): checksums are validated once
-//! at a shard's first scan, then blocks decode from zero-copy windows on the
-//! calling thread. The pull-style [`ShardScan`] streams through a buffered
-//! reader one block at a time.
+//! Every read — the mining jobs' push scans, the pull [`ShardScan`], the
+//! sketch f-list and compaction's merge — goes through one engine: segment
+//! files are memory-mapped when the platform supports it (heap-loaded
+//! otherwise), every checksum and each segment's block count against the
+//! manifest are validated once at a shard's first read, and blocks then
+//! decode from zero-copy windows on the calling thread.
 //!
 //! ## The corpus lifecycle
 //!
@@ -81,13 +82,15 @@
 //!
 //! [`CorpusReader`] opens a corpus cold and exposes:
 //!
-//! * [`CorpusReader::scan_shard`] — a streaming [`ShardScan`] iterator
-//!   (chained across generations);
+//! * [`CorpusReader::scan_shard`] — a [`ShardScan`] cursor over the
+//!   shard's mapped segments (chained across generations), read block by
+//!   block or record by record;
 //! * [`CorpusReader::par_scan`] — a parallel multi-shard scan;
 //! * the [`ShardedCorpus`](lash_core::ShardedCorpus) impl, which plugs the
 //!   corpus straight into `lash-core`'s distributed jobs: each map task
 //!   streams one shard (`Lash::mine_sharded`);
-//! * [`CorpusReader::flist`] — the f-list assembled from block headers;
+//! * [`CorpusReader::flist`] — the f-list assembled from block headers'
+//!   sketches, without decoding a payload;
 //! * [`CorpusReader::mine`] — the full LASH pipeline from storage.
 //!
 //! ```

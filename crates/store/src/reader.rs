@@ -1,6 +1,15 @@
-//! The corpus reader: cold open, streaming shard scans chained across
-//! generations, parallel multi-shard scans, header-only f-lists, and the
-//! bridge into the distributed mining jobs.
+//! The corpus reader: cold open, shard scans chained across generations,
+//! parallel multi-shard scans, the sketch f-list, and the bridge into the
+//! distributed mining jobs.
+//!
+//! Every read goes through one engine. A shard's segment files are mapped
+//! once per reader (`MappedSegment`), and that open verifies every frame
+//! checksum and each generation's block count against the manifest. A
+//! [`ShardScan`] cursor then decodes the selected blocks from zero-copy
+//! windows into one reused batch. The pull API, the mining jobs' push scans
+//! and compaction's merge all drive that cursor; [`CorpusReader::flist`]
+//! and [`CorpusReader::block_headers`] read the headers the validation walk
+//! already decoded.
 //!
 //! A [`CorpusReader`] is a **snapshot**: it is pinned to the manifest
 //! version it opened and resolves every segment path through its own copy
@@ -8,8 +17,6 @@
 //! invisible until the corpus is re-opened. See [`crate::generations`] for
 //! the sealing protocol.
 
-use std::fs::File;
-use std::io::{BufReader, Seek};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -24,7 +31,7 @@ use lash_core::vocabulary::{ItemId, Vocabulary};
 use lash_encoding::frame;
 
 use crate::format::{self, BlockHeader, GenerationMeta, Manifest, RankOrder};
-use crate::generations::{read_manifest, read_required_frame};
+use crate::generations::read_manifest;
 use crate::{Result, StoreError};
 
 /// The item space a scan delivers sequences in. Blocks store ranks; the
@@ -46,13 +53,13 @@ pub struct CorpusReader {
     dir: PathBuf,
     manifest: Manifest,
     vocab: Vocabulary,
-    /// Mapped-segment cache, one entry per scanned shard: every segment
-    /// checksum is verified once, at the shard's first push scan, and
-    /// later scans reuse the validated maps with no further hashing or
-    /// syscalls — a mining run re-scans each shard once per level, so the
-    /// validation pass amortizes to zero. Safe to cache because the reader
-    /// is pinned to its manifest snapshot (segment files are immutable once
-    /// sealed).
+    /// Mapped-segment cache, one entry per read shard: every segment
+    /// checksum and block count is verified once, at the shard's first read
+    /// of any kind, and later reads reuse the validated maps with no further
+    /// hashing or syscalls — a mining run reads each shard once for the
+    /// f-list and once per level, so the validation pass amortizes to zero.
+    /// Safe to cache because the reader is pinned to its manifest snapshot
+    /// (segment files are immutable once sealed).
     mapped: Mutex<std::collections::HashMap<usize, Arc<Vec<MappedSegment>>>>,
     /// Pins this snapshot's generations in the process-wide registry
     /// ([`crate::pins`]): compaction defers deleting replaced directories
@@ -135,34 +142,19 @@ impl CorpusReader {
         &self.manifest.generations
     }
 
-    /// The segment files holding `shard`, one per generation, in
-    /// generation order.
-    fn segment_paths(&self, shard: usize) -> Vec<PathBuf> {
-        self.manifest
-            .generations
-            .iter()
-            .map(|g| {
-                self.dir
-                    .join(format::generation_dir_name(g.id))
-                    .join(format::shard_file_name(shard as u32))
-            })
-            .collect()
-    }
-
     /// The shard's mapped (and open-time-validated) segments, reused across
-    /// scans: the first push scan of a shard pays for the mmap and the
-    /// checksum walk; every later one starts decoding immediately.
+    /// reads: the first read of a shard pays for the mmap and the checksum
+    /// walk; every later one starts decoding immediately.
     fn mapped_segments(&self, shard: usize) -> Result<Arc<Vec<MappedSegment>>> {
+        if shard >= self.num_shards() {
+            return Err(StoreError::Corrupt(format!("no shard {shard} in manifest")));
+        }
         if let Some(segments) = self.mapped.lock().expect("mapped cache lock").get(&shard) {
             return Ok(Arc::clone(segments));
         }
         // Open outside the lock so slow first-time validation of one shard
         // never blocks scans of already-cached shards.
-        let mut segments = Vec::new();
-        for path in self.segment_paths(shard) {
-            segments.push(MappedSegment::open(&path, shard as u32)?);
-        }
-        let segments = Arc::new(segments);
+        let segments = map_shard(&self.dir, &self.manifest.generations, shard)?;
         self.mapped
             .lock()
             .expect("mapped cache lock")
@@ -170,36 +162,40 @@ impl CorpusReader {
         Ok(segments)
     }
 
-    /// Opens a streaming scan over one shard, transparently chaining the
-    /// shard's blocks across all generations.
-    pub fn scan_shard(&self, shard: usize) -> Result<ShardScan<'static>> {
-        Ok(ShardScan::open_chain(
-            self.segment_paths(shard),
-            shard as u32,
-            self.vocab.len() as u32,
-            None,
+    /// A cursor over the shard's mapped segments.
+    fn shard_scan<'f>(
+        &self,
+        shard: usize,
+        filter: Option<BlockFilter<'f>>,
+        space: ScanSpace,
+    ) -> Result<ShardScan<'f>> {
+        Ok(ShardScan::new(
+            self.mapped_segments(shard)?,
             Arc::clone(&self.manifest.rank_order),
-            ScanSpace::Items,
+            self.vocab.len() as u32,
+            filter,
+            space,
         ))
     }
 
+    /// Opens a streaming scan over one shard, transparently chaining the
+    /// shard's blocks across all generations. The shard's segments are
+    /// mapped and validated here, on its first read, so a damaged or
+    /// truncated segment fails this call.
+    pub fn scan_shard(&self, shard: usize) -> Result<ShardScan<'static>> {
+        self.shard_scan(shard, None, ScanSpace::Items)
+    }
+
     /// Opens a streaming scan over one shard that decodes only blocks whose
-    /// header passes `filter`; rejected blocks' payloads are seeked over
-    /// without being read. With per-block G1 sketches this turns a full
-    /// shard scan into a few header reads on long-tail shards.
+    /// header passes `filter`; rejected blocks are stepped over without
+    /// decoding their payload. With per-block G1 sketches this turns a full
+    /// shard scan into a walk over a few headers on long-tail shards.
     pub fn scan_shard_filtered<'f>(
         &self,
         shard: usize,
         filter: BlockFilter<'f>,
     ) -> Result<ShardScan<'f>> {
-        Ok(ShardScan::open_chain(
-            self.segment_paths(shard),
-            shard as u32,
-            self.vocab.len() as u32,
-            Some(filter),
-            Arc::clone(&self.manifest.rank_order),
-            ScanSpace::Items,
-        ))
+        self.shard_scan(shard, Some(filter), ScanSpace::Items)
     }
 
     /// Iterates every sequence of the corpus, shard by shard (storage
@@ -233,6 +229,16 @@ impl CorpusReader {
         T: Send,
         F: Fn(usize, ShardScan<'static>) -> Result<T> + Sync,
     {
+        self.par_shards(parallelism, |shard| f(shard, self.scan_shard(shard)?))
+    }
+
+    /// Runs `f` on every shard with up to `parallelism` threads; results
+    /// come back in shard order, the first error wins.
+    fn par_shards<T, F>(&self, parallelism: usize, f: F) -> Result<Vec<T>>
+    where
+        T: Send,
+        F: Fn(usize) -> Result<T> + Sync,
+    {
         let n = self.num_shards();
         let slots: Vec<Mutex<Option<Result<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let cursor = AtomicUsize::new(0);
@@ -244,8 +250,7 @@ impl CorpusReader {
                     if shard >= n {
                         break;
                     }
-                    let result = self.scan_shard(shard).and_then(|scan| f(shard, scan));
-                    *slots[shard].lock().expect("scan slot lock") = Some(result);
+                    *slots[shard].lock().expect("shard slot lock") = Some(f(shard));
                 });
             }
         });
@@ -253,7 +258,7 @@ impl CorpusReader {
             .into_iter()
             .map(|m| {
                 m.into_inner()
-                    .expect("scan slot lock")
+                    .expect("shard slot lock")
                     .expect("every shard visited")
             })
             .collect()
@@ -291,62 +296,47 @@ impl CorpusReader {
         Ok(db)
     }
 
-    /// Iterates the block headers of one shard — across all generations —
-    /// without decoding (or even reading) any payload; payload frames are
-    /// seeked over. The iterator cross-checks each generation's block count
-    /// against the manifest, so a truncated segment surfaces as an error
-    /// even though no payload is read.
-    pub fn block_headers(&self, shard: usize) -> Result<BlockHeaders> {
-        if shard >= self.num_shards() {
-            return Err(StoreError::Corrupt(format!("no shard {shard} in manifest")));
-        }
-        let segments: Vec<(PathBuf, u64)> = self
-            .manifest
-            .generations
+    /// The block headers of one shard across all generations, in storage
+    /// order. They are the headers the shard's validation walk decoded, so
+    /// every payload checksum and each generation's block count against the
+    /// manifest have been verified before this returns.
+    pub fn block_headers(&self, shard: usize) -> Result<Vec<BlockHeader>> {
+        Ok(self
+            .mapped_segments(shard)?
             .iter()
-            .map(|g| {
-                (
-                    self.dir
-                        .join(format::generation_dir_name(g.id))
-                        .join(format::shard_file_name(shard as u32)),
-                    g.shards[shard].blocks,
-                )
-            })
-            .collect();
-        Ok(BlockHeaders {
-            shard: shard as u32,
-            pending: segments.into_iter(),
-            current: None,
-            done: false,
-        })
+            .flat_map(|segment| segment.blocks.iter().map(|(header, _)| header.clone()))
+            .collect())
     }
 
-    /// Assembles the generalized f-list from block headers alone.
+    /// Assembles the generalized f-list from the block headers' G1 sketches.
     ///
     /// Returns `Ok(None)` when the corpus was written without sketches; the
     /// caller then falls back to a full scan (`compute_flist_sharded`).
-    /// With sketches this reads only header frames — no payload is decoded,
-    /// which on a large corpus is the difference between touching a few
-    /// kilobytes of headers and every byte of the store. The per-generation
-    /// sketches need no special handling: counts are additive, so chaining
-    /// headers across generations merges them into one corpus-wide f-list.
+    /// With sketches no payload is decoded. The shards are mapped and
+    /// validated on the way, so the mine that follows scans maps this call
+    /// already checked. The per-generation sketches need no special
+    /// handling: counts are additive, so chaining headers across
+    /// generations merges them into one corpus-wide f-list.
     pub fn flist(&self) -> Result<Option<FList>> {
         if !self.manifest.sketches {
             return Ok(None);
         }
-        let vocab_len = self.vocab.len() as u32;
-        let partial = self.par_scan_headers(|header, doc_freq: &mut Vec<u64>| {
-            for &(item, count) in &header.sketch {
-                if item >= vocab_len {
-                    return Err(StoreError::Corrupt(format!(
-                        "sketch item {item} outside vocabulary"
-                    )));
+        let vocab_len = self.vocab.len();
+        let partial = self.par_shards(available_threads(), |shard| {
+            let mut doc_freq = vec![0u64; vocab_len];
+            for segment in self.mapped_segments(shard)?.iter() {
+                for (header, _) in &segment.blocks {
+                    for &(item, count) in &header.sketch {
+                        let slot = doc_freq.get_mut(item as usize).ok_or_else(|| {
+                            StoreError::Corrupt(format!("sketch item {item} outside vocabulary"))
+                        })?;
+                        *slot += count as u64;
+                    }
                 }
-                doc_freq[item as usize] += count as u64;
             }
-            Ok(())
+            Ok(doc_freq)
         })?;
-        let mut doc_freq = vec![0u64; self.vocab.len()];
+        let mut doc_freq = vec![0u64; vocab_len];
         for shard_freq in partial {
             for (i, f) in shard_freq.into_iter().enumerate() {
                 doc_freq[i] += f;
@@ -363,52 +353,13 @@ impl CorpusReader {
         Ok(Some(flist))
     }
 
-    /// Folds every block header of every shard, in parallel, into one
-    /// accumulator per shard.
-    fn par_scan_headers<F>(&self, fold: F) -> Result<Vec<Vec<u64>>>
-    where
-        F: Fn(&BlockHeader, &mut Vec<u64>) -> Result<()> + Sync,
-    {
-        let vocab_len = self.vocab.len();
-        let n = self.num_shards();
-        let slots: Vec<Mutex<Option<Result<Vec<u64>>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..n.max(1).min(available_threads()) {
-                scope.spawn(|| loop {
-                    let shard = cursor.fetch_add(1, Ordering::Relaxed);
-                    if shard >= n {
-                        break;
-                    }
-                    let result = (|| {
-                        let mut acc = vec![0u64; vocab_len];
-                        for header in self.block_headers(shard)? {
-                            fold(&header?, &mut acc)?;
-                        }
-                        Ok(acc)
-                    })();
-                    *slots[shard].lock().expect("header slot lock") = Some(result);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .expect("header slot lock")
-                    .expect("every shard visited")
-            })
-            .collect()
-    }
-
-    /// Runs the full LASH pipeline from storage: the f-list comes from
-    /// block headers when available (header-only preprocessing), and both
-    /// distributed jobs stream shards via the [`ShardedCorpus`] impl — one
-    /// map task per shard.
+    /// Runs the full LASH pipeline from storage: the f-list comes from the
+    /// block headers' sketches when available (no payload is decoded for
+    /// it), and both distributed jobs stream shards via the
+    /// [`ShardedCorpus`] impl — one map task per shard.
     pub fn mine(&self, lash: &Lash, params: &GsmParams) -> lash_core::error::Result<LashResult> {
         // A hierarchy-ignoring run discards any hierarchy-closed f-list, so
-        // skip the header pass entirely in that mode.
+        // skip the sketch pass entirely in that mode.
         let flist = if lash.config().ignore_hierarchy {
             None
         } else {
@@ -418,71 +369,17 @@ impl CorpusReader {
         lash.mine_sharded(self, &self.vocab, params, flist)
     }
 
-    /// Drives `f` over every sequence of `shard` whose block passes `filter`,
-    /// delivered in `space` — the one engine behind the [`ShardedCorpus`]
-    /// push scans. Segments are memory-mapped with every checksum verified
-    /// once, at the shard's **first** scan (repeat scans reuse the reader's
-    /// validated maps); each selected block is then decoded from its
-    /// zero-copy window into one reused batch, on the calling thread. (A
-    /// decode-ahead thread was measured 25–50% slower than decoding inline,
-    /// even with an idle second core, and inside a mine job every core
-    /// already runs a map task.)
+    /// Drives `f` over every sequence of `shard`, delivered in `space` —
+    /// the push scans behind the [`ShardedCorpus`] impl, a loop over the
+    /// same [`ShardScan`] cursor as every other read. With a `relevant`
+    /// predicate on a corpus with sketches, every block whose G1 sketch
+    /// holds no relevant item is skipped: the sketch lists every item of
+    /// the block's G1 closures, so such a block holds no relevant sequence.
+    /// Blocks decode on the calling thread (a decode-ahead thread was
+    /// measured 25–50% slower than decoding inline, even with an idle
+    /// second core, and inside a mine job every core already runs a map
+    /// task). Store errors become the mining engine's.
     fn push_scan(
-        &self,
-        shard: usize,
-        filter: Option<&dyn Fn(&BlockHeader) -> bool>,
-        space: ScanSpace,
-        f: &mut dyn FnMut(u64, &[ItemId]),
-    ) -> Result<()> {
-        let vocab_len = self.vocab.len() as u32;
-        let rank = &*self.manifest.rank_order;
-        let segments = self.mapped_segments(shard)?;
-        let mut blocks_decoded = 0u64;
-        let mut blocks_pruned = 0u64;
-        let mut scratch = DecodeScratch::default();
-        let mut batch = SequenceBatch::default();
-        let result = (|| {
-            for segment in segments.iter() {
-                // Headers all came out of the open-time validation walk, so
-                // filtering costs no I/O.
-                for (i, (header, _)) in segment.blocks.iter().enumerate() {
-                    if filter.is_some_and(|keep| !keep(header)) {
-                        blocks_pruned += 1;
-                        continue;
-                    }
-                    decode_block_into(
-                        header,
-                        segment.payload(i),
-                        vocab_len,
-                        &mut batch,
-                        &mut scratch,
-                        space,
-                        rank,
-                    )?;
-                    blocks_decoded += 1;
-                    for (id, items) in batch.iter() {
-                        f(id, items);
-                    }
-                }
-            }
-            Ok(())
-        })();
-        let obs = lash_obs::global();
-        if blocks_decoded != 0 {
-            obs.counter("store.scan.blocks_decoded").add(blocks_decoded);
-        }
-        if blocks_pruned != 0 {
-            obs.counter("store.scan.blocks_pruned").add(blocks_pruned);
-        }
-        result
-    }
-
-    /// A [`CorpusReader::push_scan`] that skips every block whose G1 sketch
-    /// holds no `relevant` item — the sketch lists every item of the block's
-    /// G1 closures, so such a block holds no relevant sequence. No predicate,
-    /// or a corpus without sketches, scans every block. Store errors become
-    /// the mining engine's.
-    fn sketch_pruned_scan(
         &self,
         shard: usize,
         relevant: Option<&(dyn Fn(ItemId) -> bool + Sync)>,
@@ -500,15 +397,16 @@ impl CorpusReader {
                     .any(|&(item, _)| table.get(item as usize).copied().unwrap_or(false))
             }
         });
-        self.push_scan(
-            shard,
-            filter
-                .as_ref()
-                .map(|keep| keep as &dyn Fn(&BlockHeader) -> bool),
-            space,
-            f,
-        )
-        .map_err(|e| {
+        let result = (|| {
+            let mut scan = self.shard_scan(shard, filter.as_ref().map(|keep| keep as _), space)?;
+            while let Some(batch) = scan.next_batch()? {
+                for (id, items) in batch.iter() {
+                    f(id, items);
+                }
+            }
+            Ok(())
+        })();
+        result.map_err(|e: StoreError| {
             lash_obs::flight::record_error("store.scan", &e.to_string());
             CoreError::Engine(format!("store scan: {e}"))
         })
@@ -553,7 +451,7 @@ impl ShardedCorpus for CorpusReader {
         f: &mut dyn FnMut(u64, &[ItemId]),
     ) -> lash_core::error::Result<()> {
         let _scan_span = lash_obs::span!("store.scan.shard", shard = shard);
-        self.sketch_pruned_scan(shard, None, ScanSpace::Items, f)
+        self.push_scan(shard, None, ScanSpace::Items, f)
     }
 
     fn scan_shard_pruned(
@@ -567,7 +465,7 @@ impl ShardedCorpus for CorpusReader {
             return ShardedCorpus::scan_shard(self, shard, f);
         }
         let _scan_span = lash_obs::span!("store.scan.shard", shard = shard, pruned = true);
-        self.sketch_pruned_scan(shard, Some(relevant), ScanSpace::Items, f)
+        self.push_scan(shard, Some(relevant), ScanSpace::Items, f)
     }
 
     fn scan_shard_ranked(
@@ -580,7 +478,7 @@ impl ShardedCorpus for CorpusReader {
         // `relevant` stays an id-space predicate — sketches are id-space —
         // while delivery is rank-space: the stored values pass through
         // untouched, which is the map-phase no-op this scan exists for.
-        self.sketch_pruned_scan(shard, Some(relevant), ScanSpace::Ranks, f)
+        self.push_scan(shard, Some(relevant), ScanSpace::Ranks, f)
     }
 }
 
@@ -757,114 +655,26 @@ fn decode_block_into(
 /// worth decoding; see [`CorpusReader::scan_shard_filtered`].
 pub type BlockFilter<'f> = &'f (dyn Fn(&BlockHeader) -> bool + Sync);
 
-/// A positioned reader over one generation's segment file for one shard:
-/// yields raw blocks (header + payload) in storage order, optionally
-/// seeking over filtered-out payloads. Header and payload bytes land in
-/// grow-only reusable buffers, so a scan over thousands of blocks performs
-/// a handful of allocations total.
-pub(crate) struct SegmentScan {
-    file: BufReader<File>,
-    file_len: u64,
-    header_buf: Vec<u8>,
-    payload_buf: Vec<u8>,
-    payload_len: usize,
-    /// Blocks passed by [`SegmentScan::next_header_only`].
-    blocks_seen: u64,
-}
-
-impl SegmentScan {
-    /// Opens `path` and validates its segment header against `shard`.
-    pub(crate) fn open(path: &Path, shard: u32) -> Result<Self> {
-        let handle = File::open(path)?;
-        let file_len = handle.metadata()?.len();
-        let mut file = BufReader::new(handle);
-        // The header read seeds the buffer later block-header frames reuse.
-        let mut header_buf = Vec::new();
-        let len = read_required_frame(&mut file, &mut header_buf, "segment header")?;
-        format::decode_segment_header(&header_buf[..len], shard)?;
-        Ok(SegmentScan {
-            file,
-            file_len,
-            header_buf,
-            payload_buf: Vec::new(),
-            payload_len: 0,
-            blocks_seen: 0,
+/// Maps `shard`'s segment file in each of `generations`, oldest first (see
+/// [`MappedSegment::open`]).
+pub(crate) fn map_shard(
+    dir: &Path,
+    generations: &[GenerationMeta],
+    shard: usize,
+) -> Result<Arc<Vec<MappedSegment>>> {
+    let segments = generations
+        .iter()
+        .map(|g| {
+            let blocks = g.shards.get(shard).map(|s| s.blocks).ok_or_else(|| {
+                StoreError::Corrupt(format!("no shard {shard} in generation {}", g.id))
+            })?;
+            let path = dir
+                .join(format::generation_dir_name(g.id))
+                .join(format::shard_file_name(shard as u32));
+            MappedSegment::open(&path, shard as u32, blocks)
         })
-    }
-
-    /// The payload of the block most recently returned by
-    /// [`SegmentScan::next_block`].
-    fn payload(&self) -> &[u8] {
-        &self.payload_buf[..self.payload_len]
-    }
-
-    /// Seeks past the next frame (a block's payload) without reading it.
-    /// Seeking past EOF succeeds silently, so truncation is caught by
-    /// position.
-    fn skip_payload(&mut self) -> Result<()> {
-        let Some(skip) = frame::read_frame_len(&mut self.file)? else {
-            return Err(StoreError::Corrupt("missing block payload frame".into()));
-        };
-        self.file.seek_relative(skip as i64)?;
-        if self.file.stream_position()? > self.file_len {
-            return Err(StoreError::Corrupt(
-                "segment truncated inside a block payload".into(),
-            ));
-        }
-        Ok(())
-    }
-
-    /// The header-only step: the next block's header, its payload seeked
-    /// over unread and the block counted; `None` at clean end-of-segment.
-    fn next_header_only(&mut self) -> Result<Option<BlockHeader>> {
-        let Some(header_len) =
-            frame::read_frame_into(&mut self.file, &mut self.header_buf, format::BLOCK_CHECKSUM)?
-        else {
-            return Ok(None);
-        };
-        let header = format::decode_block_header(&self.header_buf[..header_len])?;
-        self.skip_payload()?;
-        self.blocks_seen += 1;
-        Ok(Some(header))
-    }
-
-    /// Reads the next block whose header passes `filter` (counting skipped
-    /// blocks into `pruned`); `None` at clean end-of-segment. The payload
-    /// is left in the reusable buffer ([`SegmentScan::payload`]).
-    fn next_block(
-        &mut self,
-        filter: Option<BlockFilter<'_>>,
-        pruned: &mut u64,
-    ) -> Result<Option<BlockHeader>> {
-        loop {
-            let Some(header_len) = frame::read_frame_into(
-                &mut self.file,
-                &mut self.header_buf,
-                format::BLOCK_CHECKSUM,
-            )?
-            else {
-                return Ok(None);
-            };
-            let header = format::decode_block_header(&self.header_buf[..header_len])?;
-            if let Some(filter) = filter {
-                if !filter(&header) {
-                    self.skip_payload()?;
-                    *pruned += 1;
-                    continue;
-                }
-            }
-            let Some(payload_len) = frame::read_frame_into(
-                &mut self.file,
-                &mut self.payload_buf,
-                format::BLOCK_CHECKSUM,
-            )?
-            else {
-                return Err(StoreError::Corrupt("missing block payload frame".into()));
-            };
-            self.payload_len = payload_len;
-            return Ok(Some(header));
-        }
-    }
+        .collect::<Result<Vec<_>>>()?;
+    Ok(Arc::new(segments))
 }
 
 /// One generation's segment file for one shard as a zero-copy view: the
@@ -874,14 +684,19 @@ impl SegmentScan {
 /// further hashing, copying, or syscalls. The per-block headers come out of
 /// the same validation walk for free, so filtering happens before any
 /// decode work is scheduled.
-struct MappedSegment {
+pub(crate) struct MappedSegment {
     frames: frame::MappedFrames,
     /// Every block: decoded header plus its payload's byte range in the map.
     blocks: Vec<(BlockHeader, Range<usize>)>,
 }
 
 impl MappedSegment {
-    fn open(path: &Path, shard: u32) -> Result<Self> {
+    /// Maps and validates the segment at `path`: its header must name
+    /// `shard`, every frame must pass its checksum, and it must hold exactly
+    /// the `blocks` blocks the manifest records for it — a segment cut at a
+    /// block-frame boundary is whole frame by frame, and only the count
+    /// tells.
+    fn open(path: &Path, shard: u32, blocks: u64) -> Result<Self> {
         let frames = frame::MappedFrames::open(path)?;
         let bytes = frames.bytes();
         let corrupt =
@@ -890,7 +705,7 @@ impl MappedSegment {
         // the wide one.
         let (header, mut pos) = frame::decode_frame(bytes).map_err(corrupt)?;
         format::decode_segment_header(header, shard)?;
-        let mut blocks = Vec::new();
+        let mut found = Vec::new();
         while pos < bytes.len() {
             let (header_bytes, consumed) =
                 frame::decode_frame_with(&bytes[pos..], format::BLOCK_CHECKSUM).map_err(corrupt)?;
@@ -902,36 +717,42 @@ impl MappedSegment {
             // The payload sits at the end of its frame, just before the
             // 4-byte checksum trailer.
             let start = pos + consumed - 4 - payload.len();
-            blocks.push((block_header, start..start + payload.len()));
+            found.push((block_header, start..start + payload.len()));
             pos += consumed;
         }
-        Ok(MappedSegment { frames, blocks })
-    }
-
-    /// The payload window of block `i`.
-    fn payload(&self, i: usize) -> &[u8] {
-        &self.frames.bytes()[self.blocks[i].1.clone()]
+        if found.len() as u64 != blocks {
+            return Err(StoreError::Corrupt(format!(
+                "segment holds {} blocks, manifest says {blocks}",
+                found.len()
+            )));
+        }
+        Ok(MappedSegment {
+            frames,
+            blocks: found,
+        })
     }
 }
 
 /// A streaming scan over one shard, yielding `(sequence id, items)` in
-/// storage order and transparently chaining the shard's segment files
-/// across generations (oldest first, so ids stay ascending). Blocks are
-/// read, checksum-verified, and decoded **one block at a time into a shared
-/// batch** (item arena + offsets), so memory stays bounded by one block and
-/// no per-record allocation happens. An optional block filter can skip
-/// whole blocks — their payload frames are seeked over, never read.
+/// storage order and transparently chaining the shard's mapped segments
+/// across generations (oldest first, so ids stay ascending). It is a cursor
+/// — a segment index and a block index — over segments whose checksums were
+/// verified when they were mapped. Blocks are decoded **one block at a
+/// time into a shared batch** (item arena + offsets), so no per-record
+/// allocation happens. An optional block filter skips whole blocks on
+/// their header alone, without decoding their payload. A block that fails
+/// to decode ends the scan.
 pub struct ShardScan<'f> {
-    shard: u32,
-    vocab_len: u32,
-    filter: Option<BlockFilter<'f>>,
+    segments: Arc<Vec<MappedSegment>>,
     /// The corpus rank order, for mapping stored ranks to item ids.
     rank: Arc<RankOrder>,
+    vocab_len: u32,
+    filter: Option<BlockFilter<'f>>,
     /// The item space sequences are delivered in.
     space: ScanSpace,
-    /// Segment files not yet opened, in generation order.
-    pending: std::vec::IntoIter<PathBuf>,
-    current: Option<SegmentScan>,
+    /// The next block to visit: `segments[segment].blocks[block]`.
+    segment: usize,
+    block: usize,
     batch: SequenceBatch,
     scratch: DecodeScratch,
     /// Cursor into `batch` for the record-at-a-time APIs.
@@ -943,45 +764,41 @@ pub struct ShardScan<'f> {
 impl Drop for ShardScan<'_> {
     fn drop(&mut self) {
         // Publish the scan's block totals to the registry once, at end of
-        // scan, so the per-block decode loop never touches it. The global
-        // counters expose the sketch-prune hit rate
-        // (`blocks_pruned / (blocks_pruned + blocks_decoded)`) across all
-        // scans in the process.
+        // scan, so the per-block decode loop never touches it. Every read
+        // of a segment is a `ShardScan`, so this is the one place the
+        // process-wide counters are fed; they expose the sketch-prune hit
+        // rate (`blocks_pruned / (blocks_pruned + blocks_decoded)`).
+        let obs = lash_obs::global();
         if self.blocks_decoded != 0 {
-            lash_obs::global()
-                .counter("store.scan.blocks_decoded")
+            obs.counter("store.scan.blocks_decoded")
                 .add(self.blocks_decoded);
         }
         if self.blocks_pruned != 0 {
-            lash_obs::global()
-                .counter("store.scan.blocks_pruned")
+            obs.counter("store.scan.blocks_pruned")
                 .add(self.blocks_pruned);
         }
     }
 }
 
 impl<'f> ShardScan<'f> {
-    /// Opens a scan chaining `segments` (one per generation, oldest first).
-    /// Files are opened lazily, one at a time.
-    pub(crate) fn open_chain(
-        segments: Vec<PathBuf>,
-        shard: u32,
+    /// A cursor at the first block of `segments` (one per generation,
+    /// oldest first).
+    pub(crate) fn new(
+        segments: Arc<Vec<MappedSegment>>,
+        rank: Arc<RankOrder>,
         vocab_len: u32,
         filter: Option<BlockFilter<'f>>,
-        rank: Arc<RankOrder>,
         space: ScanSpace,
     ) -> Self {
-        let mut batch = SequenceBatch::default();
-        batch.clear();
         ShardScan {
-            shard,
+            segments,
+            rank,
             vocab_len,
             filter,
-            rank,
             space,
-            pending: segments.into_iter(),
-            current: None,
-            batch,
+            segment: 0,
+            block: 0,
+            batch: SequenceBatch::default(),
             scratch: DecodeScratch::default(),
             rec: 0,
             blocks_decoded: 0,
@@ -994,49 +811,47 @@ impl<'f> ShardScan<'f> {
         self.blocks_decoded
     }
 
-    /// Blocks skipped by the filter without reading their payload.
+    /// Blocks skipped by the filter without decoding their payload.
     pub fn blocks_pruned(&self) -> u64 {
         self.blocks_pruned
-    }
-
-    /// Stops the scan (after an error surfaced through the [`Iterator`]
-    /// impl).
-    fn poison(&mut self) {
-        self.current = None;
-        self.pending = Vec::new().into_iter();
     }
 
     /// Decodes the next (unfiltered) block into the shared batch, moving on
     /// to the next generation's segment when the current one ends. Returns
     /// `None` at clean end-of-shard; the returned batch is valid until the
-    /// next call.
+    /// next call. After an error the scan is over: every later call returns
+    /// `None`.
     pub fn next_batch(&mut self) -> Result<Option<&SequenceBatch>> {
-        loop {
-            if self.current.is_none() {
-                match self.pending.next() {
-                    Some(path) => self.current = Some(SegmentScan::open(&path, self.shard)?),
-                    None => return Ok(None),
-                }
+        while let Some(segment) = self.segments.get(self.segment) {
+            let Some((header, payload)) = segment.blocks.get(self.block) else {
+                self.segment += 1;
+                self.block = 0;
+                continue;
+            };
+            self.block += 1;
+            if self.filter.is_some_and(|keep| !keep(header)) {
+                self.blocks_pruned += 1;
+                continue;
             }
-            let segment = self.current.as_mut().expect("opened above");
-            match segment.next_block(self.filter, &mut self.blocks_pruned)? {
-                Some(header) => {
-                    decode_block_into(
-                        &header,
-                        segment.payload(),
-                        self.vocab_len,
-                        &mut self.batch,
-                        &mut self.scratch,
-                        self.space,
-                        &self.rank,
-                    )?;
-                    self.blocks_decoded += 1;
-                    self.rec = 0;
-                    return Ok(Some(&self.batch));
-                }
-                None => self.current = None,
+            let decoded = decode_block_into(
+                header,
+                &segment.frames.bytes()[payload.clone()],
+                self.vocab_len,
+                &mut self.batch,
+                &mut self.scratch,
+                self.space,
+                &self.rank,
+            );
+            if let Err(e) = decoded {
+                self.segment = self.segments.len();
+                self.batch.clear();
+                return Err(e);
             }
+            self.blocks_decoded += 1;
+            self.rec = 0;
+            return Ok(Some(&self.batch));
         }
+        Ok(None)
     }
 
     /// Advances to the next sequence, yielding a borrowed view of its items
@@ -1059,15 +874,9 @@ impl Iterator for ShardScan<'_> {
     type Item = Result<(u64, Vec<ItemId>)>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        match self.next_borrowed() {
-            Ok(Some((id, items))) => Some(Ok((id, items.to_vec()))),
-            Ok(None) => None,
-            Err(e) => {
-                self.poison();
-                self.rec = self.batch.len();
-                Some(Err(e))
-            }
-        }
+        self.next_borrowed()
+            .map(|record| record.map(|(id, items)| (id, items.to_vec())))
+            .transpose()
     }
 }
 
@@ -1103,59 +912,6 @@ impl Iterator for CorpusScan<'_> {
                 }
             }
         }
-    }
-}
-
-/// Iterates the block headers of one shard across all generations, seeking
-/// over payload frames without reading them.
-///
-/// Because payloads are never read, their checksums cannot flag damage —
-/// instead the iterator verifies that every seek stays inside the file and
-/// that each generation's block count matches the manifest, so truncation
-/// is still detected.
-pub struct BlockHeaders {
-    shard: u32,
-    /// Remaining segments as `(path, expected block count)`.
-    pending: std::vec::IntoIter<(PathBuf, u64)>,
-    /// The open segment and the block count the manifest records for it.
-    current: Option<(SegmentScan, u64)>,
-    done: bool,
-}
-
-impl BlockHeaders {
-    fn next_header(&mut self) -> Result<Option<BlockHeader>> {
-        loop {
-            if self.current.is_none() {
-                let Some((path, expected)) = self.pending.next() else {
-                    return Ok(None);
-                };
-                self.current = Some((SegmentScan::open(&path, self.shard)?, expected));
-            }
-            let (segment, expected) = self.current.as_mut().expect("opened above");
-            if let Some(header) = segment.next_header_only()? {
-                return Ok(Some(header));
-            }
-            if segment.blocks_seen != *expected {
-                return Err(StoreError::Corrupt(format!(
-                    "segment holds {} blocks, manifest says {expected}",
-                    segment.blocks_seen
-                )));
-            }
-            self.current = None;
-        }
-    }
-}
-
-impl Iterator for BlockHeaders {
-    type Item = Result<BlockHeader>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        let next = self.next_header().transpose();
-        self.done = !matches!(next, Some(Ok(_)));
-        next
     }
 }
 

@@ -103,17 +103,15 @@ fn files_under(root: &Path) -> Vec<std::path::PathBuf> {
     out
 }
 
-/// Opens the corpus at `dir` and reads it through every path — pull scan
-/// (`to_database`), header walk, header f-list, push scan — returning the
+/// Opens the corpus at `dir` and reads it through every API — pull scan
+/// (`to_database`), block headers, sketch f-list, push scan — returning the
 /// materialized database only when all of them succeed.
 fn read_everything(dir: &Path) -> lash_store::Result<SequenceDatabase> {
     let reader = CorpusReader::open(dir)?;
     let db = reader.to_database()?;
     reader.flist()?;
     for shard in 0..reader.num_shards() {
-        for header in reader.block_headers(shard)? {
-            header?;
-        }
+        reader.block_headers(shard)?;
         ShardedCorpus::scan_shard(&reader, shard, &mut |_, _| {})
             .map_err(|e| lash_store::StoreError::Corrupt(e.to_string()))?;
     }

@@ -3,7 +3,11 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use lash_core::{ItemId, SequenceDatabase, Vocabulary, VocabularyBuilder};
+use lash_core::{
+    GsmParams, ItemId, Lash, LashConfig, SequenceDatabase, ShardedCorpus, Vocabulary,
+    VocabularyBuilder,
+};
+use lash_encoding::frame;
 use lash_store::{CorpusReader, CorpusWriter, Partitioning, StoreError, StoreOptions};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -175,7 +179,7 @@ fn segment_corruption_is_detected_on_scan() {
     bytes[mid] ^= 0xff;
     std::fs::write(&seg, &bytes).unwrap();
     let reader = CorpusReader::open(&dir).unwrap();
-    let outcome: Result<Vec<_>, _> = reader.scan_shard(0).unwrap().collect();
+    let outcome: Result<Vec<_>, _> = reader.scan_shard(0).and_then(|scan| scan.collect());
     assert!(outcome.is_err(), "flipped byte went undetected");
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -191,9 +195,67 @@ fn truncated_segment_is_detected_on_scan() {
     let bytes = std::fs::read(&seg).unwrap();
     std::fs::write(&seg, &bytes[..bytes.len() - 3]).unwrap();
     let reader = CorpusReader::open(&dir).unwrap();
-    let outcome: Result<Vec<_>, _> = reader.scan_shard(0).unwrap().collect();
+    let outcome: Result<Vec<_>, _> = reader.scan_shard(0).and_then(|scan| scan.collect());
     assert!(outcome.is_err(), "truncation went undetected");
     std::fs::remove_dir_all(&dir).unwrap();
+
+    // Cut at a block-frame boundary: every frame left is whole and
+    // checksum-valid, so only the manifest's block count can tell. Every
+    // read path must see it, with and without sketches, and so must a mine
+    // that never asks for the f-list.
+    for sketches in [true, false] {
+        let db = sample_db(&items, 400);
+        let dir = temp_dir("trunc-blocks");
+        let opts = StoreOptions::default()
+            .with_partitioning(Partitioning::hash(1))
+            .with_block_budget(64)
+            .with_sketches(sketches);
+        lash_store::convert::write_database(&dir, &vocab, &db, opts).unwrap();
+        let seg = dir.join("gen-00000").join("shard-00000.seg");
+        let bytes = std::fs::read(&seg).unwrap();
+        let blocks = CorpusReader::open(&dir).unwrap().manifest().shards[0].blocks;
+        assert!(blocks > 2, "need several blocks to cut between ({blocks})");
+        std::fs::write(&seg, &bytes[..block_boundary(&bytes, blocks / 2)]).unwrap();
+
+        let reader = CorpusReader::open(&dir).unwrap();
+        let outcome: Result<Vec<_>, _> = reader.scan_shard(0).and_then(|scan| scan.collect());
+        assert!(
+            outcome.is_err(),
+            "scan_shard accepted a segment missing whole blocks: {:?}",
+            outcome.map(|records| records.len())
+        );
+        let mut seen = 0u64;
+        let outcome = ShardedCorpus::scan_shard(&reader, 0, &mut |_, _| seen += 1);
+        assert!(outcome.is_err(), "push scan delivered {seen} sequences");
+        let outcome = reader.par_scan(2, |_, scan| Ok(scan.count()));
+        assert!(outcome.is_err(), "par_scan returned {outcome:?}");
+        let params = GsmParams::new(2, 0, 3).unwrap();
+        for lash in [
+            Lash::default(),
+            Lash::new(LashConfig::default().with_hierarchy(false)),
+        ] {
+            let outcome = reader.mine(&lash, &params);
+            assert!(
+                outcome.is_err(),
+                "mine (sketches {sketches}, hierarchy {}) returned {:?} patterns",
+                !lash.config().ignore_hierarchy,
+                outcome.map(|result| result.patterns().len())
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// The byte offset in segment `bytes` just past the first `blocks` block
+/// frame pairs (header + payload), walked with the frame decoder.
+fn block_boundary(bytes: &[u8], blocks: u64) -> usize {
+    let (_, mut pos) = frame::decode_frame(bytes).unwrap();
+    for _ in 0..2 * blocks {
+        let (_, consumed) =
+            frame::decode_frame_with(&bytes[pos..], frame::FrameChecksum::Fnv1aWide).unwrap();
+        pos += consumed;
+    }
+    pos
 }
 
 #[test]
@@ -208,24 +270,29 @@ fn truncation_is_detected_by_the_header_only_path() {
     let seg = dir.join("gen-00000").join("shard-00000.seg");
     let bytes = std::fs::read(&seg).unwrap();
 
-    // Cut inside the last block's payload: header frames all intact, so
-    // only the length/count cross-checks can notice.
+    // Cut inside the last block's payload: every header frame is intact,
+    // and the validation walk behind the headers must still notice.
     std::fs::write(&seg, &bytes[..bytes.len() - 3]).unwrap();
     let reader = CorpusReader::open(&dir).unwrap();
-    let outcome: Result<Vec<_>, _> = reader.block_headers(0).unwrap().collect();
-    assert!(outcome.is_err(), "mid-payload truncation went undetected");
+    assert!(
+        reader.block_headers(0).is_err(),
+        "mid-payload truncation went undetected"
+    );
     assert!(
         reader.flist().is_err(),
         "flist accepted a truncated segment"
     );
 
-    // Cut a whole trailing block off (truncate to just past the midpoint
-    // frame boundary): the manifest block count must flag the shortfall.
+    // Cut the second half of the segment off: the frame walk or the
+    // manifest block count must flag the shortfall (the exact
+    // frame-boundary cut is `truncated_segment_is_detected_on_scan`).
     let header_count = reader.manifest().shards[0].blocks;
     assert!(header_count > 1);
     std::fs::write(&seg, &bytes[..bytes.len() / 2]).unwrap();
-    let outcome: Result<Vec<_>, _> = reader.block_headers(0).unwrap().collect();
-    assert!(outcome.is_err(), "missing trailing blocks went undetected");
+    assert!(
+        reader.block_headers(0).is_err(),
+        "missing trailing blocks went undetected"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -259,11 +326,7 @@ fn block_headers_skip_payloads_but_see_all_blocks() {
     lash_store::convert::write_database(&dir, &vocab, &db, opts).unwrap();
     let reader = CorpusReader::open(&dir).unwrap();
     for shard in 0..reader.num_shards() {
-        let headers: Vec<_> = reader
-            .block_headers(shard)
-            .unwrap()
-            .map(|h| h.unwrap())
-            .collect();
+        let headers = reader.block_headers(shard).unwrap();
         let stats = &reader.manifest().shards[shard];
         assert_eq!(headers.len() as u64, stats.blocks);
         assert_eq!(
@@ -368,7 +431,6 @@ fn block_filter_skips_payloads_without_reading_them() {
 
 #[test]
 fn pruned_scan_of_an_empty_shard_yields_nothing() {
-    use lash_core::ShardedCorpus;
     let (vocab, items) = small_vocab();
     // 10 sequences, 4 range shards of 100 ids each: shards 1..4 are empty.
     let db = sample_db(&items, 10);
@@ -394,14 +456,13 @@ fn pruned_scan_of_an_empty_shard_yields_nothing() {
             .unwrap();
         assert_eq!(seen, 0);
         // Header iteration agrees.
-        assert_eq!(reader.block_headers(shard).unwrap().count(), 0);
+        assert!(reader.block_headers(shard).unwrap().is_empty());
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn pruned_scan_where_every_block_is_pruned_skips_all_payloads() {
-    use lash_core::ShardedCorpus;
     let (vocab, items) = small_vocab();
     let db = sample_db(&items, 120);
     let dir = temp_dir("pruned-all");
@@ -430,7 +491,6 @@ fn pruned_scan_where_every_block_is_pruned_skips_all_payloads() {
 
 #[test]
 fn pruned_scan_without_sketches_degrades_to_a_full_scan() {
-    use lash_core::ShardedCorpus;
     let (vocab, items) = small_vocab();
     let db = sample_db(&items, 90);
     let dir = temp_dir("pruned-nosketches");
@@ -461,7 +521,6 @@ fn pruned_scan_without_sketches_degrades_to_a_full_scan() {
 
 #[test]
 fn pruned_trait_scan_respects_the_relevance_contract() {
-    use lash_core::ShardedCorpus;
     let (vocab, items) = small_vocab();
     let db = sample_db(&items, 100);
     let dir = temp_dir("pruned-trait");
@@ -528,7 +587,6 @@ fn pruned_scan_hoists_the_relevance_predicate_per_scan() {
     // The fix under test: `scan_shard_pruned` evaluates `relevant` once per
     // vocabulary item per scan (a hoisted lookup table), not once per
     // (block, sketch entry) — while making *identical* pruning decisions.
-    use lash_core::ShardedCorpus;
     use std::sync::atomic::AtomicUsize;
 
     let (vocab, items) = small_vocab();

@@ -1,15 +1,15 @@
-//! The push scans of the mining path (`ShardedCorpus::scan_shard`,
-//! `scan_shard_pruned`, `scan_shard_ranked` — decoded from memory-mapped
-//! segments) must deliver exactly what the pull-style `ShardScan` delivers,
-//! an independent engine over a buffered reader: unfiltered, sketch-pruned
-//! and rank-space, over one generation and several, down to the final block
-//! of a shard and a shard that is a single block.
+//! The store's scans checked against the database the corpus was written
+//! from: the union of every shard's records is that database (through the
+//! push scan `ShardedCorpus::scan_shard` and the pull `ShardScan` alike),
+//! the sketch-pruned scan keeps every sequence whose G1 closure holds a
+//! relevant item, and the ranked scan delivers the pruned records in rank
+//! space — over many blocks, one-block shards, and several generations.
+
+use std::collections::HashSet;
 
 use lash::datagen::{TextConfig, TextCorpus, TextHierarchy};
 use lash::sequence::ShardedCorpus;
-use lash::store::{
-    BlockHeader, CorpusReader, IncrementalWriter, Partitioning, ShardScan, StoreOptions,
-};
+use lash::store::{CorpusReader, IncrementalWriter, Partitioning, StoreOptions};
 use lash::{ItemId, SequenceDatabase, Vocabulary};
 
 type Records = Vec<(u64, Vec<u32>)>;
@@ -27,68 +27,63 @@ fn corpus() -> (Vocabulary, SequenceDatabase) {
 }
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("lash-pushpull-{tag}-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("lash-mapped-scan-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
 
-fn pull(scan: ShardScan<'_>) -> Records {
-    scan.map(|record| {
-        let (id, items) = record.unwrap();
-        (id, items.iter().map(|item| item.as_u32()).collect())
-    })
-    .collect()
+fn as_u32(items: &[ItemId]) -> Vec<u32> {
+    items.iter().map(|item| item.as_u32()).collect()
 }
 
 fn push(scan: impl FnOnce(&mut dyn FnMut(u64, &[ItemId])) -> lash::Result<()>) -> Records {
     let mut records = Records::new();
-    scan(&mut |id, items| records.push((id, items.iter().map(|item| item.as_u32()).collect())))
-        .unwrap();
+    scan(&mut |id, items| records.push((id, as_u32(items)))).unwrap();
     records
 }
 
-/// Compares the three push scans with the pull reference on every shard;
-/// returns how many blocks the pruned reference skipped and decoded.
-fn assert_push_equals_pull(reader: &CorpusReader) -> (u64, u64) {
+/// True when some item of `seq`, or some ancestor of one, is `relevant`.
+fn g1_closure_holds(vocab: &Vocabulary, seq: &[ItemId], relevant: impl Fn(ItemId) -> bool) -> bool {
+    seq.iter().any(|&item| {
+        let mut cursor = Some(item);
+        while let Some(c) = cursor {
+            if relevant(c) {
+                return true;
+            }
+            cursor = vocab.parent(c);
+        }
+        false
+    })
+}
+
+/// Checks every scan of every shard against `db`; returns how many
+/// sequences the pruned scan kept.
+fn assert_scans_match_the_database(
+    reader: &CorpusReader,
+    vocab: &Vocabulary,
+    db: &SequenceDatabase,
+) -> usize {
     // Prunes some blocks but not all: only the last-interned eighth of the
     // vocabulary is relevant.
-    let len = reader.vocabulary().len() as u32;
+    let len = vocab.len() as u32;
     let cut = len - len / 8;
     let relevant = move |item: ItemId| item.as_u32() >= cut;
-    let keep = move |header: &BlockHeader| {
-        header
-            .sketch
-            .iter()
-            .any(|&(item, _)| relevant(ItemId::from_u32(item)))
-    };
     let rank_of = reader.rank_order().rank_of();
-    let (mut pruned, mut decoded) = (0, 0);
+    let (mut pushed, mut pulled, mut kept) = (Records::new(), Records::new(), Records::new());
     for shard in 0..reader.num_shards() {
-        let all = pull(reader.scan_shard(shard).unwrap());
-        assert_eq!(
-            push(|f| ShardedCorpus::scan_shard(reader, shard, f)),
-            all,
-            "shard {shard}: unfiltered"
+        let shard_records = push(|f| ShardedCorpus::scan_shard(reader, shard, f));
+        assert!(
+            shard_records.windows(2).all(|w| w[0].0 < w[1].0),
+            "shard {shard}: ids not ascending"
         );
+        pushed.extend(shard_records);
+        pulled.extend(reader.scan_shard(shard).unwrap().map(|record| {
+            let (id, items) = record.unwrap();
+            (id, as_u32(&items))
+        }));
 
-        let mut reference = reader.scan_shard_filtered(shard, &keep).unwrap();
-        let mut kept = Records::new();
-        while let Some(batch) = reference.next_batch().unwrap() {
-            kept.extend(
-                batch
-                    .iter()
-                    .map(|(id, items)| (id, items.iter().map(|i| i.as_u32()).collect())),
-            );
-        }
-        pruned += reference.blocks_pruned();
-        decoded += reference.blocks_decoded();
-        assert_eq!(
-            push(|f| ShardedCorpus::scan_shard_pruned(reader, shard, &relevant, f)),
-            kept,
-            "shard {shard}: pruned"
-        );
-
-        let ranked: Records = kept
+        let pruned = push(|f| ShardedCorpus::scan_shard_pruned(reader, shard, &relevant, f));
+        let ranked: Records = pruned
             .iter()
             .map(|(id, items)| (*id, items.iter().map(|&i| rank_of[i as usize]).collect()))
             .collect();
@@ -97,12 +92,38 @@ fn assert_push_equals_pull(reader: &CorpusReader) -> (u64, u64) {
             ranked,
             "shard {shard}: ranked"
         );
+        kept.extend(pruned);
     }
-    (pruned, decoded)
+
+    let expected: Records = (0..db.len())
+        .map(|i| (i as u64, as_u32(db.get(i))))
+        .collect();
+    for (scan, mut records) in [("push", pushed), ("pull", pulled)] {
+        records.sort_unstable();
+        assert_eq!(records, expected, "{scan} scan: union of shards");
+    }
+
+    let mut kept_ids = HashSet::new();
+    for (id, items) in &kept {
+        assert_eq!(
+            items, &expected[*id as usize].1,
+            "pruned scan: sequence {id}"
+        );
+        assert!(kept_ids.insert(*id), "pruned scan: sequence {id} twice");
+    }
+    for i in 0..db.len() {
+        if g1_closure_holds(vocab, db.get(i), relevant) {
+            assert!(
+                kept_ids.contains(&(i as u64)),
+                "relevant sequence {i} was pruned"
+            );
+        }
+    }
+    kept.len()
 }
 
 #[test]
-fn push_scans_equal_the_pull_reference_over_many_blocks() {
+fn scans_equal_the_source_database_over_many_blocks() {
     let (vocab, db) = corpus();
     let dir = temp_dir("blocks");
     let opts = StoreOptions::default()
@@ -110,28 +131,30 @@ fn push_scans_equal_the_pull_reference_over_many_blocks() {
         .with_block_budget(256);
     lash::store::convert::write_database(&dir, &vocab, &db, opts).unwrap();
     let reader = CorpusReader::open(&dir).unwrap();
-    let (pruned, decoded) = assert_push_equals_pull(&reader);
+    assert!(reader.manifest().shards[0].blocks > 2);
+    let kept = assert_scans_match_the_database(&reader, &vocab, &db);
     assert!(
-        pruned > 0 && decoded > 1,
-        "the predicate must skip some blocks and keep several ({pruned} / {decoded})"
+        kept > 0 && kept < db.len(),
+        "the predicate must keep some sequences and prune some ({kept} of {})",
+        db.len()
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
-fn push_scans_equal_the_pull_reference_on_one_block_shards() {
+fn scans_equal_the_source_database_on_one_block_shards() {
     let (vocab, db) = corpus();
     let dir = temp_dir("one-block");
     let opts = StoreOptions::default().with_partitioning(Partitioning::hash(2));
     lash::store::convert::write_database(&dir, &vocab, &db, opts).unwrap();
     let reader = CorpusReader::open(&dir).unwrap();
     assert!(reader.manifest().shards.iter().all(|s| s.blocks == 1));
-    assert_push_equals_pull(&reader);
+    assert_scans_match_the_database(&reader, &vocab, &db);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
-fn push_scans_equal_the_pull_reference_across_generations() {
+fn scans_equal_the_source_database_across_generations() {
     let (vocab, db) = corpus();
     let dir = temp_dir("generations");
     let opts = StoreOptions::default()
@@ -148,6 +171,6 @@ fn push_scans_equal_the_pull_reference_across_generations() {
     }
     let reader = CorpusReader::open(&dir).unwrap();
     assert_eq!(reader.len(), db.len() as u64);
-    assert_push_equals_pull(&reader);
+    assert_scans_match_the_database(&reader, &vocab, &db);
     std::fs::remove_dir_all(&dir).unwrap();
 }
