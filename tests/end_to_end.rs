@@ -10,7 +10,7 @@ use lash::datagen::{
 use lash::distributed::mgfsm::{lash_flat, MgFsm};
 use lash::distributed::naive_job::run_naive;
 use lash::distributed::semi_naive_job::run_semi_naive;
-use lash::mapreduce::{EngineConfig, FailurePlan, Phase};
+use lash::mapreduce::{EngineConfig, FailurePlan, JobMetrics, Phase};
 use lash::matching::matches;
 use lash::{GsmParams, Lash, LashConfig, MinerKind};
 
@@ -237,4 +237,34 @@ fn scaling_output_grows_superlinearly_with_data() {
         .mine(&db, &vocab, &params)
         .unwrap();
     assert!(full.pattern_set().len() > half.pattern_set().len());
+}
+
+/// The shuffle's wire bytes, pinned: on the Fig. 1 database under a
+/// sequential engine, each job's map side ships exactly these records and
+/// bytes. How a job serializes its records may change; what it ships may
+/// not, so a refactor of the map side must leave every figure as it is.
+#[test]
+fn map_output_bytes_are_pinned_on_fig1() {
+    let (vocab, db) = paper_example();
+    let params = GsmParams::new(2, 1, 3).unwrap();
+    let cluster = EngineConfig::sequential();
+    let lash = Lash::new(LashConfig::new(cluster.clone()))
+        .mine(&db, &vocab, &params)
+        .unwrap();
+    let ctx = MiningContext::build(&db, &vocab, params.sigma);
+    let (_, naive) = run_naive(&ctx, &params, &cluster).unwrap();
+    let (_, semi_naive) = run_semi_naive(&ctx, &params, &cluster).unwrap();
+    // (map_output_records, map_output_bytes, map_output_materialized_bytes)
+    let wire = |m: &JobMetrics| {
+        let c = &m.counters;
+        (
+            c.map_output_records,
+            c.map_output_bytes,
+            c.map_output_materialized_bytes,
+        )
+    };
+    assert_eq!(wire(&lash.preprocess_metrics), (14, 28, 56), "f-list job");
+    assert_eq!(wire(&lash.mine_metrics), (14, 70, 94), "LASH job");
+    assert_eq!(wire(&naive), (112, 360, 562), "naive");
+    assert_eq!(wire(&semi_naive), (55, 158, 246), "semi-naive");
 }
