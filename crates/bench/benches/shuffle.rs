@@ -39,13 +39,12 @@ struct TokenCount;
 
 impl Job for TokenCount {
     type Input = Vec<u32>;
-    type Key = u32;
-    type Value = u64;
     type Output = (u32, u64);
 
+    /// Each token's count is a varint 1: the single byte `1`.
     fn map(&self, tokens: &Vec<u32>, emit: &mut Emitter<'_, Self>) {
         for &t in tokens {
-            emit.emit(t, 1);
+            emit.emit(&t.to_be_bytes(), &[1]);
         }
     }
 
@@ -56,13 +55,6 @@ impl Job for TokenCount {
     fn reduce(&self, key: &[u8], values: &mut Values<'_, '_>, out: &mut Vec<(u32, u64)>) {
         let key = u32::from_be_bytes(key.try_into().expect("4-byte key"));
         out.push((key, sum_counts(values)));
-    }
-
-    fn encode_key(&self, key: &u32, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&key.to_be_bytes());
-    }
-    fn encode_value(&self, value: &u64, buf: &mut Vec<u8>) {
-        varint::encode_u64(*value, buf);
     }
 }
 
@@ -75,8 +67,6 @@ struct WindowCount {
 
 impl Job for WindowCount {
     type Input = Vec<u32>;
-    type Key = Vec<u32>;
-    type Value = u64;
     type Output = (Vec<u32>, u64);
 
     fn map(&self, ranks: &Vec<u32>, emit: &mut Emitter<'_, Self>) {
@@ -84,8 +74,8 @@ impl Job for WindowCount {
         for len in 2..=5 {
             for window in ranks.windows(len) {
                 key.clear();
-                key.extend_from_slice(window);
-                emit.emit_ref(&key, &1);
+                lash_encoding::encode_sequence(window, &mut key);
+                emit.emit(&key, &[1]);
             }
         }
     }
@@ -100,13 +90,6 @@ impl Job for WindowCount {
             let pattern = lash_encoding::decode_sequence(key).expect("valid pattern key");
             out.push((pattern, frequency));
         }
-    }
-
-    fn encode_key(&self, key: &Vec<u32>, buf: &mut Vec<u8>) {
-        lash_encoding::encode_sequence(key, buf);
-    }
-    fn encode_value(&self, value: &u64, buf: &mut Vec<u8>) {
-        varint::encode_u64(*value, buf);
     }
 }
 

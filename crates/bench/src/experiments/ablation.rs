@@ -74,7 +74,7 @@ pub fn ablation(datasets: &mut Datasets, report: &mut Report) {
             &db,
             &vocab,
             &params,
-            LashConfig::new(cluster()).with_aggregation(on),
+            LashConfig::new(cluster().with_combiner(on)),
         );
         aggregation.row(vec![
             label.to_owned(),

@@ -28,14 +28,17 @@ struct CountJob<'a> {
 }
 
 /// Per-thread map scratch: one enumerator, the rewritten sentence and the
-/// emitted key keep their capacity from one sentence to the next, so a map
+/// encoded key keep their capacity from one sentence to the next, so a map
 /// task allocates nothing per candidate.
 #[derive(Default)]
 struct MapScratch {
     enumerator: GlEnumerator,
     sentence: Vec<u32>,
-    key: Vec<u32>,
+    key: Vec<u8>,
 }
+
+/// Every candidate's count: the varint encoding of 1.
+const ONE: [u8; 1] = [1];
 
 thread_local! {
     static SCRATCH: RefCell<MapScratch> = RefCell::new(MapScratch::default());
@@ -43,8 +46,6 @@ thread_local! {
 
 impl Job for CountJob<'_> {
     type Input = u32;
-    type Key = Vec<u32>;
-    type Value = u64;
     type Output = (Vec<u32>, u64);
 
     fn map(&self, &idx: &u32, emit: &mut Emitter<'_, Self>) {
@@ -68,8 +69,8 @@ impl Job for CountJob<'_> {
             let (gamma, lambda) = (self.params.gamma, self.params.lambda);
             for candidate in scratch.enumerator.enumerate(seq, space, gamma, lambda) {
                 scratch.key.clear();
-                scratch.key.extend_from_slice(candidate);
-                emit.emit_ref(&scratch.key, &1);
+                super::encode_pattern_key(candidate, &mut scratch.key);
+                emit.emit(&scratch.key, &ONE);
             }
         });
     }
@@ -84,13 +85,6 @@ impl Job for CountJob<'_> {
         if frequency >= self.params.sigma {
             out.push((super::decode_pattern_key(key), frequency));
         }
-    }
-
-    fn encode_key(&self, key: &Vec<u32>, buf: &mut Vec<u8>) {
-        super::encode_pattern_key(key, buf);
-    }
-    fn encode_value(&self, value: &u64, buf: &mut Vec<u8>) {
-        super::encode_count(*value, buf);
     }
 }
 

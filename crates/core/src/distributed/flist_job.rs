@@ -28,8 +28,6 @@ struct ShardedFListJob<'a, C> {
 
 impl<C: ShardedCorpus> Job for ShardedFListJob<'_, C> {
     type Input = u32;
-    type Key = u32;
-    type Value = u64;
     type Output = (u32, u64);
 
     /// Counts the shard's G1 items into a dense per-item array, remembering
@@ -54,8 +52,13 @@ impl<C: ShardedCorpus> Job for ShardedFListJob<'_, C> {
                 .expect("scan error lock")
                 .get_or_insert(e);
         }
+        let (mut key, mut value) = (Vec::new(), Vec::new());
         for item in touched {
-            emit.emit(item.as_u32(), counts[item.index()]);
+            key.clear();
+            super::encode_u32_key(item.as_u32(), &mut key);
+            value.clear();
+            super::encode_count(counts[item.index()], &mut value);
+            emit.emit(&key, &value);
         }
     }
 
@@ -65,13 +68,6 @@ impl<C: ShardedCorpus> Job for ShardedFListJob<'_, C> {
 
     fn reduce(&self, key: &[u8], values: &mut Values<'_, '_>, out: &mut Vec<(u32, u64)>) {
         out.push((super::decode_u32_key(key), super::sum_counts(values)));
-    }
-
-    fn encode_key(&self, key: &u32, buf: &mut Vec<u8>) {
-        super::encode_u32_key(*key, buf);
-    }
-    fn encode_value(&self, value: &u64, buf: &mut Vec<u8>) {
-        super::encode_count(*value, buf);
     }
 }
 

@@ -94,21 +94,19 @@ pub struct LashConfig {
     /// How aggressively to rewrite sequences during partitioning (ablation
     /// knob; `Full` is LASH).
     pub rewrite_level: RewriteLevel,
-    /// Aggregate duplicate rewritten sequences in the combiner (Sec. 4.4).
-    pub aggregate: bool,
     /// Ignore the item hierarchy (flat mining — MG-FSM mode; Sec. 6.3).
     pub ignore_hierarchy: bool,
 }
 
 impl LashConfig {
-    /// The paper's default configuration: full rewrites, aggregation,
-    /// PSM+Index.
+    /// The paper's default configuration: full rewrites, PSM+Index. The
+    /// combiner aggregates duplicate rewrites (Sec. 4.4) whenever
+    /// `cluster.use_combiner` is on, as it is by default.
     pub fn new(cluster: EngineConfig) -> Self {
         LashConfig {
             cluster,
             miner: MinerKind::PsmIndexed,
             rewrite_level: RewriteLevel::Full,
-            aggregate: true,
             ignore_hierarchy: false,
         }
     }
@@ -125,12 +123,6 @@ impl LashConfig {
         self
     }
 
-    /// Enables or disables combiner aggregation.
-    pub fn with_aggregation(mut self, on: bool) -> Self {
-        self.aggregate = on;
-        self
-    }
-
     /// Enables or disables hierarchy-aware mining.
     pub fn with_hierarchy(mut self, on: bool) -> Self {
         self.ignore_hierarchy = !on;
@@ -139,8 +131,8 @@ impl LashConfig {
 }
 
 impl Default for LashConfig {
-    /// The paper's defaults on a default cluster (aggregation on, full
-    /// rewrites, PSM+Index).
+    /// The paper's defaults on a default cluster (combiner aggregation on,
+    /// full rewrites, PSM+Index).
     fn default() -> Self {
         Self::new(EngineConfig::default())
     }
@@ -338,22 +330,22 @@ impl LashResult {
 struct Mapper<'a> {
     rewriter: Rewriter<'a>,
     scratch: RewriteScratch,
-    /// The one value every record of the task is serialized from.
-    value: (Vec<u32>, u64),
+    /// The encoded pivot and the encoded weight-1 rewrite of the record
+    /// being emitted.
+    key: Vec<u8>,
+    value: Vec<u8>,
 }
 
 impl Mapper<'_> {
-    fn map<J: Job<Key = u32, Value = (Vec<u32>, u64)>>(
-        &mut self,
-        seq: &[u32],
-        emit: &mut Emitter<'_, J>,
-    ) {
-        let value = &mut self.value;
+    fn map(&mut self, seq: &[u32], emit: &mut Emitter<'_, LashJob<'_>>) {
+        let (key, value) = (&mut self.key, &mut self.value);
         self.rewriter
             .rewrite_all(seq, &mut self.scratch, |pivot, rewritten| {
-                value.0.clear();
-                value.0.extend_from_slice(rewritten);
-                emit.emit_ref(&pivot, value);
+                key.clear();
+                super::encode_u32_key(pivot, key);
+                value.clear();
+                super::encode_weighted_seq(rewritten, 1, value);
+                emit.emit(key, value);
             });
     }
 }
@@ -370,7 +362,6 @@ struct LashJob<'a> {
     ctx: &'a MiningContext,
     params: GsmParams,
     rewrite_level: RewriteLevel,
-    aggregate: bool,
     miner: Box<dyn LocalMiner>,
     stats: Mutex<(MinerStats, u64)>,
 }
@@ -402,7 +393,6 @@ impl<'a> LashJob<'a> {
             ctx,
             params: *params,
             rewrite_level: config.rewrite_level,
-            aggregate: config.aggregate,
             miner: config.miner.instantiate(),
             stats: Mutex::new((MinerStats::default(), 0)),
         }
@@ -433,8 +423,6 @@ impl<'a> LashJob<'a> {
 
 impl Job for LashJob<'_> {
     type Input = u32;
-    type Key = u32;
-    type Value = (Vec<u32>, u64);
     /// The frequent pivot sequences of one partition.
     type Output = PatternArena;
 
@@ -443,7 +431,8 @@ impl Job for LashJob<'_> {
         let mut mapper = Mapper {
             rewriter: Rewriter::with_level(ctx.space(), &self.params, self.rewrite_level),
             scratch: RewriteScratch::default(),
-            value: (Vec::new(), 1),
+            key: Vec::new(),
+            value: Vec::new(),
         };
         let mut ranked = Vec::new();
         // A sequence with no frequent item in its G1 closure emits nothing,
@@ -481,12 +470,6 @@ impl Job for LashJob<'_> {
     /// sequence bytes makes equal rewrites adjacent, and a rewrite seen
     /// once passes through untouched.
     fn combine(&self, _pivot: &[u8], values: &mut [&[u8]], out: &mut Combined<'_>) {
-        if !self.aggregate {
-            for value in values.iter() {
-                out.push(value);
-            }
-            return;
-        }
         fn seq(value: &[u8]) -> &[u8] {
             super::split_weighted_seq(value).1
         }
@@ -529,13 +512,6 @@ impl Job for LashJob<'_> {
             guard.0.absorb(stats);
             guard.1 += 1;
         }
-    }
-
-    fn encode_key(&self, key: &u32, buf: &mut Vec<u8>) {
-        super::encode_u32_key(*key, buf);
-    }
-    fn encode_value(&self, value: &(Vec<u32>, u64), buf: &mut Vec<u8>) {
-        super::encode_weighted_seq(&value.0, value.1, buf);
     }
 }
 
@@ -687,10 +663,10 @@ mod tests {
         let (vocab, db) = fig1();
         let params = GsmParams::new(2, 1, 3).unwrap();
         let cluster = EngineConfig::default().with_split_size(6);
-        let with_agg = Lash::new(LashConfig::new(cluster.clone()).with_aggregation(true))
+        let with_agg = Lash::new(LashConfig::new(cluster.clone().with_combiner(true)))
             .mine(&db, &vocab, &params)
             .unwrap();
-        let without = Lash::new(LashConfig::new(cluster).with_aggregation(false))
+        let without = Lash::new(LashConfig::new(cluster.with_combiner(false)))
             .mine(&db, &vocab, &params)
             .unwrap();
         assert_eq!(with_agg.pattern_set(), without.pattern_set());

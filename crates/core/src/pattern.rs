@@ -71,7 +71,7 @@ impl Pattern {
 /// many patterns it holds. The arena keeps patterns in push order and does
 /// not deduplicate: whoever fills it pushes each pattern once. `T` is `u32`
 /// for rank-space patterns (what local miners produce) and
-/// [`ItemId`](crate::vocabulary::ItemId) for vocabulary-space ones (what
+/// [`ItemId`] for vocabulary-space ones (what
 /// `LashResult` holds).
 #[derive(Debug, Clone)]
 pub struct PatternArena<T = u32> {

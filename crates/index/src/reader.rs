@@ -31,8 +31,8 @@ use crate::{IndexError, Result};
 /// Internally a structure-of-arrays trie in arena order (children before
 /// parents, the root last): node `n`'s children are
 /// `edge_ids[child_start[n]..child_start[n+1]]` (ascending item ids) with
-/// the subtree of child `i` rooted at node `edge_targets[child_start[n]
-/// + i]`.
+/// the subtree of child `i` rooted at node
+/// `edge_targets[child_start[n] + i]`.
 pub struct PatternIndexReader {
     dir: PathBuf,
     manifest: IndexManifest,

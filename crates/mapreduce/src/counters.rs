@@ -8,7 +8,7 @@
 //! spill pressure is observable *while* a job runs, not only from its
 //! end-of-job snapshot.
 //!
-//! Counters are declared through [`define_counters!`], which splits them
+//! Counters are declared through `define_counters!`, which splits them
 //! into a `sum` block (additive counters) and a `max` block (high-water
 //! gauges) and derives [`CounterSnapshot::merge`] from that split — the
 //! fold each field uses is part of its declaration, so a new metric cannot

@@ -14,7 +14,7 @@
 //! ┌─────────────────────────┐                             ┌──────────────────┐
 //! │ map thread               │      run lists per         │ k-way merge of   │
 //! │  map() → Emitter         │      partition             │ the partition's  │
-//! │  encode → per-part sort  │  ┌──────────────────┐      │ runs             │
+//! │  bytes → per-part sort   │  ┌──────────────────┐      │ runs             │
 //! │  buffers (bytes + u32    │  │ mem runs         │ ───→ │  │               │
 //! │  offsets)                │  │ disk runs (spill │      │  └ stream groups │
 //! │  ├ never spilled: sort + │→ │ files)           │      │    reduce(key,   │
@@ -28,12 +28,12 @@
 //! └─────────────────────────┘                             └──────────────────┘
 //! ```
 //!
-//! * **One record layout.** The map side is typed: each emitted pair is
-//!   encoded through the job's codec the moment it is emitted. Everything
-//!   after that — sort, combine, spill, merge, reduce — reads and writes
-//!   those encoded records in place. [`Job::combine`] receives a key
-//!   group as borrowed value slices and pushes combined values through
-//!   [`Combined`]; [`Job::reduce`] receives the encoded key and a
+//! * **One record layout.** [`Job::map`] emits encoded key and value
+//!   bytes, and the [`Emitter`] copies them once into a sort buffer.
+//!   Everything after that — sort, combine, spill, merge, reduce — reads
+//!   and writes those encoded records in place. [`Job::combine`] receives
+//!   a key group as borrowed value slices and pushes combined values
+//!   through [`Combined`]; [`Job::reduce`] receives the encoded key and a
 //!   [`Values`] cursor of borrowed values. Jobs decode only what they use.
 //! * **Map side.** Records go into one sort buffer per reduce partition:
 //!   the framed bytes plus a 4-byte offset per record. On finalize a buffer
@@ -103,13 +103,12 @@
 //!
 //! impl Job for WordCount {
 //!     type Input = String;
-//!     type Key = String;
-//!     type Value = u64;
 //!     type Output = (String, u64);
 //!
+//!     // Emits each word's bytes as the key and an encoded 1 as the value.
 //!     fn map(&self, line: &String, emit: &mut Emitter<'_, Self>) {
 //!         for word in line.split_whitespace() {
-//!             emit.emit(word.to_owned(), 1);
+//!             emit.emit(word.as_bytes(), &1u64.to_le_bytes());
 //!         }
 //!     }
 //!
@@ -125,13 +124,6 @@
 //!             sum += count(v);
 //!         }
 //!         out.push((String::from_utf8(key.to_vec()).unwrap(), sum));
-//!     }
-//!
-//!     fn encode_key(&self, key: &String, buf: &mut Vec<u8>) {
-//!         buf.extend_from_slice(key.as_bytes());
-//!     }
-//!     fn encode_value(&self, value: &u64, buf: &mut Vec<u8>) {
-//!         buf.extend_from_slice(&value.to_le_bytes());
 //!     }
 //! }
 //!

@@ -693,13 +693,12 @@ mod tests {
 
     impl Job for WordCount {
         type Input = String;
-        type Key = String;
-        type Value = u64;
         type Output = (String, u64);
 
+        /// Each word's count is a varint 1: the single byte `1`.
         fn map(&self, line: &String, emit: &mut Emitter<'_, Self>) {
             for w in line.split_whitespace() {
-                emit.emit(w.to_owned(), 1);
+                emit.emit(w.as_bytes(), &[1]);
             }
         }
 
@@ -714,13 +713,6 @@ mod tests {
                 sum += count(v);
             }
             out.push((String::from_utf8(key.to_vec()).unwrap(), sum));
-        }
-
-        fn encode_key(&self, key: &String, buf: &mut Vec<u8>) {
-            buf.extend_from_slice(key.as_bytes());
-        }
-        fn encode_value(&self, value: &u64, buf: &mut Vec<u8>) {
-            lash_encoding::varint::encode_u64(*value, buf);
         }
     }
 
@@ -1061,12 +1053,10 @@ mod tests {
         struct FirstOnly;
         impl Job for FirstOnly {
             type Input = String;
-            type Key = String;
-            type Value = u64;
             type Output = (String, u64);
             fn map(&self, line: &String, emit: &mut Emitter<'_, Self>) {
                 for w in line.split_whitespace() {
-                    emit.emit(w.to_owned(), 1);
+                    emit.emit(w.as_bytes(), &1u64.to_le_bytes());
                 }
             }
             fn reduce(
@@ -1079,12 +1069,6 @@ mod tests {
                     .next()
                     .map_or(0, |v| u64::from_le_bytes(v.try_into().unwrap()));
                 out.push((String::from_utf8(key.to_vec()).unwrap(), first));
-            }
-            fn encode_key(&self, key: &String, buf: &mut Vec<u8>) {
-                buf.extend_from_slice(key.as_bytes());
-            }
-            fn encode_value(&self, value: &u64, buf: &mut Vec<u8>) {
-                buf.extend_from_slice(&value.to_le_bytes());
             }
         }
         // Combiner off so groups genuinely hold multiple values.

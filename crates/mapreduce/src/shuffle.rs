@@ -182,7 +182,7 @@ impl RunBuffer {
     /// Sorts the record references by key bytes; records with equal keys
     /// keep their push order. The data bytes are not moved.
     ///
-    /// Below [`RADIX_CUTOFF`] records this is an in-place comparison sort,
+    /// Below `RADIX_CUTOFF` (256) records this is an in-place comparison sort,
     /// whose position tie-break makes it reproduce the stable sort. From
     /// there on it is a stable LSD radix sort on `(prefix, min(key_len,
     /// 9))`, ping-ponging between the references and `scratch`: that

@@ -1,9 +1,8 @@
-//! The [`Job`] trait — typed map-side emission and codec, byte-level
-//! combine and reduce — its two byte-level views ([`Combined`] and
-//! [`Values`]), the [`Emitter`], which serializes map output into
-//! per-partition sort buffers, and the map task's spill thread, which
-//! sorts, combines and spills full sets of those buffers while the map
-//! thread keeps emitting.
+//! The [`Job`] trait — byte-level map output, combine and reduce — its two
+//! byte-level views ([`Combined`] and [`Values`]), the [`Emitter`], which
+//! copies map output into per-partition sort buffers, and the map task's
+//! spill thread, which sorts, combines and spills full sets of those
+//! buffers while the map thread keeps emitting.
 
 use std::path::PathBuf;
 use std::sync::mpsc::{Receiver, Sender, SyncSender};
@@ -17,14 +16,14 @@ use crate::spill::{RunMeta, SpillWriter};
 
 /// A MapReduce job.
 ///
-/// The map side is typed: [`Job::map`] emits `(Key, Value)` pairs, and the
-/// [`Emitter`] serializes each one on the spot through [`Job::encode_key`]
-/// and [`Job::encode_value`]. From there to the reducer the engine moves
-/// only bytes. It partitions, sorts, and groups by *encoded* key bytes,
-/// exactly as Hadoop does with serialized keys, so keys must encode
-/// injectively. [`Job::combine`] and [`Job::reduce`] receive the encoded
-/// key and borrowed encoded values, and decode only what they need — a
-/// thresholding reducer decodes just the keys that pass.
+/// The engine moves only bytes. [`Job::map`] serializes each record's key
+/// and value itself, into buffers it may reuse, and hands both to
+/// [`Emitter::emit`]. The engine partitions, sorts, and groups by these
+/// *encoded* key bytes, exactly as Hadoop does with serialized keys, so a
+/// job must encode its keys injectively: two keys it means as different
+/// must never share bytes. [`Job::combine`] and [`Job::reduce`] receive
+/// the encoded key and borrowed encoded values, and decode only what they
+/// need — a thresholding reducer decodes just the keys that pass.
 ///
 /// [`Job::reduce`] reads its group through [`Values`], a lending cursor
 /// over the shuffle merge: values arrive one at a time, so a reducer never
@@ -33,14 +32,10 @@ use crate::spill::{RunMeta, SpillWriter};
 pub trait Job: Send + Sync {
     /// One input record (map tasks receive contiguous slices of records).
     type Input: Send + Sync;
-    /// Intermediate key, as the map side emits it.
-    type Key: Send;
-    /// Intermediate value, as the map side emits it.
-    type Value: Send;
     /// Final output record.
     type Output: Send;
 
-    /// Maps one input record to zero or more key/value pairs.
+    /// Maps one input record to zero or more encoded key/value pairs.
     fn map(&self, input: &Self::Input, emit: &mut Emitter<'_, Self>)
     where
         Self: Sized;
@@ -63,11 +58,6 @@ pub trait Job: Send + Sync {
 
     /// Reduces the complete value stream of one key.
     fn reduce(&self, key: &[u8], values: &mut Values<'_, '_>, out: &mut Vec<Self::Output>);
-
-    /// Serializes a key (must be injective).
-    fn encode_key(&self, key: &Self::Key, buf: &mut Vec<u8>);
-    /// Serializes a value.
-    fn encode_value(&self, value: &Self::Value, buf: &mut Vec<u8>);
 }
 
 /// Where [`Job::combine`] writes one key group's combined values: each
@@ -221,10 +211,10 @@ pub(crate) struct Handoff {
     pub(crate) emptied: Receiver<BufferSet>,
 }
 
-/// The map-side output collector: serializes each emitted pair through the
-/// job's codec into per-partition sort buffers (Hadoop's map-side sort
-/// buffer). A spilling task hands each full set of buffers to its spill
-/// thread and keeps emitting into the set the thread emptied last.
+/// The map-side output collector: copies each emitted pair into the sort
+/// buffer of its key's partition (Hadoop's map-side sort buffer). A
+/// spilling task hands each full set of buffers to its spill thread and
+/// keeps emitting into the set the thread emptied last.
 pub struct Emitter<'a, J: Job> {
     job: &'a J,
     num_parts: usize,
@@ -242,8 +232,6 @@ pub struct Emitter<'a, J: Job> {
     stopped: bool,
     records: u64,
     counters: &'a Counters,
-    kbuf: Vec<u8>,
-    vbuf: Vec<u8>,
 }
 
 impl<'a, J: Job> Emitter<'a, J> {
@@ -265,29 +253,18 @@ impl<'a, J: Job> Emitter<'a, J> {
             stopped: false,
             records: 0,
             counters,
-            kbuf: Vec::new(),
-            vbuf: Vec::new(),
         }
     }
 
-    /// Emits one key/value pair.
-    pub fn emit(&mut self, key: J::Key, value: J::Value) {
-        self.emit_ref(&key, &value);
-    }
-
-    /// Emits one key/value pair by reference: the pair is serialized on the
-    /// spot, so a map loop can reuse one key and one value for every record.
-    pub fn emit_ref(&mut self, key: &J::Key, value: &J::Value) {
+    /// Emits one encoded key/value pair. Both are copied on the spot, so a
+    /// map loop can encode every record into the same two buffers.
+    pub fn emit(&mut self, key: &[u8], value: &[u8]) {
         if self.stopped {
             return;
         }
         self.records += 1;
-        self.kbuf.clear();
-        self.job.encode_key(key, &mut self.kbuf);
-        self.vbuf.clear();
-        self.job.encode_value(value, &mut self.vbuf);
-        let part = partition_of(&self.kbuf, self.num_parts);
-        self.buffered += self.parts[part].push(&self.kbuf, &self.vbuf);
+        let part = partition_of(key, self.num_parts);
+        self.buffered += self.parts[part].push(key, value);
         if self
             .handoff
             .as_ref()
@@ -507,44 +484,27 @@ mod tests {
     use crate::counters::CounterSnapshot;
     use crate::spill::SpillSpace;
 
-    /// Identity codec over byte-string keys and u8 values; each input is
-    /// one pair, emitted by value or, with `by_ref`, by reference.
-    struct ByteJob {
-        by_ref: bool,
-    }
-
-    const BYTE_JOB: ByteJob = ByteJob { by_ref: false };
+    /// Byte-string keys and one-byte values; each input is one pair,
+    /// emitted as it is.
+    struct ByteJob;
 
     impl Job for ByteJob {
         type Input = (Vec<u8>, u8);
-        type Key = Vec<u8>;
-        type Value = u8;
         type Output = ();
 
         fn map(&self, (key, value): &(Vec<u8>, u8), emit: &mut Emitter<'_, Self>) {
-            if self.by_ref {
-                emit.emit_ref(key, value);
-            } else {
-                emit.emit(key.clone(), *value);
-            }
+            emit.emit(key, &[*value]);
         }
         fn combine(&self, _key: &[u8], values: &mut [&[u8]], out: &mut Combined<'_>) {
             let sum = values.iter().fold(0u8, |acc, v| acc.wrapping_add(v[0]));
             out.push_with(|buf| buf.push(sum));
         }
         fn reduce(&self, _key: &[u8], _values: &mut Values<'_, '_>, _out: &mut Vec<()>) {}
-        fn encode_key(&self, key: &Vec<u8>, buf: &mut Vec<u8>) {
-            buf.extend_from_slice(key);
-        }
-        fn encode_value(&self, value: &u8, buf: &mut Vec<u8>) {
-            buf.push(*value);
-        }
     }
 
-    /// Runs one map task of `job` over `pairs` with `parts` reduce
+    /// Runs one map task of [`ByteJob`] over `pairs` with `parts` reduce
     /// partitions, returning its output and the counters it left.
     fn map_task(
-        job: &ByteJob,
         pairs: &[(Vec<u8>, u8)],
         parts: usize,
         combiner: bool,
@@ -557,7 +517,7 @@ mod tests {
         let space = threshold.map(|_| SpillSpace::create(None).unwrap());
         let counters = Counters::default();
         let output = crate::runtime::run_map_task(
-            job,
+            &ByteJob,
             pairs,
             parts,
             &config,
@@ -577,7 +537,7 @@ mod tests {
     #[test]
     fn emitter_sorts_and_groups_in_memory() {
         let input = pairs(&[(b"b", 1), (b"a", 2), (b"b", 3)]);
-        let (output, s) = map_task(&BYTE_JOB, &input, 1, false, None);
+        let (output, s) = map_task(&input, 1, false, None);
         assert_eq!(s.map_output_records, 3);
         let MapTaskOutput::Mem(parts) = output else {
             panic!("no threshold, no spill");
@@ -600,23 +560,9 @@ mod tests {
     }
 
     #[test]
-    fn emit_ref_serializes_like_emit() {
-        let input = pairs(&[(b"b", 1), (b"a", 2), (b"b", 3)]);
-        let runs = |by_ref: bool| {
-            let (output, s) = map_task(&ByteJob { by_ref }, &input, 2, false, None);
-            let MapTaskOutput::Mem(parts) = output else {
-                panic!("no threshold, no spill");
-            };
-            let data: Vec<Vec<u8>> = parts.into_iter().map(|run| run.data).collect();
-            (data, s.map_output_records, s.peak_resident_bytes)
-        };
-        assert_eq!(runs(true), runs(false));
-    }
-
-    #[test]
     fn emitter_combines_per_key_group() {
         let input = pairs(&[(b"k", 10), (b"k", 20), (b"other", 1)]);
-        let (output, s) = map_task(&BYTE_JOB, &input, 1, true, None);
+        let (output, s) = map_task(&input, 1, true, None);
         let MapTaskOutput::Mem(parts) = output else {
             panic!("no threshold, no spill");
         };
@@ -630,7 +576,7 @@ mod tests {
     #[test]
     fn zero_threshold_spills_every_record() {
         let input: Vec<(Vec<u8>, u8)> = (0..5u8).map(|i| (vec![i], i)).collect();
-        let (output, s) = map_task(&BYTE_JOB, &input, 2, true, Some(0));
+        let (output, s) = map_task(&input, 2, true, Some(0));
         assert_eq!(s.map_output_records, 5);
         let MapTaskOutput::Spilled { runs, .. } = output else {
             panic!("threshold 0 must spill");
@@ -649,7 +595,7 @@ mod tests {
     fn spills_happen_where_the_threshold_is_crossed() {
         // Four framed bytes per record: a set leaves at 8 bytes > 5.
         let input: Vec<(Vec<u8>, u8)> = (0..7u8).map(|i| (vec![i], i)).collect();
-        let (output, s) = map_task(&BYTE_JOB, &input, 1, false, Some(5));
+        let (output, s) = map_task(&input, 1, false, Some(5));
         let MapTaskOutput::Spilled { runs, .. } = output else {
             panic!("the threshold is crossed, so the task spills");
         };
@@ -664,7 +610,7 @@ mod tests {
     #[test]
     fn a_task_under_the_threshold_never_spills() {
         let input = pairs(&[(b"b", 1), (b"a", 2)]);
-        let (output, s) = map_task(&BYTE_JOB, &input, 2, true, Some(1 << 20));
+        let (output, s) = map_task(&input, 2, true, Some(1 << 20));
         assert!(matches!(output, MapTaskOutput::Mem(_)));
         assert_eq!(s.spilled_runs, 0);
         assert_eq!(s.peak_resident_bytes, 8);

@@ -45,8 +45,6 @@ fn find_first_spill(base: &std::path::Path) -> Option<PathBuf> {
 
 impl Job for CorruptingJob {
     type Input = u32;
-    type Key = u32;
-    type Value = u64;
     type Output = (u32, u64);
 
     fn map(&self, &record: &u32, emit: &mut Emitter<'_, Self>) {
@@ -56,7 +54,7 @@ impl Job for CorruptingJob {
             self.corrupt_first_spill();
         }
         for k in 0..16u32 {
-            emit.emit(k, u64::from(record));
+            emit.emit(&k.to_be_bytes(), &u64::from(record).to_le_bytes());
         }
     }
 
@@ -66,13 +64,6 @@ impl Job for CorruptingJob {
             sum += u64::from_le_bytes(v.try_into().expect("8-byte value"));
         }
         out.push((u32::from_be_bytes(key.try_into().expect("4-byte key")), sum));
-    }
-
-    fn encode_key(&self, key: &u32, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&key.to_be_bytes());
-    }
-    fn encode_value(&self, value: &u64, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&value.to_le_bytes());
     }
 }
 

@@ -13,13 +13,11 @@ struct SumJob;
 
 impl Job for SumJob {
     type Input = Vec<(u16, u32)>;
-    type Key = u16;
-    type Value = u64;
     type Output = (u16, u64);
 
     fn map(&self, record: &Vec<(u16, u32)>, emit: &mut Emitter<'_, Self>) {
         for &(k, v) in record {
-            emit.emit(k, v as u64);
+            emit.emit(&k.to_be_bytes(), &u64::from(v).to_le_bytes());
         }
     }
 
@@ -34,13 +32,6 @@ impl Job for SumJob {
             sum += value(v);
         }
         out.push((u16::from_be_bytes(key.try_into().expect("2-byte key")), sum));
-    }
-
-    fn encode_key(&self, key: &u16, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&key.to_be_bytes());
-    }
-    fn encode_value(&self, value: &u64, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&value.to_le_bytes());
     }
 }
 

@@ -35,16 +35,14 @@ struct SpillJob {
 
 impl Job for SpillJob {
     type Input = u32;
-    type Key = u32;
-    type Value = u32;
     type Output = (u32, u32);
 
     fn map(&self, &record: &u32, emit: &mut Emitter<'_, Self>) {
         if let (Some(base), 0) = (&self.delete_spills_under, record) {
             remove_spill_dirs(base);
         }
-        for k in 0..64 {
-            emit.emit(k, 1);
+        for k in 0..64u32 {
+            emit.emit(&k.to_be_bytes(), &1u32.to_le_bytes());
         }
     }
 
@@ -61,13 +59,6 @@ impl Job for SpillJob {
             sum += u32::from_le_bytes(v.try_into().expect("4-byte value"));
         }
         out.push((u32::from_be_bytes(key.try_into().expect("4-byte key")), sum));
-    }
-
-    fn encode_key(&self, key: &u32, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&key.to_be_bytes());
-    }
-    fn encode_value(&self, value: &u32, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&value.to_le_bytes());
     }
 }
 

@@ -45,7 +45,7 @@
 //! group-varint bytes), and the mining map phase — which needs exactly this
 //! rank encoding — consumes blocks without re-encoding a single item. This
 //! is format version 4 ([`FORMAT_VERSION`]), the only format the crate reads
-//! or writes; see [`format`] for the exact layout.
+//! or writes; see [`format`](mod@format) for the exact layout.
 //!
 //! Every read — the mining jobs' push scans, the pull [`ShardScan`], the
 //! sketch f-list and compaction's merge — goes through one engine: segment
@@ -68,7 +68,7 @@
 //!    the old corpus or the new one, never a torn mix. See
 //!    [`generations`] for the full protocol.
 //! 3. **Compact** — ingest grows the generation count; the size-tiered
-//!    [`compact`](crate::compact) engine stream-merges adjacent generations
+//!    [`compact`] engine stream-merges adjacent generations
 //!    back into one, deleting replaced files only after the manifest swap.
 //!    Scans and mining results are identical before and after — compaction
 //!    moves bytes, never content. Setting [`COMPACT_EVERY_ENV`] compacts

@@ -97,7 +97,7 @@ pub mod index {
 }
 
 /// Metrics and structured tracing (re-export of `lash-obs`): the global
-/// [`obs::MetricsRegistry`](lash_obs::MetricsRegistry) every layer reports
+/// [`obs::MetricsRegistry`] every layer reports
 /// into, readable via `lash::obs::global().render_text()`.
 pub mod obs {
     pub use lash_obs::*;
